@@ -20,9 +20,9 @@ The package stacks five layers:
 
 from ._backend import BACKEND
 from .contour import (ContourSpec, ShiftedContour, branch_loci, classify_side,
-                      contour_derivative, contour_point, default_contour,
-                      loci_clearance, scaled_constants,
-                      sign_compatibility_scan, validate_contour)
+                      contour_derivative, contour_point, contour_projection,
+                      default_contour, loci_clearance, scaled_constants,
+                      side_sign, sign_compatibility_scan, validate_contour)
 from .errors import (BranchCrossingError, ContinuationError, ContourError,
                      DomainError, NonFiniteInputError, OnBranchCutError,
                      QpdiffError, QuadratureError, WindingError)
@@ -51,7 +51,8 @@ __all__ = [
     "fourth_root_down",
     # contour
     "ContourSpec", "ShiftedContour", "contour_point", "contour_derivative",
-    "classify_side", "sign_compatibility_scan", "branch_loci",
+    "contour_projection", "side_sign", "classify_side",
+    "sign_compatibility_scan", "branch_loci",
     "loci_clearance", "validate_contour", "default_contour",
     "scaled_constants",
     # quadrature / factors

@@ -172,11 +172,12 @@ def cmd_diffcoef(args) -> int:
     for phi, path in zip(phis, outputs):
         result = evaluator.arc_sweep(phi, args.n_theta, workers=workers)
         result.to_csv(path)
-        n_bad = sum(1 for f in result.flags if f == "near_pole")
-        if n_bad == len(result.flags):
+        n_pole = result.flags.count("near_pole")
+        n_failed = result.flags.count("failed")
+        if n_pole + n_failed == len(result.flags):
             any_whole_failure = True
         print(f"wrote {path}  ({len(result.flags)} rows, "
-              f"{n_bad} near-pole/singular)")
+              f"{n_pole} near-pole/singular, {n_failed} failed)")
     return 1 if any_whole_failure else 0
 
 

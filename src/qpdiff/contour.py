@@ -14,6 +14,11 @@ either way are gated at startup by the two quantitative diagnostics
 below: the sign-compatibility scan (``Im(1/K) >= 0`` on the contour
 product) and the branch-loci clearance (the contour keeps a positive
 distance from the curves ``+-kappa(k, A(s))``).
+
+Every geometric question about a point -- its projection parameter,
+which side of the contour it lies on, how far away it is -- is answered
+by one safeguarded Newton solve of ``Re A(s) = Re z``
+(``contour_projection``), for a single point or an array of them.
 """
 
 from __future__ import annotations
@@ -71,10 +76,10 @@ class ShiftedContour:
 def contour_point(spec: ContourSpec, s):
     """Contour point ``A(s) = s + s / (a (s^4 + c))``."""
     s = np.asarray(s, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
     denom = spec.a * (s.astype(np.complex128) ** 4 + spec.c)
-    if np.any(denom == 0):
+    if (denom == 0).any():
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
     out = s + s / denom
     return complex(out) if out.ndim == 0 else out
@@ -83,11 +88,11 @@ def contour_point(spec: ContourSpec, s):
 def contour_derivative(spec: ContourSpec, s):
     """Closed-form ``dA/ds = 1 + (c - 3 s^4) / (a (s^4 + c)^2)``."""
     s = np.asarray(s, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
     s4 = s.astype(np.complex128) ** 4
     denom = spec.a * (s4 + spec.c) ** 2
-    if np.any(denom == 0):
+    if (denom == 0).any():
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
     out = 1.0 + (spec.c - 3.0 * s4) / denom
     return complex(out) if out.ndim == 0 else out
@@ -116,15 +121,26 @@ def default_contour(k: float = K_REF, s_max: float = 1e4, label: str = "A") -> C
 # geometry helpers: projection, side classification
 # --------------------------------------------------------------------------
 
+#: |gap| at or below which a point counts as on the contour
+SIDE_TOL = 1e-12
+
+_SIDE_NAME = {1: "above", 0: "on", -1: "below"}
+
+_NEWTON_MAXIT = 100
+
+#: targets solved together; bounds the iteration's temporaries
+_BLOCK = 4096
+
 _geometry_cache: dict = {}
 
 
 def _geometry(spec: ContourSpec):
-    """Cached monotonicity check and bump bound for a contour.
+    """Cached monotonicity check, bump bound and samples for a contour.
 
     Verifies once per constants that Re A(s) is strictly increasing
-    (sampled at 10^4 points; required by side classification) and
-    records max |A(s) - s| for projection bracketing.
+    (sampled at 10^4 points; required by side classification), records
+    max |A(s) - s| for projection bracketing, and keeps the samples
+    ``(s, Re A(s))`` that seed the projection's Newton iteration.
     """
     key = (spec.a, spec.c)
     hit = _geometry_cache.get(key)
@@ -139,60 +155,126 @@ def _geometry(spec: ContourSpec):
             "is undefined for these constants"
         )
     bump = float(np.max(np.abs(pts - s)))
-    info = {"bump": bump}
+    # a copy: a view of Re A(s) would keep the complex samples alive
+    info = {"bump": bump, "s": s, "re": re.copy()}
     _geometry_cache[key] = info
     return info
 
 
-def contour_projection(spec: ContourSpec, z: complex) -> float:
-    """Parameter ``s*`` with ``Re A(s*) = Re z``, found by bisection."""
-    geo = _geometry(spec)
-    x = float(np.real(z))
-    pad = geo["bump"] + 1.0
-    lo, hi = x - pad, x + pad
-    flo = np.real(contour_point(spec, lo)) - x
-    fhi = np.real(contour_point(spec, hi)) - x
+def _bracket(spec: ContourSpec, x, pad: float):
+    """``(lo, hi)`` with ``Re A(lo) < x < Re A(hi)``, widened by doubling."""
+    pad = np.full(x.shape, pad)
     for _ in range(8):
-        if flo < 0.0 < fhi:
-            break
-        pad *= 2.0
         lo, hi = x - pad, x + pad
-        flo = np.real(contour_point(spec, lo)) - x
-        fhi = np.real(contour_point(spec, hi)) - x
-    else:
-        raise ContourError("projection bracket not found; invalid contour")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = np.real(contour_point(spec, mid)) - x
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * (1.0 + abs(x)):
-            break
-    return 0.5 * (lo + hi)
+        f = contour_point(spec, np.concatenate([lo, hi])).real
+        bad = ~((f[:x.size] < x) & (x < f[x.size:]))
+        if not bad.any():
+            return lo, hi
+        pad = np.where(bad, 2.0 * pad, pad)
+    raise ContourError("projection bracket not found; invalid contour")
 
 
-def classify_side(spec: ContourSpec, z: complex, tol: float = 1e-12) -> str:
+def _solve_projection(spec: ContourSpec, x):
+    """Safeguarded Newton solve of ``Re A(s) = x`` for a 1-D array ``x``.
+
+    Newton steps use the closed-form ``Re A'(s)``; a step that leaves
+    the sign bracket, meets a nonpositive slope, or fails to halve the
+    previous step is replaced by bisection (as in Numerical Recipes'
+    ``rtsafe``).  Only unconverged entries are iterated.  Returns ``s``
+    and ``A(s)`` (to first order in the last step, which is below the
+    tolerance ``1e-14 (1 + |x|)``).
+    """
+    geo = _geometry(spec)
+    lo, hi = _bracket(spec, x, geo["bump"] + 1.0)
+    tol = 1e-14 * (1.0 + np.abs(x))
+    inside = (x > geo["re"][0]) & (x < geo["re"][-1])
+    s = np.clip(np.where(inside, np.interp(x, geo["re"], geo["s"]), x), lo, hi)
+    last = hi - lo
+    idx = np.arange(x.size)
+    s_out = np.empty(x.shape)
+    pts = np.empty(x.shape, dtype=np.complex128)
+    for _ in range(_NEWTON_MAXIT):
+        p = contour_point(spec, s)
+        d = contour_derivative(spec, s)
+        f = p.real - x
+        below = f < 0.0
+        lo = np.where(below, s, lo)
+        hi = np.where(below, hi, s)
+        step = f / d.real
+        new = s - step
+        bisect = ((new < lo) | (new > hi) | ~(d.real > 0.0)
+                  | (np.abs(step) > 0.5 * np.abs(last)))
+        if bisect.any():
+            new = np.where(bisect, 0.5 * (lo + hi), new)
+        last = new - s
+        done = np.abs(last) < tol
+        if done.any():
+            s_out[idx[done]] = new[done]
+            pts[idx[done]] = (p + d * last)[done]
+            keep = ~done
+            new, x, lo, hi, last, tol, idx = (
+                v[keep] for v in (new, x, lo, hi, last, tol, idx))
+        if not idx.size:
+            return s_out, pts
+        s = new
+    raise ContourError("contour projection did not converge; invalid contour")
+
+
+def contour_projection(spec: ContourSpec, z):
+    """Projection ``s*`` and signed gap of ``z``, for a scalar or an array.
+
+    ``s*`` solves ``Re A(s*) = Re z`` by the safeguarded Newton
+    iteration of ``_solve_projection`` on the contour's cached sign
+    bracket; the gap ``Im z - Im A(s*)`` is positive above the contour
+    and is what every side and distance test reads.  Returns
+    ``(s*, gap)``, floats for a scalar ``z`` and arrays of its shape
+    otherwise.
+
+    Raises
+    ------
+    NonFiniteInputError
+        If ``z`` contains NaN/Inf.
+    ContourError
+        If the constants are degenerate or not Re-monotone, no bracket
+        is found, or the iteration does not converge.
+    """
+    z = np.asarray(z)
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteInputError("projected point contains NaN/Inf")
+    x = np.real(z).astype(np.float64).ravel()
+    blocks = [_solve_projection(spec, x[i:i + _BLOCK])
+              for i in range(0, max(x.size, 1), _BLOCK)]
+    s = np.concatenate([b[0] for b in blocks])
+    pts = np.concatenate([b[1] for b in blocks])
+    if z.ndim == 0:
+        return float(s[0]), float(np.imag(z) - pts[0].imag)
+    return s.reshape(z.shape), np.imag(z) - pts.imag.reshape(z.shape)
+
+
+def gap_side(gap, tol: float = SIDE_TOL):
+    """Side sign of a signed gap: +1 above, 0 on (``|gap| <= tol``), -1 below."""
+    side = np.sign(gap).astype(np.int8) * (np.abs(gap) > tol)
+    return int(side) if np.ndim(side) == 0 else side
+
+
+def side_sign(spec: ContourSpec, z, tol: float = SIDE_TOL):
+    """The side classifier: +1 above, 0 on, -1 below, for a scalar or an array."""
+    return gap_side(contour_projection(spec, z)[1], tol)
+
+
+def classify_side(spec: ContourSpec, z: complex, tol: float = SIDE_TOL) -> str:
     """Which side of the contour ``z`` lies on: ``"above"``, ``"on"`` or ``"below"``."""
-    s_star = contour_projection(spec, z)
-    gap = float(np.imag(z)) - float(np.imag(contour_point(spec, s_star)))
-    if gap > tol:
-        return "above"
-    if gap < -tol:
-        return "below"
-    return "on"
+    return _SIDE_NAME[side_sign(spec, complex(z), tol)]
 
 
-def distance_to_contour(spec: ContourSpec, z: complex) -> float:
-    """Vertical distance from ``z`` to the contour (signed magnitude).
+def distance_to_contour(spec: ContourSpec, z):
+    """Vertical distance ``|Im z - Im A(s*)|`` from ``z`` to the contour.
 
     The contour graph has bounded slope for valid constants, so the
     vertical gap at the Re-projection is an adequate proxy for the true
     distance wherever the quadrature guard needs it.
     """
-    s_star = contour_projection(spec, z)
-    return abs(float(np.imag(z)) - float(np.imag(contour_point(spec, s_star))))
+    return np.abs(contour_projection(spec, z)[1])
 
 
 # --------------------------------------------------------------------------
@@ -301,10 +383,9 @@ def validate_contour(spec: ContourSpec, k: float, scan_n: int = 120,
         monotone = False
     indentation_ok = False
     if monotone:
-        s_minus = contour_projection(spec, -k)
-        s_plus = contour_projection(spec, +k)
-        indentation_ok = (np.imag(contour_point(spec, s_minus)) > 0
-                          and np.imag(contour_point(spec, s_plus)) < 0)
+        # the contour passes above -k and below +k
+        gaps = contour_projection(spec, np.array([-k, k]))[1]
+        indentation_ok = gaps[0] < 0.0 < gaps[1]
     scan = sign_compatibility_scan(spec, spec, k, scan_n,
                                    s_range=10.0 * k / K_REF)
     clearance = loci_clearance(spec, spec, k, s_range=30.0 * k / K_REF) if monotone else 0.0
@@ -321,16 +402,13 @@ def validate_contour(spec: ContourSpec, k: float, scan_n: int = 120,
     return report
 
 
-def default_shift(spec: ContourSpec, k: float, target=None, floor: float = 1e-3):
+def default_shift(k: float, distance: float, floor: float = 1e-3) -> float:
     """Shift magnitude for the Cauchy contours serving a given target.
 
     Takes the smaller of 0.05 k (strip safety) and a ninth of the
-    target's distance to the base contour, so that the target stays at
-    least ten shifts away from the shifted contour; clamped below at
-    ``floor``.  Callers re-halve it for the shift-independence check.
+    target's ``distance`` to the base contour (``distance_to_contour``),
+    so that the target stays at least ten shifts away from the shifted
+    contour; clamped below at ``floor``.  Callers re-halve it for the
+    shift-independence check.
     """
-    cap = 0.05 * k
-    if target is None:
-        return max(floor, cap)
-    d = distance_to_contour(spec, target)
-    return float(max(floor, min(cap, d / 9.0)))
+    return float(max(floor, min(0.05 * k, distance / 9.0)))

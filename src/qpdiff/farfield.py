@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contour import ContourSpec, default_contour, validate_contour
-from .errors import DomainError, QpdiffError
+from .errors import DomainError, OnBranchCutError, QpdiffError
 from .quadrature import QuadratureConfig
 from .whfactor import MM, MP, PM, PP, continue_factor
 
@@ -270,7 +270,9 @@ class AnsatzEvaluator:
 
         ``f_d = k F_pp(-k xi, -k eta) / (4 pi^2 i)``; the flag records
         pole proximity, the detected real-branch regime, or the use of
-        analytic continuation (in that precedence), else ``ok``.
+        analytic continuation (in that precedence), else ``ok``.  A row
+        whose computation broke down (quadrature, continuation, branch
+        crossing, contour geometry) is NaN flagged ``failed``.
         """
         inc = self.inc
         alpha1 = -inc.k * obs.xi
@@ -279,13 +281,17 @@ class AnsatzEvaluator:
                      or abs(obs.eta + inc.eta0) < NEAR_POLE_THRESHOLD)
         try:
             fpp, continued = self.fpp(alpha1, alpha2, with_continued=True)
-        except QpdiffError:
+        except (DomainError, OnBranchCutError):
             # A genuinely singular direction: the forcing pole itself, or
             # an arc boundary where the spectral point meets the circle
             # alpha1^2 + alpha2^2 = k^2 and a factor branch point is hit
             # exactly (theta = pi/2 endpoints).  Flagged, never fatal.
             return PointValue(value=complex(np.nan, np.nan),
                               flag="near_pole", continued=False)
+        except QpdiffError:
+            # a numerical breakdown at a regular direction: not a pole
+            return PointValue(value=complex(np.nan, np.nan),
+                              flag="failed", continued=False)
         value = inc.k * fpp / (4j * np.pi ** 2)
         if near_pole:
             flag = "near_pole"

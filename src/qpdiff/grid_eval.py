@@ -9,11 +9,14 @@ changes.  So the integrand is sampled once on a composite GK15 mesh
 tails) and the per-pixel sums are delegated to the Cauchy-sum backend
 (compiled extension when built, numpy otherwise).
 
-Per-pixel accuracy is monitored through the embedded Gauss rule;
-pixels whose error estimate fails the (relaxed) tolerance -- in
-practice a thin band hugging the contour -- are recomputed through the
-scalar adaptive path, and pixels where even that fails are reported in
-the mask rather than raising.
+Targets are placed relative to the contour by the array form of
+``contour.contour_projection``: ``side_sign`` (the same classifier the
+scalar path uses) splits them into half-planes, and the signed gap sets
+the width of the fallback band.  Per-pixel accuracy is monitored
+through the embedded Gauss rule; pixels whose error estimate fails the
+(relaxed) tolerance, plus the thin band hugging the contour, are
+recomputed through the scalar adaptive path, and pixels where even
+that fails are reported in the mask rather than raising.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._backend import cauchy_pair_sums
-from .contour import ContourSpec, classify_side, contour_derivative, contour_point
+from .contour import (ContourSpec, contour_derivative, contour_point,
+                      contour_projection, side_sign)
 from .errors import QpdiffError
 from .quadrature import QuadratureConfig, _WG, _WK, _XK
 from .specfun import _kappa_raw, diag_log, fourth_root_down, half_factor
@@ -30,19 +34,23 @@ from .whfactor import FactorLabel, _check_log_track, _HALF_CH, _ROT_BACK, quarte
 
 def _grid_mesh(spec: ContourSpec, re_lo: float, re_hi: float, k: float,
                s_max: float, h_fine: float):
-    """Panel edges: uniform spacing across the window, geometric tails."""
+    """Panel edges: uniform spacing across the window, geometric tails.
+
+    Each tail walk starts at least ``h_fine`` from the origin, so a
+    window edge at exactly ``-+(2 + k)`` cannot stall it at zero.
+    """
     pad = 2.0 + k
     lo, hi = re_lo - pad, re_hi + pad
     n_fine = max(8, int(np.ceil((hi - lo) / h_fine)))
     edges = [np.linspace(lo, hi, n_fine + 1)]
     left = []
-    e = abs(lo)
+    e = max(abs(lo), h_fine)
     while e < s_max:
         e *= 1.7
         left.append(-min(e, s_max))
     edges.append(np.array(sorted(left)))
     right = []
-    e = abs(hi)
+    e = max(abs(hi), h_fine)
     while e < s_max:
         e *= 1.7
         right.append(min(e, s_max))
@@ -105,10 +113,8 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     values = np.exp(coef * i_hi) / pref
 
     # thin band hugging the contour, plus any pixel the pair rule flags
-    gaps = np.abs(flat.imag - np.interp(flat.real,
-                                        contour_point(contour, edges).real,
-                                        contour_point(contour, edges).imag))
-    redo = ~np.isfinite(values) | (err > tol) | (gaps < 2.0 * h_fine)
+    gap = contour_projection(contour, flat)[1]
+    redo = ~np.isfinite(values) | (err > tol) | (np.abs(gap) < 2.0 * h_fine)
     for idx in np.nonzero(redo)[0]:
         try:
             values[idx] = quarter_factor(label, alpha1, flat[idx], k, contour,
@@ -129,8 +135,8 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     natural one there).  ``alpha1`` must lie in the label's natural
     alpha1 half-plane or on the contour.
     """
-    side1 = classify_side(contour, complex(alpha1))
-    if side1 != "on" and side1 != ("above" if label.side1 > 0 else "below"):
+    side1 = side_sign(contour, complex(alpha1))
+    if side1 != 0 and side1 != label.side1:
         raise QpdiffError(
             f"alpha1 is outside the natural half-plane of K_{label.tag}; "
             "pointwise continuation is required (continue_factor)"
@@ -140,14 +146,10 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     values = np.empty(flat.shape, dtype=np.complex128)
     ok = np.ones(flat.shape, dtype=bool)
 
-    side_sign = np.empty(flat.shape, dtype=np.int8)
-    edge_probe = np.linspace(flat.real.min() - 1.0, flat.real.max() + 1.0, 4096)
-    curve = contour_point(contour, edge_probe)
-    gap = flat.imag - np.interp(flat.real, curve.real, curve.imag)
-    side_sign[gap >= 0] = +1
-    side_sign[gap < 0] = -1
+    sides = side_sign(contour, flat)
 
-    natural = side_sign == label.side2
+    # points on the contour belong to both half-planes; take the natural one
+    natural = (sides == label.side2) | (sides == 0)
     if natural.any():
         v, m = quarter_factor_grid(label, alpha1, flat[natural], k, contour,
                                    cfg, **grid_kw)

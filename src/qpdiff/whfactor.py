@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (ContourSpec, ShiftedContour, classify_side,
-                      contour_point, contour_projection, default_shift)
+from .contour import (ContourSpec, ShiftedContour, contour_point,
+                      contour_projection, default_shift, gap_side, side_sign)
 from .errors import (BranchCrossingError, ContinuationError, DomainError,
                      NonFiniteInputError, WindingError)
 from .quadrature import QuadratureConfig, integrate_over_shifted
@@ -82,12 +82,12 @@ MP = FactorLabel("mp")
 MM = FactorLabel("mm")
 ALL_LABELS = (PP, PM, MP, MM)
 
-_SIDE_NAME = {+1: "above", -1: "below"}
 _HALF_CH = {"p": "+", "m": "-"}
 
 
-def _side_ok(side_name: str, required: int) -> bool:
-    return side_name == "on" or side_name == _SIDE_NAME[required]
+def _side_ok(side: int, required: int) -> bool:
+    """A side sign (+1 above, 0 on, -1 below) inside a required half-plane."""
+    return side == 0 or side == required
 
 
 def _shifted_for(contour: ContourSpec, side2: int, eps: float) -> ShiftedContour:
@@ -95,9 +95,8 @@ def _shifted_for(contour: ContourSpec, side2: int, eps: float) -> ShiftedContour
     return ShiftedContour(contour, -eps if side2 > 0 else +eps)
 
 
-def _projection_breaks(contour: ContourSpec, target: complex, eps: float):
-    """Panel edges clustered around the target's contour projection."""
-    s_star = contour_projection(contour, target)
+def _projection_breaks(s_star: float, eps: float):
+    """Panel edges clustered around a target's contour projection ``s_star``."""
     widths = eps * np.array([1.0, 4.0, 16.0, 64.0, 256.0])
     return np.concatenate([[s_star], s_star + widths, s_star - widths])
 
@@ -106,24 +105,25 @@ def _projection_breaks(contour: ContourSpec, target: complex, eps: float):
 # generic sum-split and factorisation (strip functions)
 # --------------------------------------------------------------------------
 
-def _split_guard(contour: ShiftedContour, target: complex):
+def _split_guard(contour: ShiftedContour, target: complex) -> float:
     """Reject targets the Cauchy kernel cannot survive.
 
     The sum-split formulae put targets on the base contour, one shift
     away from the integration path, which adaptive refinement resolves
     comfortably; what destroys accuracy is a target hugging the shifted
     contour itself.  Hence the guard triggers on separations below half
-    a shift, asking the caller for a different eps.
+    a shift, asking the caller for a different eps.  Returns the
+    target's projection onto the base contour, for the panel breaks.
     """
-    base = contour.base
-    s_star = contour_projection(base, target)
-    gap = abs(complex(target) - (contour_point(base, s_star) + 1j * contour.offset))
+    s_star, base_gap = contour_projection(contour.base, target)
+    gap = abs(base_gap - contour.offset)
     if gap < 0.5 * abs(contour.offset):
         raise DomainError(
             f"target is within half a shift of the shifted contour "
             f"(gap {gap:.3e}, eps {abs(contour.offset):.3e}); "
             "request a different eps"
         )
+    return s_star
 
 
 def cauchy_split(f, target, side: str, contour: ShiftedContour,
@@ -149,12 +149,12 @@ def cauchy_split(f, target, side: str, contour: ShiftedContour,
         coef = -1.0 / (2j * np.pi)
     else:
         raise DomainError("side must be 'plus' or 'minus'")
-    _split_guard(contour, target)
+    s_star = _split_guard(contour, target)
 
     def integrand(z):
         return np.asarray(f(z), dtype=np.complex128) / (z - target)
 
-    breaks = _projection_breaks(contour.base, target, abs(contour.offset))
+    breaks = _projection_breaks(s_star, abs(contour.offset))
     res = integrate_over_shifted(integrand, contour, cfg, scale,
                                  inner_breaks=breaks)
     return coef * res.value
@@ -180,7 +180,7 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
         coef = -1.0 / (2j * np.pi)
     else:
         raise DomainError("side must be 'plus' or 'minus'")
-    _split_guard(contour, target)
+    s_star = _split_guard(contour, target)
 
     samples = []
 
@@ -191,7 +191,7 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
         samples.append((np.asarray(z).real.copy(), gz.copy()))
         return np.log(gz) / (z - target)
 
-    breaks = _projection_breaks(contour.base, target, abs(contour.offset))
+    breaks = _projection_breaks(s_star, abs(contour.offset))
     res = integrate_over_shifted(integrand, contour, cfg, scale,
                                  inner_breaks=breaks)
 
@@ -240,7 +240,10 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
     callers needing other points go through ``continue_factor``.  The
     shift ``eps`` defaults to the guarded rule in
     ``contour.default_shift`` and is reduced automatically for targets
-    close to the contour.
+    close to the contour.  Alpha2 is projected onto the contour once;
+    its gap feeds the domain check and the shift, its parameter the
+    panel breaks.  Callers that have already placed both variables (as
+    ``continue_factor`` has) turn ``enforce_domain`` off.
 
     Raises
     ------
@@ -254,17 +257,16 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
     a2 = complex(alpha2)
     if not (np.isfinite(a1) and np.isfinite(a2)):
         raise NonFiniteInputError("spectral point contains NaN/Inf")
+    s2, gap2 = contour_projection(contour, a2)
     if enforce_domain:
-        if not _side_ok(classify_side(contour, a1), label.side1):
-            raise DomainError(
-                f"alpha1 outside the natural domain of K_{label.tag}; "
-                "use continue_factor"
-            )
-        if not _side_ok(classify_side(contour, a2), label.side2):
-            raise DomainError(
-                f"alpha2 outside the natural domain of K_{label.tag}; "
-                "use continue_factor"
-            )
+        gap1 = contour_projection(contour, a1)[1]
+        for name, gap, required in (("alpha1", gap1, label.side1),
+                                    ("alpha2", gap2, label.side2)):
+            if not _side_ok(gap_side(gap), required):
+                raise DomainError(
+                    f"{name} outside the natural domain of K_{label.tag}; "
+                    "use continue_factor"
+                )
 
     pref_arg = k + a2 if label.side2 > 0 else k - a2
     pref = fourth_root_down(pref_arg)
@@ -273,7 +275,7 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
         return 1.0 / pref
 
     if eps is None:
-        eps = default_shift(contour, k, a2)
+        eps = default_shift(k, abs(gap2))
     shifted = _shifted_for(contour, label.side2, eps)
     coef = -1.0 / (4j * np.pi) if label.side2 > 0 else 1.0 / (4j * np.pi)
     sign1 = label.sign1
@@ -289,7 +291,7 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
         samples.append((np.asarray(z).real.copy(), w.copy()))
         return diag_log(w) / (z - a2)
 
-    breaks = _projection_breaks(contour, a2, eps)
+    breaks = _projection_breaks(s2, eps)
     if abs(a1) > 4.0 * k:
         # the log term stays O(log) out to |z| ~ |alpha1|
         hump = abs(a1) * np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
@@ -325,9 +327,13 @@ def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
     for s1 in (-5.0, -1.5, 1.5, 5.0):
         a1 = contour_point(contour, s1)
         for s2 in (-2.2, 0.0, 3.0):
+            # in both labels' domains by construction: alpha1 on the
+            # contour, alpha2 0.8 k/3 inside its half-plane
             a2 = contour_point(contour, s2) + 1j * label.side2 * 0.8 * k / 3.0
-            direct = quarter_factor(label, a1, a2, k, contour, cfg)
-            comp_val = quarter_factor(comp, a1, a2, k, contour, cfg)
+            direct = quarter_factor(label, a1, a2, k, contour, cfg,
+                                    enforce_domain=False)
+            comp_val = quarter_factor(comp, a1, a2, k, contour, cfg,
+                                      enforce_domain=False)
             swapped = half_factor("o" + _HALF_CH[tag2], a1, a2, k)
             ratios.append(direct * comp_val / swapped)
     ratios = np.array(ratios)
@@ -356,26 +362,42 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
       constant;
     * both wrong: compose the two continuations.
 
+    Each variable is classified once per call; the factor integrals
+    below skip their own domain check.
+
     Returns the complex value, or ``(value, route)`` when
     ``with_route`` is set.
     """
     a1 = complex(alpha1)
     a2 = complex(alpha2)
-    ok1 = _side_ok(classify_side(contour, a1), label.side1)
-    ok2 = _side_ok(classify_side(contour, a2), label.side2)
+    sides = (side_sign(contour, a1), side_sign(contour, a2))
+    value, route = _continued(label, a1, a2, sides, k, contour, cfg)
+    return (value, route) if with_route else value
+
+
+def _continued(label: FactorLabel, a1: complex, a2: complex, sides,
+               k: float, contour: ContourSpec, cfg: QuadratureConfig):
+    """``continue_factor`` for variables whose side signs are ``sides``."""
+    ok1 = _side_ok(sides[0], label.side1)
+    ok2 = _side_ok(sides[1], label.side2)
     if ok1 and ok2:
-        value, route = quarter_factor(label, a1, a2, k, contour, cfg), "direct"
+        value = quarter_factor(label, a1, a2, k, contour, cfg,
+                               enforce_domain=False)
+        route = "direct"
     elif ok1:
         own_half = half_factor(_HALF_CH[label.tag[0]] + "o", a1, a2, k)
-        comp = quarter_factor(label.flip2(), a1, a2, k, contour, cfg)
+        comp = quarter_factor(label.flip2(), a1, a2, k, contour, cfg,
+                              enforce_domain=False)
         value, route = own_half / comp, "alpha2-div"
     else:
         cst = continuation_constant(label, k, contour, cfg)
         swapped = half_factor("o" + _HALF_CH[label.tag[1]], a1, a2, k)
         if ok2:
-            comp = quarter_factor(label.flip1(), a1, a2, k, contour, cfg)
+            comp = quarter_factor(label.flip1(), a1, a2, k, contour, cfg,
+                                  enforce_domain=False)
             value, route = cst * swapped / comp, "alpha1-div"
         else:
-            comp = continue_factor(label.flip1(), a1, a2, k, contour, cfg)
+            comp = _continued(label.flip1(), a1, a2, sides, k, contour,
+                              cfg)[0]
             value, route = cst * swapped / comp, "alpha1+alpha2"
-    return (value, route) if with_route else value
+    return value, route

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpdiff import contour as ct
-from qpdiff.errors import ContourError, DomainError
+from qpdiff.errors import ContourError, DomainError, NonFiniteInputError
 
 
 class TestParametrisation:
@@ -70,6 +72,89 @@ class TestClassifySide:
         bad = ct.ContourSpec(a=-0.5, c=1.0)
         with pytest.raises(ContourError):
             ct.classify_side(bad, 1j)
+
+
+_REF = ct.default_contour(3.0)
+_re_part = st.floats(min_value=-1e4, max_value=1e4)
+_im_part = st.floats(min_value=-50.0, max_value=50.0)
+
+
+class TestProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(x=_re_part, y=_im_part)
+    def test_residual_within_tolerance(self, x, y):
+        s_star = ct.contour_projection(_REF, complex(x, y))[0]
+        resid = abs(ct.contour_point(_REF, s_star).real - x)
+        assert resid <= 1e-13 * (1.0 + abs(x))
+
+    @settings(max_examples=50, deadline=None)
+    @given(xs=st.lists(_re_part, min_size=1, max_size=40),
+           ys=st.lists(_im_part, min_size=40, max_size=40))
+    def test_array_matches_scalar(self, xs, ys):
+        z = np.array(xs) + 1j * np.array(ys[:len(xs)])
+        s_arr, gap_arr = ct.contour_projection(_REF, z)
+        for zi, si, gi in zip(z, s_arr, gap_arr):
+            s_one, g_one = ct.contour_projection(_REF, complex(zi))
+            assert abs(si - s_one) <= 1e-14 * (1.0 + abs(zi.real))
+            assert abs(gi - g_one) <= 1e-13 * (1.0 + abs(zi.real))
+
+    @settings(max_examples=50, deadline=None)
+    @given(s=st.floats(min_value=-80.0, max_value=80.0),
+           dy=st.floats(min_value=-2.0, max_value=2.0))
+    def test_gap_of_constructed_point(self, s, dy):
+        z = ct.contour_point(_REF, s) + 1j * dy
+        s_star, gap = ct.contour_projection(_REF, z)
+        assert abs(s_star - s) <= 1e-13 * (1.0 + abs(s))
+        assert abs(gap - dy) <= 1e-12
+
+    def test_array_shape_preserved(self, contour3):
+        z = np.array([[1j, -1j, 2.0], [-3.0, 0.5 + 1e-3j, 7.0 - 2j]])
+        s_star, gap = ct.contour_projection(contour3, z)
+        assert s_star.shape == gap.shape == z.shape
+        assert ct.side_sign(contour3, z).shape == z.shape
+
+    def test_classifiers_agree_near_contour(self, contour3, rng):
+        # 4000 points within 1e-3 of the contour, some within the "on" band
+        s = rng.uniform(-10.0, 10.0, 4000)
+        offset = rng.uniform(-1e-3, 1e-3, 4000) + 1j * rng.uniform(-1e-3, 1e-3, 4000)
+        offset[::200] *= 1e-10
+        z = ct.contour_point(contour3, s) + offset
+        names = {1: "above", 0: "on", -1: "below"}
+        sides = ct.side_sign(contour3, z)
+        assert [names[int(v)] for v in sides] == [
+            ct.classify_side(contour3, complex(zi)) for zi in z]
+        assert set(sides.tolist()) == {-1, 0, 1}
+
+    def test_bracket_doubling(self, contour3, monkeypatch):
+        # an understated bump forces the sign bracket to widen
+        monkeypatch.setitem(ct._geometry(contour3), "bump", 0.0)
+        for x in (-3.0, 0.2, 2.9):
+            s_star = ct.contour_projection(contour3, complex(x, 1.0))[0]
+            assert abs(ct.contour_point(contour3, s_star).real - x) <= 1e-13 * (1 + abs(x))
+
+    def test_non_convergence_raises(self, contour3, monkeypatch):
+        monkeypatch.setattr(ct, "_NEWTON_MAXIT", 1)
+        with pytest.raises(ContourError):
+            ct.contour_projection(contour3, 0.7 + 1j)
+
+    def test_non_monotone_contour_raises(self):
+        bad = ct.ContourSpec(a=-0.5, c=1.0)
+        with pytest.raises(ContourError):
+            ct.contour_projection(bad, 0.3)
+        with pytest.raises(ContourError):
+            ct.side_sign(bad, np.array([0.3 + 1j, -2.0]))
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                   complex(np.inf, 1.0)])
+    def test_non_finite_target_raises(self, contour3, z):
+        with pytest.raises(NonFiniteInputError):
+            ct.contour_projection(contour3, z)
+        with pytest.raises(NonFiniteInputError):
+            ct.side_sign(contour3, np.array([1j, z]))
+
+    def test_distance_is_absolute_gap(self, contour3):
+        z = ct.contour_point(contour3, 1.3) - 0.25j
+        assert ct.distance_to_contour(contour3, z) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestSignScan:
@@ -151,9 +236,12 @@ class TestValidationGate:
 
 def test_default_shift_rule(contour3, k3):
     # far targets: capped at 0.05 k; near targets: distance/9, floored at 1e-3
-    far = ct.default_shift(contour3, k3, target=20.0 + 5.0j)
+    def shift(target):
+        return ct.default_shift(k3, ct.distance_to_contour(contour3, target))
+
+    far = shift(20.0 + 5.0j)
     assert far == pytest.approx(0.05 * k3)
-    on = ct.default_shift(contour3, k3, target=ct.contour_point(contour3, 1.2))
+    on = shift(ct.contour_point(contour3, 1.2))
     assert on == pytest.approx(1e-3)
     near = ct.contour_point(contour3, 1.2) + 0.09j
-    assert ct.default_shift(contour3, k3, target=near) == pytest.approx(0.01, rel=1e-6)
+    assert shift(near) == pytest.approx(0.01, rel=1e-6)

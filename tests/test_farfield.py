@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from qpdiff import farfield as ff
-from qpdiff.errors import DomainError
+from qpdiff.contour import ContourSpec
+from qpdiff.errors import ContourError, DomainError, QuadratureError
 from qpdiff.quadrature import QuadratureConfig
 
 
@@ -146,6 +147,29 @@ class TestDiffraction:
         phi = math.atan2(eta, xi) % (2 * math.pi)
         val = ev12.diffraction(ff.Observation(theta=theta, phi=phi))
         assert val.flag == "near_pole"
+
+    def test_exact_branch_point_row_stays_near_pole(self, ev12):
+        # theta = pi/2, phi = 0: a half-factor branch point is hit exactly
+        point = ev12.diffraction(ff.Observation(theta=math.pi / 2, phi=0.0))
+        assert point.flag == "near_pole"
+        assert np.isnan(point.value)
+
+    def test_quadrature_breakdown_is_failed_not_near_pole(self, inc12):
+        ev = ff.AnsatzEvaluator(inc12, cfg=QuadratureConfig(max_subdivisions=1))
+        obs = ff.Observation(theta=0.6, phi=math.pi)
+        with pytest.raises(QuadratureError):
+            ev.fpp(-inc12.k * obs.xi, -inc12.k * obs.eta)
+        point = ev.diffraction(obs)
+        assert point.flag == "failed"
+        assert np.isnan(point.value)
+
+    def test_contour_breakdown_is_failed_not_near_pole(self, inc12):
+        # a = -0.5, c = 1 is not Re-monotone: every projection raises
+        ev = ff.AnsatzEvaluator(inc12, contour=ContourSpec(a=-0.5, c=1.0))
+        obs = ff.Observation(theta=0.6, phi=math.pi)
+        with pytest.raises(ContourError):
+            ev.fpp(-inc12.k * obs.xi, -inc12.k * obs.eta)
+        assert ev.diffraction(obs).flag == "failed"
 
     def test_k_invariance_spot_check(self):
         obs = ff.Observation(theta=0.7, phi=3.0)

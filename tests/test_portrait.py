@@ -148,6 +148,15 @@ class TestQuarterFactorField:
         upper = img[:30]
         assert int((upper.sum(axis=2) == 0).sum()) == 0
 
+    @pytest.mark.parametrize("target", [5.0 + 4.0j, -5.0 + 4.0j])
+    def test_window_edge_at_indentation_pad(self, contour3, cfg, k3, target):
+        # Re target = +-(2 + k) once started a geometric tail walk at 0
+        alpha1 = contour_point(contour3, 10.0)
+        vals, ok = factor_field(PP, alpha1, np.array([target]), k3, contour3, cfg)
+        assert ok.all() and np.isfinite(vals).all()
+        ref = continue_factor(PP, alpha1, target, k3, contour3, cfg)
+        assert abs(vals[0] - ref) / abs(ref) < 1e-5
+
     def test_pm_field_continues_downward(self, contour3, cfg, k3):
         alpha1 = 0.8 + 0.9j
         pts = np.array([2.0 + 2.0j, -2.0 + 1.5j, 1.0 - 2.0j, -1.2 - 0.4j])

@@ -18,7 +18,6 @@ The package stacks five layers:
 ``qpdiff.verification`` the acceptance checks behind ``qpdiff verify``.
 """
 
-from ._backend import BACKEND
 from .contour import (ContourSpec, ShiftedContour, branch_loci, classify_side,
                       contour_derivative, contour_point, contour_projection,
                       default_contour, loci_clearance, scaled_constants,
@@ -41,7 +40,7 @@ from .whfactor import (ALL_LABELS, MM, MP, PM, PP, FactorLabel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "__version__",
+    "__version__",
     # errors
     "QpdiffError", "NonFiniteInputError", "OnBranchCutError", "DomainError",
     "ContourError", "QuadratureError", "WindingError", "BranchCrossingError",

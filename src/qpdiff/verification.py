@@ -112,7 +112,7 @@ def check_sign_compatibility(run=None) -> CheckResult:
 # -- criterion 3 -----------------------------------------------------------
 
 def check_four_factor(run=None) -> CheckResult:
-    """|K_pp K_pm K_mp K_mm - K| / |K| < 1e-6 on and off the contours."""
+    """|K_pp K_pm K_mp K_mm - K| / |K| < 1e-6 on the contours and at real points."""
     t0 = time.time()
     k = 3.0
     spec = default_contour(k)

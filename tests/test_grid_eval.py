@@ -1,0 +1,97 @@
+"""Grid evaluation of quarter factors: mesh levels, mesh extent, guards."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from qpdiff import grid_eval as ge
+from qpdiff.contour import contour_point, contour_projection
+from qpdiff.whfactor import PP, continue_factor
+
+
+@pytest.fixture()
+def alpha1(contour3):
+    return contour_point(contour3, 10.0)
+
+
+def _spy(monkeypatch, name, record):
+    """Replace ``grid_eval.<name>`` by a pass-through that records its args."""
+    original = getattr(ge, name)
+
+    def spy(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ge, name, spy)
+
+
+def test_gap_classes_settle_on_their_own_levels(monkeypatch, contour3, cfg,
+                                                k3, alpha1):
+    # pixels far from the contour settle on coarse meshes, near ones on
+    # finer meshes; every class must still match the scalar path
+    settled = {}
+
+    def record(nodes, coef_hi, coef_lo, targets):
+        settled.update((complex(t), nodes.size) for t in targets)
+
+    _spy(monkeypatch, "cauchy_pair_sums", record)
+    x = np.linspace(-6.0, 6.0, 40)
+    z = (x[None, :] + 1j * x[:, None]).ravel()
+    vals, ok = ge.factor_field(PP, alpha1, z, k3, contour3, cfg)
+    assert ok.all()
+    gap = np.abs(contour_projection(contour3, z)[1])
+    modal_nodes = []
+    for lo, hi in [(0.1, 0.2), (0.2, 0.4), (0.4, 0.8), (0.8, np.inf)]:
+        members = np.nonzero((gap >= lo) & (gap < hi))[0]
+        assert members.size >= 4
+        levels = collections.Counter(settled[complex(z[i])] for i in members)
+        modal_nodes.append(levels.most_common(1)[0][0])
+        for i in members[::members.size // 4][:4]:
+            ref = continue_factor(PP, alpha1, z[i], k3, contour3, cfg)
+            assert abs(vals[i] - ref) / abs(ref) < 1e-7
+    # each class mostly settles on its own mesh, coarser as the gap grows
+    assert modal_nodes == sorted(set(modal_nodes), reverse=True)
+    assert len(modal_nodes) == 4
+
+
+def test_finest_mesh_guarded_when_all_pixels_settle_coarse(monkeypatch, contour3,
+                                                           cfg, k3, alpha1):
+    tracks, summed = [], []
+    _spy(monkeypatch, "_check_log_track", lambda samples: tracks.append(samples.size))
+    _spy(monkeypatch, "cauchy_pair_sums",
+         lambda nodes, *rest: summed.append(nodes.size))
+    targets = np.linspace(-6.0, 6.0, 9) + 5.0j
+    vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
+    assert ok.all()
+    fine_edges = ge._grid_mesh(-6.0, 6.0, k3, cfg.s_max, 0.05)
+    fine_nodes = ge._XK.size * (fine_edges.size - 1)
+    assert tracks == [fine_nodes]
+    assert summed and fine_nodes not in summed
+
+
+@pytest.mark.parametrize("targets", [[25 + 4j, 28 + 4j, 22 + 1j],
+                                     [-25 + 4j, -28 + 4j]])
+def test_window_excluding_zero_needs_no_fallback(monkeypatch, contour3, cfg, k3,
+                                                 alpha1, targets):
+    fallbacks = []
+    _spy(monkeypatch, "quarter_factor", lambda *args: fallbacks.append(args[2]))
+    vals, ok = ge.factor_field(PP, alpha1, np.array(targets), k3, contour3, cfg)
+    assert ok.all()
+    assert fallbacks == []
+    for z, v in zip(targets, vals):
+        ref = continue_factor(PP, alpha1, z, k3, contour3, cfg)
+        assert abs(v - ref) / abs(ref) < 1e-7
+
+
+@pytest.mark.parametrize("re_lo, re_hi", [(22.0, 28.0), (-28.0, -25.0),
+                                          (-6.0, 6.0), (5.0, 5.0)])
+def test_mesh_spans_window_and_indentation(k3, cfg, re_lo, re_hi):
+    pad = 2.0 + k3
+    h = 0.05
+    edges = ge._grid_mesh(re_lo, re_hi, k3, cfg.s_max, h)
+    assert edges[0] == -cfg.s_max and edges[-1] == cfg.s_max
+    lo, hi = min(re_lo - pad, -pad), max(re_hi + pad, pad)
+    uniform = edges[(edges >= lo) & (edges <= hi)]
+    assert uniform[0] == lo and uniform[-1] == hi
+    assert np.diff(uniform).max() <= h * (1 + 1e-12)

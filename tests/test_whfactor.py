@@ -5,7 +5,7 @@ import pytest
 
 from qpdiff import specfun as sf
 from qpdiff import whfactor as wf
-from qpdiff.contour import ShiftedContour, contour_point
+from qpdiff.contour import ShiftedContour, contour_point, distance_to_contour
 from qpdiff.errors import BranchCrossingError, DomainError, WindingError
 
 
@@ -227,6 +227,30 @@ class TestContinuation:
         for _ in range(6):
             a1 = rng.uniform(-2.7, 2.7)
             a2 = rng.uniform(-2.7, 2.7)
+            prod = 1.0 + 0.0j
+            for label in wf.ALL_LABELS:
+                prod *= wf.continue_factor(label, a1, a2, k3, contour3, cfg)
+            kv = sf.big_k(a1, a2, k3)
+            assert abs(prod - kv) / abs(kv) < 1e-6
+
+    def test_four_factor_reconstruction_at_complex_points(self, contour3, cfg,
+                                                          k3):
+        # complex points inside the ball |alpha1|^2 + |alpha2|^2 <= (0.9k)^2
+        # and clear of both contours; outside the ball the product can be
+        # -big_k, so reconstruction is only claimed inside it
+        rng = np.random.default_rng(1905)
+        box = 0.9 * k3
+        points = []
+        while len(points) < 16:
+            a1, a2 = (complex(rng.uniform(-box, box), rng.uniform(-1.5, 1.5))
+                      for _ in range(2))
+            if abs(a1) ** 2 + abs(a2) ** 2 > box ** 2:
+                continue
+            if min(distance_to_contour(contour3, a1),
+                   distance_to_contour(contour3, a2)) < 0.1:
+                continue
+            points.append((a1, a2))
+        for a1, a2 in points:
             prod = 1.0 + 0.0j
             for label in wf.ALL_LABELS:
                 prod *= wf.continue_factor(label, a1, a2, k3, contour3, cfg)

@@ -84,7 +84,7 @@ class RunConfig:
             c = self.contour_c if self.contour_c is not None else c
         else:
             a, c = self.contour_a, self.contour_c
-        return ContourSpec(a=a, c=c, s_max=self.s_max)
+        return ContourSpec(a=a, c=c)
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,

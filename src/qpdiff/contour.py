@@ -37,22 +37,18 @@ C_REF = 1000j
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Shape constants and truncation bound for one inversion contour.
+    """Shape constants of one inversion contour.
 
-    The same constants serve both spectral planes; ``label`` only tags
-    which plane an instance is meant for in reports and portraits.
+    The same constants serve both spectral planes; the truncation bound
+    of the integrals along it is ``QuadratureConfig.s_max``.
     """
 
     a: complex
     c: complex
-    s_max: float = 1e4
-    label: str = "A"
 
     def __post_init__(self):
         if self.a == 0:
             raise ContourError("contour constant a must be nonzero")
-        if self.s_max <= 0:
-            raise ContourError("s_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,10 +107,10 @@ def scaled_constants(k: float, k_ref: float = K_REF,
     return a_ref * ratio ** 4, c_ref / ratio ** 4
 
 
-def default_contour(k: float = K_REF, s_max: float = 1e4, label: str = "A") -> ContourSpec:
+def default_contour(k: float = K_REF) -> ContourSpec:
     """Reference contour for ``k = 3``; exact similarity scaling otherwise."""
     a, c = scaled_constants(k)
-    return ContourSpec(a=a, c=c, s_max=s_max, label=label)
+    return ContourSpec(a=a, c=c)
 
 
 # --------------------------------------------------------------------------

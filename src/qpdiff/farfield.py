@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import ContourSpec, default_contour, validate_contour
+from .contour import ContourSpec, default_contour
 from .errors import DomainError, OnBranchCutError, QpdiffError
 from .quadrature import QuadratureConfig
 from .whfactor import MM, MP, PM, PP, continue_factor
@@ -206,13 +206,10 @@ class AnsatzEvaluator:
     """
 
     def __init__(self, inc: Incidence, contour: ContourSpec | None = None,
-                 cfg: QuadratureConfig | None = None,
-                 validate: bool = False):
+                 cfg: QuadratureConfig | None = None):
         self.inc = inc
         self.contour = contour if contour is not None else default_contour(inc.k)
         self.cfg = cfg if cfg is not None else QuadratureConfig()
-        if validate:
-            validate_contour(self.contour, inc.k, raise_on_failure=True)
         self._kmm_aa = None
         self._kmm_aa_continued = False
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import ContourSpec, contour_point, default_contour
+from .contour import ContourSpec, default_contour
 from .errors import DomainError
 from .grid_eval import factor_field
 from .quadrature import QuadratureConfig
@@ -54,12 +54,6 @@ class PortraitSpec:
         if self.mode not in ("phase", "sign"):
             raise DomainError("mode must be 'phase' or 'sign'")
 
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
 
 def pixel_grid(spec: PortraitSpec):
     """Pixel-centre sample points, row-major, top row first."""
@@ -90,8 +84,8 @@ def _fn_diag_log(z, contour, cfg, params):
     return out
 
 
-def _fixed_point(params, contour):
-    """The frozen variable of a one-plane slice: value or 'A:s' anchor."""
+def _fixed_point(params):
+    """The frozen variable of a one-plane slice, and its value."""
     if "alpha1" in params:
         return "alpha1", params["alpha1"]
     if "alpha2" in params:
@@ -101,7 +95,7 @@ def _fixed_point(params, contour):
 
 def _fn_kernel(z, contour, cfg, params):
     k = params["k"]
-    which, val = _fixed_point(params, contour)
+    which, val = _fixed_point(params)
     if which == "alpha1":
         inner = _kappa_raw(np.complex128(k), z)
         return 1.0 / _kappa_raw(inner, np.complex128(val))
@@ -111,7 +105,7 @@ def _fn_kernel(z, contour, cfg, params):
 
 def _fn_im_inv_k(z, contour, cfg, params):
     k = params["k"]
-    which, val = _fixed_point(params, contour)
+    which, val = _fixed_point(params)
     if which == "alpha1":
         inv = _kappa_raw(_kappa_raw(np.complex128(k), z), np.complex128(val))
     else:
@@ -208,13 +202,3 @@ def write_image(buffer: np.ndarray, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def contour_overlay_points(contour: ContourSpec, spec: PortraitSpec, n=2000):
-    """Contour samples inside the window, for plotting overlays."""
-    re_min, re_max, im_min, im_max = spec.window
-    s = np.linspace(re_min - 3.0, re_max + 3.0, n)
-    pts = contour_point(contour, s)
-    keep = ((pts.real >= re_min) & (pts.real <= re_max)
-            & (pts.imag >= im_min) & (pts.imag <= im_max))
-    return pts[keep]

@@ -18,6 +18,7 @@ estimate to the reported error; ``"bound-check"`` raises when it exceeds
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +71,7 @@ class QuadratureConfig:
             raise DomainError("tail_policy must be 'truncate' or 'bound-check'")
 
     def with_(self, **kw) -> "QuadratureConfig":
-        fields = dict(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                      max_subdivisions=self.max_subdivisions,
-                      s_max=self.s_max, tail_policy=self.tail_policy)
-        fields.update(kw)
-        return QuadratureConfig(**fields)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -190,8 +187,6 @@ def integrate_over_shifted(integrand, shifted: ShiftedContour,
     The parametrised form ``integrand(A(s) + i offset) A'(s) ds`` is fed
     to the adaptive engine on ``[-s_max, s_max]``; the symmetric-pair
     tail estimate is then applied according to the configured policy.
-    The quadrature config owns the truncation bound; the contour's own
-    ``s_max`` field is its default annotation, not a cap.
     """
     spec = shifted.base
     s_max = cfg.s_max

@@ -20,11 +20,14 @@ double-``sqrt_down`` prefactor are what keep the integrand cut-free
 along the contour; both choices are checked at run time rather than
 assumed.
 
-Also here: the generic sum-split and multiplicative factorisation of a
-function analytic on a strip around the contour (``cauchy_split``,
-``cauchy_factorize``), and ``continue_factor``, which extends each
-quarter factor past its natural domain by dividing the explicit
-half-plane factors by the complementary quarter factor.
+The pieces of this formula are private helpers here, shared by the
+scalar ``quarter_factor`` and the many-target ``grid_eval``.  One routine,
+``_cauchy_integral``, computes every Cauchy integral: the quarter factors
+and the sum-split of a function analytic on a strip around the contour
+(``cauchy_split``; ``cauchy_factorize`` is ``exp`` of the split of
+``log g``).  ``continue_factor`` extends each quarter factor past its
+natural domain by dividing the explicit half-plane factors by the
+complementary quarter factor.
 """
 
 from __future__ import annotations
@@ -95,12 +98,6 @@ def _shifted_for(contour: ContourSpec, side2: int, eps: float) -> ShiftedContour
     return ShiftedContour(contour, -eps if side2 > 0 else +eps)
 
 
-def _projection_breaks(s_star: float, eps: float):
-    """Panel edges clustered around a target's contour projection ``s_star``."""
-    widths = eps * np.array([1.0, 4.0, 16.0, 64.0, 256.0])
-    return np.concatenate([[s_star], s_star + widths, s_star - widths])
-
-
 # --------------------------------------------------------------------------
 # generic sum-split and factorisation (strip functions)
 # --------------------------------------------------------------------------
@@ -124,6 +121,24 @@ def _split_guard(contour: ShiftedContour, target: complex) -> float:
             "request a different eps"
         )
     return s_star
+
+
+def _cauchy_integral(density, target, s_star, shifted: ShiftedContour,
+                     cfg: QuadratureConfig, scale: float, extra_breaks=()):
+    """``int density(z) / (z - target) dz`` along ``shifted``.
+
+    Panel edges cluster around ``s_star``, the target's projection
+    parameter on the base contour, at multiples of the shift;
+    ``extra_breaks`` adds further edges.
+    """
+    def integrand(z):
+        return density(z) / (z - target)
+
+    widths = abs(shifted.offset) * np.array([1.0, 4.0, 16.0, 64.0, 256.0])
+    breaks = np.concatenate([[s_star], s_star + widths, s_star - widths,
+                             extra_breaks])
+    return integrate_over_shifted(integrand, shifted, cfg, scale,
+                                  inner_breaks=breaks).value
 
 
 def cauchy_split(f, target, side: str, contour: ShiftedContour,
@@ -150,53 +165,33 @@ def cauchy_split(f, target, side: str, contour: ShiftedContour,
     else:
         raise DomainError("side must be 'plus' or 'minus'")
     s_star = _split_guard(contour, target)
-
-    def integrand(z):
-        return np.asarray(f(z), dtype=np.complex128) / (z - target)
-
-    breaks = _projection_breaks(s_star, abs(contour.offset))
-    res = integrate_over_shifted(integrand, contour, cfg, scale,
-                                 inner_breaks=breaks)
-    return coef * res.value
+    return coef * _cauchy_integral(
+        lambda z: np.asarray(f(z), dtype=np.complex128), target, s_star,
+        contour, cfg, scale)
 
 
 def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
                      cfg: QuadratureConfig, scale: float = 3.0) -> complex:
     """One factor of the multiplicative split of a strip function.
 
+    The factor is ``exp`` of the ``cauchy_split`` part of ``log g``.
     Requires ``g -> 1`` at the strip ends and ``g`` nonvanishing with
     single-valued log along the contour; the winding number of ``g`` is
     measured on the quadrature samples and a nonzero value raises
     ``WindingError`` rather than returning a wrong branch.
     """
-    target = complex(target)
-    if side == "plus":
-        if contour.offset >= 0:
-            raise DomainError("plus factor integrates over the below-shifted contour")
-        coef = 1.0 / (2j * np.pi)
-    elif side == "minus":
-        if contour.offset <= 0:
-            raise DomainError("minus factor integrates over the above-shifted contour")
-        coef = -1.0 / (2j * np.pi)
-    else:
-        raise DomainError("side must be 'plus' or 'minus'")
-    s_star = _split_guard(contour, target)
-
     samples = []
 
-    def integrand(z):
+    def log_g(z):
         gz = np.asarray(g(z), dtype=np.complex128)
         if np.any(gz == 0):
             raise DomainError("g vanishes on the contour; cannot factorise")
         samples.append((np.asarray(z).real.copy(), gz.copy()))
-        return np.log(gz) / (z - target)
+        return np.log(gz)
 
-    breaks = _projection_breaks(s_star, abs(contour.offset))
-    res = integrate_over_shifted(integrand, contour, cfg, scale,
-                                 inner_breaks=breaks)
+    value = np.exp(cauchy_split(log_g, target, side, contour, cfg, scale))
 
-    re = np.concatenate([s[0] for s in samples])
-    gz = np.concatenate([s[1] for s in samples])
+    re, gz = (np.concatenate(part) for part in zip(*samples))
     order = np.argsort(re)
     unwrapped = np.unwrap(np.angle(gz[order]))
     winding = (unwrapped[-1] - unwrapped[0]) / (2.0 * np.pi)
@@ -205,12 +200,26 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
             f"log g is not single-valued along the contour "
             f"(winding number {winding:+.2f})"
         )
-    return np.exp(coef * res.value)
+    return value
 
 
 # --------------------------------------------------------------------------
 # quarter factors
 # --------------------------------------------------------------------------
+
+def _log_density(label: FactorLabel, a1: complex, k: float, z):
+    """The log argument ``w = 1 +- a1/kappa(k, z)`` and ``diag_log(w)``.
+
+    Raises ``BranchCrossingError`` where ``w`` vanishes: the factor's
+    integral does not exist there.
+    """
+    w = 1.0 + label.sign1 * a1 / _kappa_raw(np.complex128(k), z)
+    if np.any(np.abs(w) < 1e-12):
+        raise BranchCrossingError(
+            "log argument vanished on the integration contour"
+        )
+    return w, diag_log(w)
+
 
 def _check_log_track(rotated_samples):
     """Detect a crossing of the diagonal log cut along the contour.
@@ -228,6 +237,20 @@ def _check_log_track(rotated_samples):
             "the log argument crossed its diagonal branch cut along the "
             "contour; the point is outside this factor's reachable domain"
         )
+
+
+def _quarter_value(label: FactorLabel, a1: complex, a2, k: float, integral):
+    """``exp(coef I) / fourth_root_down(k +- a2)``, scalar or array ``a2``.
+
+    ``integral()`` returns ``I``, the Cauchy integral of the log
+    density; it is not called when ``a1 = 0``, where the log argument is
+    identically 1 and the integral vanishes exactly.
+    """
+    pref = fourth_root_down(k + a2 if label.side2 > 0 else k - a2)
+    if a1 == 0:
+        return 1.0 / pref
+    coef = -1.0 / (4j * np.pi) if label.side2 > 0 else 1.0 / (4j * np.pi)
+    return np.exp(coef * integral()) / pref
 
 
 def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
@@ -268,41 +291,27 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
                     "use continue_factor"
                 )
 
-    pref_arg = k + a2 if label.side2 > 0 else k - a2
-    pref = fourth_root_down(pref_arg)
-    if a1 == 0:
-        # log argument is identically 1: the integral vanishes exactly.
-        return 1.0 / pref
-
-    if eps is None:
-        eps = default_shift(k, abs(gap2))
-    shifted = _shifted_for(contour, label.side2, eps)
-    coef = -1.0 / (4j * np.pi) if label.side2 > 0 else 1.0 / (4j * np.pi)
-    sign1 = label.sign1
-
     samples = []
 
-    def integrand(z):
-        w = 1.0 + sign1 * a1 / _kappa_raw(np.complex128(k), z)
-        if np.any(np.abs(w) < 1e-12):
-            raise BranchCrossingError(
-                "log argument vanished on the integration contour"
-            )
-        samples.append((np.asarray(z).real.copy(), w.copy()))
-        return diag_log(w) / (z - a2)
+    def density(z):
+        w, log_w = _log_density(label, a1, k, z)
+        samples.append((z.real, w))
+        return log_w
 
-    breaks = _projection_breaks(s2, eps)
-    if abs(a1) > 4.0 * k:
-        # the log term stays O(log) out to |z| ~ |alpha1|
-        hump = abs(a1) * np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-        breaks = np.concatenate([breaks, hump])
-    res = integrate_over_shifted(integrand, shifted, cfg, k,
-                                 inner_breaks=breaks)
+    def integral():
+        shift = default_shift(k, abs(gap2)) if eps is None else eps
+        hump = ()
+        if abs(a1) > 4.0 * k:
+            # the log term stays O(log) out to |z| ~ |alpha1|
+            hump = abs(a1) * np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        value = _cauchy_integral(density, a2, s2,
+                                 _shifted_for(contour, label.side2, shift),
+                                 cfg, k, hump)
+        re, ws = (np.concatenate(part) for part in zip(*samples))
+        _check_log_track((_ROT_BACK * ws)[np.argsort(re)])
+        return value
 
-    re = np.concatenate([s[0] for s in samples])
-    ws = np.concatenate([s[1] for s in samples])
-    _check_log_track((_ROT_BACK * ws)[np.argsort(re)])
-    return np.exp(coef * res.value) / pref
+    return _quarter_value(label, a1, a2, k, integral)
 
 
 @functools.lru_cache(maxsize=64)
@@ -346,6 +355,17 @@ def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
     return complex(c)
 
 
+def _alpha2_div(label: FactorLabel, a1, a2, k: float, flipped):
+    """``K_label`` across its alpha2 half-plane boundary.
+
+    The explicit alpha1-plane half-factor divided by the alpha2-flipped
+    quarter factor, whose integral is valid there; ``flipped(comp)``
+    evaluates that factor for the label ``comp``.
+    """
+    own_half = half_factor(_HALF_CH[label.tag[0]] + "o", a1, a2, k)
+    return own_half / flipped(label.flip2())
+
+
 def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
                     contour: ContourSpec, cfg: QuadratureConfig,
                     with_route: bool = False):
@@ -385,10 +405,11 @@ def _continued(label: FactorLabel, a1: complex, a2: complex, sides,
                                enforce_domain=False)
         route = "direct"
     elif ok1:
-        own_half = half_factor(_HALF_CH[label.tag[0]] + "o", a1, a2, k)
-        comp = quarter_factor(label.flip2(), a1, a2, k, contour, cfg,
-                              enforce_domain=False)
-        value, route = own_half / comp, "alpha2-div"
+        value = _alpha2_div(
+            label, a1, a2, k,
+            lambda comp: quarter_factor(comp, a1, a2, k, contour, cfg,
+                                        enforce_domain=False))
+        route = "alpha2-div"
     else:
         cst = continuation_constant(label, k, contour, cfg)
         swapped = half_factor("o" + _HALF_CH[label.tag[1]], a1, a2, k)

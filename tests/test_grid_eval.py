@@ -64,14 +64,23 @@ def test_finest_mesh_guarded_when_all_pixels_settle_coarse(monkeypatch, contour3
     targets = np.linspace(-6.0, 6.0, 9) + 5.0j
     vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
     assert ok.all()
-    fine_edges = ge._grid_mesh(-6.0, 6.0, k3, cfg.s_max, 0.05)
+    fine_edges = ge._grid_mesh(-6.0, 6.0, k3, cfg.s_max, ge._H_FINE)
     fine_nodes = ge._XK.size * (fine_edges.size - 1)
     assert tracks == [fine_nodes]
     assert summed and fine_nodes not in summed
 
 
+_FAR = list(np.linspace(20.0, 100.0, 9) + 3j)
+
+
 @pytest.mark.parametrize("targets", [[25 + 4j, 28 + 4j, 22 + 1j],
-                                     [-25 + 4j, -28 + 4j]])
+                                     [-25 + 4j, -28 + 4j],
+                                     # far windows: the first tail panels
+                                     # must stay narrow next to the edge
+                                     [30 + 2j, 60 + 3j],
+                                     [-30 + 2j, -60 + 3j],
+                                     _FAR,
+                                     [-z.conjugate() for z in _FAR]])
 def test_window_excluding_zero_needs_no_fallback(monkeypatch, contour3, cfg, k3,
                                                  alpha1, targets):
     fallbacks = []

@@ -7,7 +7,7 @@ from qpdiff import portrait as pt
 from qpdiff.contour import contour_point
 from qpdiff.errors import DomainError
 from qpdiff.grid_eval import factor_field
-from qpdiff.whfactor import PM, PP, continue_factor
+from qpdiff.whfactor import MM, MP, PM, PP, continue_factor
 
 
 class TestSpecValidation:
@@ -157,13 +157,16 @@ class TestQuarterFactorField:
         ref = continue_factor(PP, alpha1, target, k3, contour3, cfg)
         assert abs(vals[0] - ref) / abs(ref) < 1e-5
 
-    def test_pm_field_continues_downward(self, contour3, cfg, k3):
-        alpha1 = 0.8 + 0.9j
+    @pytest.mark.parametrize("label", [PP, PM, MP, MM], ids=lambda l: l.tag)
+    def test_field_continues_across_contour(self, contour3, cfg, k3, label):
+        # targets on both sides: the natural integral and the alpha2-div
+        # continuation of the grid path
+        alpha1 = 0.8 + 0.9j if label.side1 > 0 else -0.8 - 0.9j
         pts = np.array([2.0 + 2.0j, -2.0 + 1.5j, 1.0 - 2.0j, -1.2 - 0.4j])
-        vals, ok = factor_field(PM, alpha1, pts, k3, contour3, cfg)
+        vals, ok = factor_field(label, alpha1, pts, k3, contour3, cfg)
         assert ok.all()
         for z, v in zip(pts, vals):
-            ref = continue_factor(PM, alpha1, z, k3, contour3, cfg)
+            ref = continue_factor(label, alpha1, z, k3, contour3, cfg)
             assert abs(v - ref) / abs(ref) < 1e-5
 
 

@@ -170,6 +170,12 @@ class TestQuarterFactor:
             v2 = wf.quarter_factor(label, a1, a2, k3, contour3, cfg, eps=0.025)
             assert abs(v1 - v2) / abs(v1) < 10 * cfg.rel_tol
 
+    def test_vanishing_log_argument_is_a_branch_crossing(self, k3):
+        # kappa(k, 0) = k, so w = 1 - k/k = 0 exactly at z = 0; the grid
+        # path and the scalar path share this guard
+        with pytest.raises(BranchCrossingError):
+            wf._log_density(wf.PP, -k3, k3, np.array([0.0j, 1.0 + 1.0j]))
+
     def test_out_of_domain_rejected(self, contour3, cfg, k3):
         # alpha2 = -1.2 lies below the contour: not PP territory
         with pytest.raises(DomainError):

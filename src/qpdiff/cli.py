@@ -41,12 +41,24 @@ _PI_FORM = re.compile(
 def parse_angle(text: str) -> float:
     """Radians, as a float literal or a pi-fraction like '-3*pi/4'."""
     m = _PI_FORM.match(text)
-    if m:
-        coef_s, div_s = m.groups()
-        coef = 1.0 if coef_s in ("", "+") else -1.0 if coef_s == "-" else float(coef_s)
-        div = float(div_s) if div_s else 1.0
-        return coef * math.pi / div
-    return float(text)
+    try:
+        if m:
+            coef_s, div_s = m.groups()
+            coef = 1.0 if coef_s in ("", "+") else -1.0 if coef_s == "-" \
+                else float(coef_s)
+            div = float(div_s) if div_s else 1.0
+            return coef * math.pi / div
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise QpdiffError(f"malformed angle: {text!r}") from None
+
+
+def _parse(kind, text: str, what: str):
+    """``kind(text)``, with a malformed value reported as a ``QpdiffError``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise QpdiffError(f"malformed {what}: {text!r}") from None
 
 
 def parse_complex(text: str, contour: ContourSpec | None = None) -> complex:
@@ -56,7 +68,8 @@ def parse_complex(text: str, contour: ContourSpec | None = None) -> complex:
     if m:
         if contour is None:
             raise QpdiffError("contour anchors need active contour constants")
-        return complex(contour_point(contour, float(m.group(1))))
+        return complex(contour_point(contour,
+                                     _parse(float, m.group(1), "anchor")))
     if "," in text:
         re_s, im_s = text.split(",", 1)
         return complex(parse_angle(re_s), parse_angle(im_s))
@@ -126,7 +139,8 @@ def build_run_config(args) -> RunConfig:
         for key, raw in _load_config_file(args.config).items():
             if key not in _CONFIG_PARSERS:
                 raise QpdiffError(f"unknown config key {key!r}")
-            setattr(cfg, key, _CONFIG_PARSERS[key](raw))
+            setattr(cfg, key, _parse(_CONFIG_PARSERS[key], raw,
+                                     f"config value for {key}"))
     for key in _CONFIG_PARSERS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -202,13 +216,16 @@ def cmd_factor(args) -> int:
 def cmd_portrait(args) -> int:
     run = build_run_config(args)
     spec = _gate_contour(run)
-    window = tuple(float(x) for x in args.window.split(","))
+    window = tuple(_parse(float, x, "--window bound")
+                   for x in args.window.split(","))
     if len(window) != 4:
         raise QpdiffError("--window needs re_min,re_max,im_min,im_max")
-    if "," in args.res:
-        w, h = (int(x) for x in args.res.split(","))
-    else:
-        w = h = int(args.res)
+    res = [_parse(int, x, "--res size") for x in args.res.split(",")]
+    if len(res) == 1:
+        res *= 2
+    if len(res) != 2:
+        raise QpdiffError("--res needs n or width,height")
+    w, h = res
     params = [("k", run.k)]
     if args.alpha1 is not None:
         params.append(("alpha1", parse_complex(args.alpha1, spec)))

@@ -32,13 +32,12 @@ goes through ``continue_factor``; evaluations whose route was not
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .contour import ContourSpec, default_contour
 from .errors import DomainError, OnBranchCutError, QpdiffError
 from .quadrature import QuadratureConfig
@@ -180,17 +179,7 @@ class ArcSweepResult:
                 f"{inc.phi0:.17e},{inc.k:.17e},{val.real:.17e},"
                 f"{val.imag:.17e},{flag}"
             )
-        payload = "\n".join(lines) + "\n"
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, ("\n".join(lines) + "\n").encode())
 
     @property
     def all_ok(self) -> bool:

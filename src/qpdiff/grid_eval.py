@@ -18,11 +18,15 @@ mesh.  The branch-crossing check always runs on the finest mesh.
 
 Targets are placed relative to the contour by the array form of
 ``contour.contour_projection``: ``side_sign`` (the same classifier the
-scalar path uses) splits them into half-planes, and the signed gap sets
-the width of the fallback band.  Pixels that fail the (relaxed)
-tolerance on the finest mesh, plus the thin band hugging the contour,
-are computed through the scalar adaptive path, and pixels where even
-that fails are reported in the mask rather than raising.
+scalar path uses) splits them into half-planes, and the signed gap
+marks the thin band ``|gap| < 2 h_fine`` hugging the contour.  Band
+pixels skip the coarse meshes; on the finest one, each panel close to a
+pixel has its term replaced by interpolatory product quadrature of the
+sampled density (close evaluation, Helsing & Ojala 2008), so the band
+needs no more density samples than the rest of the window.  Only pixels
+that fail the (relaxed) tolerance on the finest mesh, or come out
+non-finite, are computed through the scalar adaptive path, and pixels
+where even that fails are reported in the mask rather than raising.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ _COARSEST = 16
 _EPS = 1e-3
 #: the finest mesh's pair rule tolerance, in plain tolerances
 _TOL_RELAX = 100.0
+#: a band target's panel term is replaced by product quadrature when its
+#: panel coordinate ``u0 = (t - c) / h`` has ``|u0| < _NEAR``
+_NEAR = 2.0
 
 
 def _grid_mesh(re_lo: float, re_hi: float, k: float, s_max: float, h: float):
@@ -73,10 +80,11 @@ def _grid_mesh(re_lo: float, re_hi: float, k: float, s_max: float, h: float):
 
 def _sample_density(label: FactorLabel, alpha1: complex, k: float,
                     shifted, edges, guard: bool):
-    """GK nodes, Cauchy-free density samples, and rule coefficients.
+    """GK nodes and rule coefficients, plus the Cauchy-free density.
 
-    ``guard`` runs the branch-crossing check on the samples; it is
-    meaningful on the finest mesh only.
+    Returns ``(z, coef_hi, coef_lo)`` for ``cauchy_pair_sums`` and the
+    log density at ``z``.  ``guard`` runs the branch-crossing check on
+    the samples; it is meaningful on the finest mesh only.
     """
     lo = edges[:-1]
     hi = edges[1:]
@@ -91,7 +99,94 @@ def _sample_density(label: FactorLabel, alpha1: complex, k: float,
     hw = np.repeat(half, _XK.size)
     coef_hi = base * hw * np.tile(_WK, mid.size)
     coef_lo = base * hw * np.tile(_WG, mid.size)
-    return z, coef_hi, coef_lo
+    return (z, coef_hi, coef_lo), log_w
+
+
+def _product_rule(u, density, panel, u0):
+    """Both pair-rule integrals of ``density(u) / (u - u0) du``, close up.
+
+    Row ``p`` of ``u`` holds a panel's 15 GK nodes in its own coordinate
+    (end points at -1 and 1) and row ``p`` of ``density`` the density
+    there; pair ``i`` integrates panel ``panel[i]`` against ``u0[i]``.
+    The density is interpolated by monomials in ``u`` and each
+    ``u^j / (u - u0)`` is integrated exactly along the panel (Helsing &
+    Ojala, J. Comput. Phys. 227 (2008) 2899-2921):
+
+        p_0 = log(1 - u0) - log(-1 - u0),  -+2 pi i where u0 lies
+              between the panel and its chord [-1, 1],
+        p_{j+1} = u0 p_j + (1 - (-1)^{j+1}) / (j + 1).
+
+    The Kronrod value interpolates at all 15 nodes, the Gauss value at
+    the 7 Gauss nodes.  Returns ``(kronrod, gauss)``, one entry a pair.
+    """
+    powers = np.arange(_XK.size)
+
+    def monomial_fit(x, y):
+        return np.linalg.solve(x[..., None] ** powers[:x.shape[-1]],
+                               y[..., None])[..., 0]
+
+    gauss = slice(1, None, 2)
+    fit_k = monomial_fit(u, density)[panel]
+    fit_g = monomial_fit(u[:, gauss], density[:, gauss])[panel]
+    # the panel's height over its chord, a polynomial in Re u read at
+    # Re u0: a target strictly between the two is enclosed by them, and
+    # the chord's logarithm is one residue off
+    rise = np.zeros(u0.shape)
+    for coef in monomial_fit(u.real, u.imag)[panel].T[::-1]:
+        rise = rise * u0.real + coef
+    above = u0.imag > 0  # on the chord itself p_0 is the value from below
+    between = (np.abs(u0.real) < 1.0) & np.where(
+        rise > 0, above & (u0.imag < rise), ~above & (u0.imag > rise))
+    p = np.empty((u0.size, _XK.size), dtype=np.complex128)
+    p[:, 0] = np.log(1.0 - u0) - np.log(-1.0 - u0)
+    p[between, 0] -= 2j * np.pi * np.sign(rise[between])
+    for j in range(1, _XK.size):
+        p[:, j] = u0 * p[:, j - 1] + (1 - (-1) ** j) / j
+    return (fit_k * p).sum(axis=1), (fit_g * p[:, :fit_g.shape[1]]).sum(axis=1)
+
+
+def _close_pair_sums(nodes, density, ends, targets):
+    """``cauchy_pair_sums`` with close evaluation of the near panels.
+
+    ``nodes`` and ``density`` hold the GK15 nodes, rule coefficients and
+    density values of consecutive panels with end points ``ends``.  For
+    every (target, panel) pair whose panel coordinate ``u0 = (t - c)/h``
+    (``c``, ``h``: midpoint and half-difference of the panel's end
+    points) has ``|u0| < _NEAR``, the panel's terms in both sums are
+    replaced by ``_product_rule``.  The replaced terms are subtracted
+    from the kernel's sums, which costs digits only for a target within
+    a small fraction of a node spacing of a node; grid targets keep at
+    least the shift ``_EPS`` from the integration contour.
+    """
+    i_hi, i_lo = cauchy_pair_sums(*nodes, targets)
+    z, coef_hi, coef_lo = (np.reshape(a, (-1, _XK.size)) for a in nodes)
+    c = 0.5 * (ends[1:] + ends[:-1])
+    h = 0.5 * (ends[1:] - ends[:-1])
+    # candidate pairs have |Re(t - c)| < _NEAR |h|, found on sorted Re t
+    order = np.argsort(targets.real)
+    re_sorted = targets.real[order]
+    reach = _NEAR * np.abs(h)
+    first = np.searchsorted(re_sorted, c.real - reach, side="right")
+    count = np.searchsorted(re_sorted, c.real + reach, side="left") - first
+    panel = np.repeat(np.arange(c.size), count)
+    rank = np.arange(panel.size) - np.repeat(np.cumsum(count) - count, count)
+    target = order[np.repeat(first, count) + rank]
+    u0 = (targets[target] - c[panel]) / h[panel]
+    near = np.abs(u0) < _NEAR
+    if not near.any():
+        return i_hi, i_lo
+    used, panel = np.unique(panel[near], return_inverse=True)
+    target, u0 = target[near], u0[near]
+    z = z[used]
+    close_hi, close_lo = _product_rule(
+        (z - c[used, None]) / h[used, None],
+        density.reshape(-1, _XK.size)[used], panel, u0)
+    kernel = 1.0 / (z[panel] - targets[target, None])
+    np.add.at(i_hi, target,
+              close_hi - (coef_hi[used][panel] * kernel).sum(axis=1))
+    np.add.at(i_lo, target,
+              close_lo - (coef_lo[used][panel] * kernel).sum(axis=1))
+    return i_hi, i_lo
 
 
 def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
@@ -99,9 +194,13 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     """The integral formula of one quarter factor at many alpha2 targets.
 
     Targets are taken to lie in the label's natural alpha2 half-plane
-    (callers split mixed target sets; see ``factor_field``).  Returns
-    ``(values, ok)``; ``ok`` is False only where both the grid rule and
-    the scalar fallback failed.
+    (callers split mixed target sets; see ``factor_field``).  Each target
+    keeps the coarsest mesh whose pair rule meets the tolerance; targets
+    within ``2 h_fine`` of the contour go straight to the finest mesh
+    and its close evaluation (``_close_pair_sums``).  Finest-mesh rejects
+    and non-finite values are recomputed by the scalar
+    ``quarter_factor``.  Returns ``(values, ok)``; ``ok`` is False only
+    where both the grid rule and the scalar fallback failed.
     """
     alpha1 = complex(alpha1)
     targets = np.asarray(targets, dtype=np.complex128)
@@ -114,33 +213,40 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
         return _grid_mesh(float(flat.real.min()), float(flat.real.max()), k,
                           cfg.s_max, h)
 
-    def pair_rule(nodes, idx):
-        i_hi, i_lo = cauchy_pair_sums(*nodes, flat[idx])
+    def pair_rule(i_hi, i_lo):
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i_hi))
         return i_hi, np.abs(i_hi - i_lo) / tol
 
     def integral():
-        finest = _sample_density(label, alpha1, k, shifted, mesh(_H_FINE),
-                                 guard=True)
-        # the thin band hugging the contour always takes the scalar path
-        redo[:] = np.abs(contour_projection(contour, flat)[1]) < 2.0 * _H_FINE
+        fine_edges = mesh(_H_FINE)
+        finest, density = _sample_density(label, alpha1, k, shifted,
+                                          fine_edges, guard=True)
+        # the thin band hugging the contour goes straight to the finest
+        # mesh, where its near panels are evaluated close
+        band = np.abs(contour_projection(contour, flat)[1]) < 2.0 * _H_FINE
         result = np.full(flat.shape, np.nan, dtype=np.complex128)
-        pending = np.nonzero(~redo)[0]
+        pending = np.nonzero(~band)[0]
         # Coarse meshes hold to the plain tolerance: a pixel they reject
         # only moves on to the next finer mesh.  The relaxed one is for
         # the finest mesh, whose rejects take the scalar path.
         scale = _COARSEST
         while pending.size and scale > 1:
             coarse = _sample_density(label, alpha1, k, shifted,
-                                     mesh(scale * _H_FINE), guard=False)
-            i_hi, ratio = pair_rule(coarse, pending)
+                                     mesh(scale * _H_FINE), guard=False)[0]
+            i_hi, ratio = pair_rule(*cauchy_pair_sums(*coarse, flat[pending]))
             good = ratio <= 1.0
             result[pending[good]] = i_hi[good]
             pending = pending[~good]
             scale //= 2
         if pending.size:
-            result[pending], ratio = pair_rule(finest, pending)
+            result[pending], ratio = pair_rule(
+                *cauchy_pair_sums(*finest, flat[pending]))
             redo[pending] = ratio > _TOL_RELAX
+        band = np.nonzero(band)[0]
+        if band.size:
+            result[band], ratio = pair_rule(*_close_pair_sums(
+                finest, density, shifted.point(fine_edges), flat[band]))
+            redo[band] = ratio > _TOL_RELAX
         return result
 
     values = _quarter_value(label, alpha1, flat, k, integral)

@@ -13,12 +13,11 @@ dependence, trivially convertible downstream.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .contour import ContourSpec, default_contour
 from .errors import DomainError
 from .grid_eval import factor_field
@@ -191,14 +190,4 @@ def write_image(buffer: np.ndarray, path: str) -> None:
         raise DomainError("expected an (h, w, 3) uint8 buffer")
     h, w = buffer.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(buffer.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, header + buffer.tobytes())

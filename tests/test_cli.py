@@ -142,6 +142,38 @@ class TestPortraitCommand:
         assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["portrait", "--function", "identity", "--res", "4x4"],
+    ["portrait", "--function", "identity", "--window=-1,1,a,1"],
+    ["diffcoef", "--theta0", "abc", "--phi0", "0", "--phi", "0"],
+    ["diffcoef", "--theta0", "pi/4", "--phi0", "pi/0", "--phi", "0"],
+    ["factor", "--label", "pp", "--alpha1", "1,x", "--alpha2", "1,1"],
+    ["factor", "--label", "pp", "--alpha1", "A1:ten", "--alpha2", "1,1"],
+], ids=["res", "window", "theta0", "phi0", "alpha1", "anchor"])
+def test_malformed_value_is_an_error_not_a_traceback(argv, tmp_path, capsys):
+    if argv[0] != "factor":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_outputs_follow_the_umask(tmp_path, capsys):
+    ppm, csv = tmp_path / "id.ppm", tmp_path / "arc.csv"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["portrait", "--function", "identity", "--res", "2",
+                         "--out", str(ppm)]) == 0
+        assert cli.main(["diffcoef", "--theta0", "pi/4", "--phi0=-3*pi/4",
+                         "--phi", "pi", "--n-theta", "2",
+                         "--out", str(csv)]) == 0
+    finally:
+        os.umask(old)
+    assert (ppm.stat().st_mode & 0o777) == 0o644
+    assert (csv.stat().st_mode & 0o777) == 0o644
+
+
 class TestConfigFile:
     def test_key_value_overrides(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -7,7 +7,7 @@ import pytest
 
 from qpdiff import grid_eval as ge
 from qpdiff.contour import contour_point, contour_projection
-from qpdiff.whfactor import PP, continue_factor
+from qpdiff.whfactor import PP, FactorLabel, continue_factor
 
 
 @pytest.fixture()
@@ -104,3 +104,72 @@ def test_mesh_spans_window_and_indentation(k3, cfg, re_lo, re_hi):
     uniform = edges[(edges >= lo) & (edges <= hi)]
     assert uniform[0] == lo and uniform[-1] == hi
     assert np.diff(uniform).max() <= h * (1 + 1e-12)
+
+
+def test_product_rule_on_curved_panel():
+    # one parabolic panel, an analytic density, targets from 1e-10 to 2
+    # half-widths off the panel on both sides, and one target between
+    # the panel and its chord (where p_0 takes the -2 pi i correction)
+    mp = pytest.importorskip("mpmath")
+    c0, half, bend = 0.2 + 0.1j, 0.05 * np.exp(0.3j), 0.3
+
+    def panel(x):
+        return c0 + half * (x + 1j * bend * (1 - x * x))
+
+    def tangent(x):
+        return half * (1 - 2j * bend * x)
+
+    u = ((panel(ge._XK) - c0) / half)[None, :]
+    density = np.exp(panel(ge._XK)) / (panel(ge._XK) - 3.0)
+    cases = [(0.0, c0 + 0.5j * bend * half)]
+    for x in (-0.7, 0.0, 0.95):
+        normal = 1j * tangent(x) / abs(tangent(x))
+        for d in (1e-10, 1e-4, 0.1, 1.0, 2.0):
+            cases += [(x, panel(x) + side * normal * d * abs(half))
+                      for side in (1.0, -1.0)]
+    targets = np.array([t for _, t in cases])
+    u0 = (targets - c0) / half
+    kronrod, gauss = ge._product_rule(u, density[None, :],
+                                      np.zeros(targets.size, dtype=int), u0)
+
+    zc, hc = mp.mpc(c0), mp.mpc(half)
+    for (x, t), k_val, g_val in zip(cases, kronrod, gauss):
+        def integrand(s, t=mp.mpc(t)):
+            z = zc + hc * (s + 1j * bend * (1 - s * s))
+            return mp.exp(z) / (z - 3) * hc * (1 - 2j * bend * s) / (z - t)
+
+        with mp.workdps(20):
+            ref = complex(mp.quad(integrand, sorted({-1.0, x, 1.0})))
+        assert abs(k_val - ref) < 1e-12 * abs(ref)
+        assert abs(g_val - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("tag", ["pp", "pm", "mp", "mm"])
+def test_band_needs_no_fallback(monkeypatch, contour3, cfg, k3, tag):
+    # targets with |gap| < 2 h_fine, on the contour and over the finest
+    # mesh's panel edges, on both sides: close evaluation, no scalar path
+    label = FactorLabel(tag)
+    alpha1 = (0.8 + 0.9j) * label.sign1
+    ends = np.array([-4.0, 4.0])
+    edges = ge._grid_mesh(*contour_point(contour3, ends).real, k3, cfg.s_max,
+                          ge._H_FINE)
+    inner = edges[np.abs(edges) < 3.5]
+    s = np.concatenate([ends, inner[::23], inner[::23] + 0.3 * ge._H_FINE,
+                        [-0.6, 0.0, 1.7]])
+    base = contour_point(contour3, s)
+    targets = np.concatenate(
+        [base + 1j * gap for gap in (0.0, 0.03, -0.03, 0.099, -0.099)])
+    gaps = contour_projection(contour3, targets)[1]
+    assert np.all(np.abs(gaps) < 2.0 * ge._H_FINE)
+    assert np.sum(np.abs(gaps) < 1e-10) == s.size
+
+    fallbacks, close = [], []
+    _spy(monkeypatch, "quarter_factor", lambda *args: fallbacks.append(args[2]))
+    _spy(monkeypatch, "_product_rule", lambda *args: close.append(args[3].size))
+    vals, ok = ge.factor_field(label, alpha1, targets, k3, contour3, cfg)
+    assert ok.all()
+    assert fallbacks == []
+    assert close
+    for z, v in zip(targets, vals):
+        ref = continue_factor(label, alpha1, z, k3, contour3, cfg)
+        assert abs(v - ref) < 1e-7 * abs(ref)

@@ -335,12 +335,14 @@ def loci_clearance(spec: ContourSpec, loci_spec: ContourSpec, k: float,
 
     This is the quantitative form of the visual validity argument: the
     factorisation integrals are safe as long as the margin is positive.
+    The distances are taken 100 contour samples at a time, so the
+    ``n x 2n`` matrix is never held whole.
     """
     s = np.linspace(-s_range, s_range, n)
     pts = contour_point(spec, s)
     loci = branch_loci(loci_spec, k, n, s_range)
-    d = np.abs(pts[:, None] - loci[None, :])
-    return float(d.min())
+    return float(min(np.abs(pts[i:i + 100, None] - loci).min()
+                     for i in range(0, n, 100)))
 
 
 @dataclass(frozen=True)

@@ -7,26 +7,20 @@ times ``A'(s)`` -- is the same for every pixel; only the Cauchy kernel
 ``1/(z - alpha2)`` changes.  So the density is sampled once per mesh on
 a composite GK15 mesh (uniform across the window's parameter range and
 the indentation, geometric in the tails) and the per-pixel sums go to
-the numpy kernel ``cauchy_pair_sums``.  The rest of the formula comes
-from the ``whfactor`` helpers that the scalar ``quarter_factor`` uses.
+the numpy kernel ``cauchy_pair_sums`` through ``_close_pair_sums``.  The
+rest of the formula comes from the ``whfactor`` helpers that the scalar
+``quarter_factor`` uses.
 
-Meshes are taken coarse to fine: a pixel far from the contour meets the
-pair-rule tolerance on a mesh much coarser than the one a pixel near it
-needs, so each pixel keeps the first mesh whose Kronrod and Gauss sums
-agree, and only the pixels still pending are summed on the next finer
-mesh.  The branch-crossing check always runs on the finest mesh.
-
-Targets are placed relative to the contour by the array form of
-``contour.contour_projection``: ``side_sign`` (the same classifier the
-scalar path uses) splits them into half-planes, and the signed gap
-marks the thin band ``|gap| < 2 h_fine`` hugging the contour.  Band
-pixels skip the coarse meshes; on the finest one, each panel close to a
+Meshes are taken coarse to fine: each pixel keeps the first mesh whose
+Kronrod and Gauss sums agree, and only the pixels still pending are
+summed on the next finer mesh.  On every mesh, each panel close to a
 pixel has its term replaced by interpolatory product quadrature of the
-sampled density (close evaluation, Helsing & Ojala 2008), so the band
-needs no more density samples than the rest of the window.  Only pixels
-that fail the (relaxed) tolerance on the finest mesh, or come out
-non-finite, are computed through the scalar adaptive path, and pixels
-where even that fails are reported in the mask rather than raising.
+sampled density (close evaluation, Helsing & Ojala 2008), so a pixel
+next to the contour settles as early as a far one.  The branch-crossing
+check always runs on the finest mesh.  Only pixels that fail the
+(relaxed) tolerance on the finest mesh, or come out non-finite, are
+computed through the scalar adaptive path, and pixels where even that
+fails are reported in the mask rather than raising.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._cauchy_numpy import cauchy_pair_sums
-from .contour import ContourSpec, contour_projection, side_sign
+from .contour import ContourSpec, side_sign
 from .errors import QpdiffError
 from .quadrature import QuadratureConfig, _WG, _WK, _XK
 from .whfactor import (_ROT_BACK, FactorLabel, _alpha2_div, _check_log_track,
@@ -50,7 +44,7 @@ _COARSEST = 16
 _EPS = 1e-3
 #: the finest mesh's pair rule tolerance, in plain tolerances
 _TOL_RELAX = 100.0
-#: a band target's panel term is replaced by product quadrature when its
+#: a target's panel term is replaced by product quadrature when its
 #: panel coordinate ``u0 = (t - c) / h`` has ``|u0| < _NEAR``
 _NEAR = 2.0
 
@@ -195,10 +189,9 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
 
     Targets are taken to lie in the label's natural alpha2 half-plane
     (callers split mixed target sets; see ``factor_field``).  Each target
-    keeps the coarsest mesh whose pair rule meets the tolerance; targets
-    within ``2 h_fine`` of the contour go straight to the finest mesh
-    and its close evaluation (``_close_pair_sums``).  Finest-mesh rejects
-    and non-finite values are recomputed by the scalar
+    keeps the coarsest mesh whose pair rule, with close evaluation of the
+    panels near it (``_close_pair_sums``), meets the tolerance.
+    Finest-mesh rejects and non-finite values are recomputed by the scalar
     ``quarter_factor``.  Returns ``(values, ok)``; ``ok`` is False only
     where both the grid rule and the scalar fallback failed.
     """
@@ -213,40 +206,34 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
         return _grid_mesh(float(flat.real.min()), float(flat.real.max()), k,
                           cfg.s_max, h)
 
-    def pair_rule(i_hi, i_lo):
+    def pair_rule(edges, sampled, idx):
+        """The Kronrod sums at ``flat[idx]`` and their error/tolerance ratios."""
+        i_hi, i_lo = _close_pair_sums(*sampled, shifted.point(edges),
+                                      flat[idx])
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i_hi))
         return i_hi, np.abs(i_hi - i_lo) / tol
 
     def integral():
         fine_edges = mesh(_H_FINE)
-        finest, density = _sample_density(label, alpha1, k, shifted,
-                                          fine_edges, guard=True)
-        # the thin band hugging the contour goes straight to the finest
-        # mesh, where its near panels are evaluated close
-        band = np.abs(contour_projection(contour, flat)[1]) < 2.0 * _H_FINE
+        finest = _sample_density(label, alpha1, k, shifted, fine_edges,
+                                 guard=True)
         result = np.full(flat.shape, np.nan, dtype=np.complex128)
-        pending = np.nonzero(~band)[0]
+        pending = np.arange(flat.size)
         # Coarse meshes hold to the plain tolerance: a pixel they reject
         # only moves on to the next finer mesh.  The relaxed one is for
         # the finest mesh, whose rejects take the scalar path.
         scale = _COARSEST
         while pending.size and scale > 1:
-            coarse = _sample_density(label, alpha1, k, shifted,
-                                     mesh(scale * _H_FINE), guard=False)[0]
-            i_hi, ratio = pair_rule(*cauchy_pair_sums(*coarse, flat[pending]))
+            edges = mesh(scale * _H_FINE)
+            i_hi, ratio = pair_rule(edges, _sample_density(
+                label, alpha1, k, shifted, edges, guard=False), pending)
             good = ratio <= 1.0
             result[pending[good]] = i_hi[good]
             pending = pending[~good]
             scale //= 2
         if pending.size:
-            result[pending], ratio = pair_rule(
-                *cauchy_pair_sums(*finest, flat[pending]))
+            result[pending], ratio = pair_rule(fine_edges, finest, pending)
             redo[pending] = ratio > _TOL_RELAX
-        band = np.nonzero(band)[0]
-        if band.size:
-            result[band], ratio = pair_rule(*_close_pair_sums(
-                finest, density, shifted.point(fine_edges), flat[band]))
-            redo[band] = ratio > _TOL_RELAX
         return result
 
     values = _quarter_value(label, alpha1, flat, k, integral)

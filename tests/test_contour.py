@@ -1,5 +1,10 @@
 """Indented contours: parametrisation, side classification, diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +207,31 @@ class TestBranchLoci:
     def test_positive_clearance(self, contour3, k3):
         margin = ct.loci_clearance(contour3, contour3, k3)
         assert margin > 0.5  # reference constants keep a wide margin
+
+    def test_clearance_is_the_dense_minimum(self, contour3, k3):
+        # 250 samples: the last block of contour samples is a partial one
+        n, s_range = 250, 12.0
+        pts = ct.contour_point(contour3, np.linspace(-s_range, s_range, n))
+        loci = ct.branch_loci(contour3, k3, n, s_range)
+        dense = np.abs(pts[:, None] - loci[None, :]).min()
+        assert ct.loci_clearance(contour3, contour3, k3, n, s_range) == dense
+
+    def test_gate_keeps_peak_memory_small(self):
+        # the gate runs before every job, so its peak is every job's floor;
+        # VmHWM, unlike ru_maxrss, does not inherit the forking process's peak
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        script = ("from qpdiff import contour as ct\n"
+                  "ct.validate_contour(ct.default_contour(3), 3,"
+                  " raise_on_failure=True)\n"
+                  "print(next(line.split()[1] for line in"
+                  " open('/proc/self/status') if line.startswith('VmHWM')))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert int(out) / 1024 < 80.0  # VmHWM is in kB
 
 
 class TestValidationGate:

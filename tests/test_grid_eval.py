@@ -5,7 +5,9 @@ import collections
 import numpy as np
 import pytest
 
+from qpdiff import contour as ct
 from qpdiff import grid_eval as ge
+from qpdiff import whfactor as wf
 from qpdiff.contour import contour_point, contour_projection
 from qpdiff.whfactor import PP, FactorLabel, continue_factor
 
@@ -26,10 +28,11 @@ def _spy(monkeypatch, name, record):
     monkeypatch.setattr(ge, name, spy)
 
 
-def test_gap_classes_settle_on_their_own_levels(monkeypatch, contour3, cfg,
-                                                k3, alpha1):
-    # pixels far from the contour settle on coarse meshes, near ones on
-    # finer meshes; every class must still match the scalar path
+def test_gap_classes_settle_on_the_coarsest_mesh(monkeypatch, contour3, cfg,
+                                                 k3, alpha1):
+    # with close evaluation on every mesh, pixels near the contour settle
+    # on the coarsest mesh as the far ones do; every class must still
+    # match the scalar path
     settled = {}
 
     def record(nodes, coef_hi, coef_lo, targets):
@@ -50,9 +53,9 @@ def test_gap_classes_settle_on_their_own_levels(monkeypatch, contour3, cfg,
         for i in members[::members.size // 4][:4]:
             ref = continue_factor(PP, alpha1, z[i], k3, contour3, cfg)
             assert abs(vals[i] - ref) / abs(ref) < 1e-7
-    # each class mostly settles on its own mesh, coarser as the gap grows
-    assert modal_nodes == sorted(set(modal_nodes), reverse=True)
-    assert len(modal_nodes) == 4
+    coarsest = ge._grid_mesh(-6.0, 6.0, k3, cfg.s_max,
+                             ge._COARSEST * ge._H_FINE)
+    assert modal_nodes == [ge._XK.size * (coarsest.size - 1)] * 4
 
 
 def test_finest_mesh_guarded_when_all_pixels_settle_coarse(monkeypatch, contour3,
@@ -163,13 +166,40 @@ def test_band_needs_no_fallback(monkeypatch, contour3, cfg, k3, tag):
     assert np.all(np.abs(gaps) < 2.0 * ge._H_FINE)
     assert np.sum(np.abs(gaps) < 1e-10) == s.size
 
-    fallbacks, close = [], []
+    fallbacks, close, finest, summed = [], [], [], []
     _spy(monkeypatch, "quarter_factor", lambda *args: fallbacks.append(args[2]))
     _spy(monkeypatch, "_product_rule", lambda *args: close.append(args[3].size))
+    _spy(monkeypatch, "_check_log_track",
+         lambda samples: finest.append(samples.size))
+    _spy(monkeypatch, "cauchy_pair_sums",
+         lambda nodes, *rest: summed.append((finest[-1], nodes.size)))
     vals, ok = ge.factor_field(label, alpha1, targets, k3, contour3, cfg)
     assert ok.all()
     assert fallbacks == []
     assert close
+    # each grid call guards its finest mesh before summing; no band
+    # target is summed on it
+    assert summed and all(fine != n for fine, n in summed)
     for z, v in zip(targets, vals):
         ref = continue_factor(label, alpha1, z, k3, contour3, cfg)
         assert abs(v - ref) < 1e-7 * abs(ref)
+
+
+def test_each_target_is_projected_once(monkeypatch, contour3, cfg, k3, alpha1):
+    x = np.linspace(-6.0, 6.0, 12)
+    targets = (x[None, :] + 1j * x[:, None]).ravel()
+    sides = ct.side_sign(contour3, targets)
+    assert (sides > 0).any() and (sides < 0).any()
+    projected = []
+    original = ct.contour_projection
+
+    def spy(spec, z, *args, **kwargs):
+        projected.append(np.size(z))
+        return original(spec, z, *args, **kwargs)
+
+    for module in (ct, ge, wf):
+        if hasattr(module, "contour_projection"):
+            monkeypatch.setattr(module, "contour_projection", spy)
+    vals, ok = ge.factor_field(PP, alpha1, targets, k3, contour3, cfg)
+    assert ok.all()
+    assert sum(projected) == targets.size + 1  # every target, and alpha1

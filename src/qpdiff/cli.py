@@ -9,8 +9,8 @@ accepted to avoid silent degree/radian mistakes.  Complex flags use the
 through the active contour parametrisation.
 
 Configuration may come from a ``key=value`` file (``--config``); flags
-override file values, which override defaults.  The only environment
-variable honoured is ``QPDIFF_WORKERS`` (row parallelism of sweeps).
+override file values, which override defaults.  No environment
+variable is read.
 """
 
 from __future__ import annotations
@@ -148,13 +148,6 @@ def build_run_config(args) -> RunConfig:
     return cfg
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("QPDIFF_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _gate_contour(run: RunConfig):
     """Contour acceptance gate: sign scan and loci margin, once per run."""
     spec = run.contour()
@@ -181,10 +174,9 @@ def cmd_diffcoef(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         outputs = [os.path.join(args.out, f"arc_phi_{phi:.12g}.csv")
                    for phi in phis]
-    workers = _workers()
     any_whole_failure = False
     for phi, path in zip(phis, outputs):
-        result = evaluator.arc_sweep(phi, args.n_theta, workers=workers)
+        result = evaluator.arc_sweep(phi, args.n_theta)
         result.to_csv(path)
         n_pole = result.flags.count("near_pole")
         n_failed = result.flags.count("failed")

@@ -25,14 +25,15 @@ measures by how much, vanishing identically only on alpha2 = a2.
 
 Observation points put the spectral variables on the real interval
 (-k, k), partly below the inversion contours, so every factor access
-goes through ``continue_factor``; evaluations whose route was not
-"direct" are flagged ``continued`` in sweep output.
+goes through the continuation dispatch of ``whfactor``; evaluations
+whose route was not "direct" are flagged ``continued`` in sweep output.
+The factors of all rows of an arc are one batch of the adaptive rule;
+a single direction is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ from ._atomic import write_atomic
 from .contour import ContourSpec, default_contour
 from .errors import DomainError, OnBranchCutError, QpdiffError
 from .quadrature import QuadratureConfig
-from .whfactor import MM, MP, PM, PP, continue_factor
+from .whfactor import MM, MP, PM, PP, _continued, _pairs, _split_on_error
 
 #: default imaginary shift of positive spectral constants, as a fraction
 #: of k.  Small enough that halving it moves the diffraction coefficient
@@ -187,11 +188,10 @@ class ArcSweepResult:
 
 
 class AnsatzEvaluator:
-    """Evaluator bound to one incidence, with the per-incidence cache.
+    """Evaluator bound to one incidence, contour and quadrature setting.
 
-    Quantities depending only on the incidence (``K_mm(a1, a2)``) are
-    computed once on first use and reused by every point evaluation;
-    arc sweeps populate the cache before fanning out.
+    Every evaluation is one batch of factors; the incidence-only factor
+    ``K_mm(a1, a2)`` is one more pair of each batch.
     """
 
     def __init__(self, inc: Incidence, contour: ContourSpec | None = None,
@@ -199,36 +199,37 @@ class AnsatzEvaluator:
         self.inc = inc
         self.contour = contour if contour is not None else default_contour(inc.k)
         self.cfg = cfg if cfg is not None else QuadratureConfig()
-        self._kmm_aa = None
-        self._kmm_aa_continued = False
 
     # -- factor plumbing ---------------------------------------------------
 
-    def _factor(self, label, a1, a2):
-        value, route = continue_factor(label, a1, a2, self.inc.k,
-                                       self.contour, self.cfg,
-                                       with_route=True)
-        return value, route != "direct"
-
-    def _kmm_incidence(self):
-        if self._kmm_aa is None:
-            self._kmm_aa, self._kmm_aa_continued = self._factor(
-                MM, self.inc.a1, self.inc.a2)
-        return self._kmm_aa, self._kmm_aa_continued
+    def _factors(self, labels, alpha1, alpha2):
+        """``labels[j]`` at ``(alpha1[j], alpha2[j])``, and if it was continued."""
+        values, routes = _continued(
+            labels, np.asarray(alpha1, dtype=np.complex128),
+            np.asarray(alpha2, dtype=np.complex128), self.inc.k,
+            self.contour, self.cfg)
+        return values, routes != 0
 
     # -- spectral-plane quantities ------------------------------------------
 
-    def fpp(self, alpha1, alpha2, with_continued: bool = False):
-        """The closed-form (++) candidate at a spectral point."""
+    def _fpp(self, alpha1, alpha2):
+        """The (++) candidate at arrays of points, and if it was continued."""
         inc = self.inc
-        kpp, c1 = self._factor(PP, alpha1, alpha2)
-        kmp, c2 = self._factor(MP, inc.a1, alpha2)
-        kpm, c3 = self._factor(PM, alpha1, inc.a2)
-        kmm, c4 = self._kmm_incidence()
-        value = g_pp(alpha1, alpha2, inc) / (kpp * kmp * kmm * kpm)
-        if with_continued:
-            return value, (c1 or c2 or c3 or c4)
-        return value
+        n = alpha1.size
+        forcing = g_pp(alpha1, alpha2, inc)  # the pole raises before any integral
+        values, continued = self._factors(
+            [PP] * n + [MP] * n + [PM] * n + [MM],
+            np.r_[alpha1, np.full(n, inc.a1), alpha1, inc.a1],
+            np.r_[alpha2, alpha2, np.full(n, inc.a2), inc.a2])
+        kpp, kmp, kpm = values[:-1].reshape(3, n)
+        value = forcing / (kpp * kmp * values[-1] * kpm)
+        return value, continued[:-1].reshape(3, n).any(axis=0) | continued[-1]
+
+    def fpp(self, alpha1, alpha2):
+        """The closed-form (++) candidate; arrays broadcast into one batch."""
+        a1, a2, shape = _pairs(alpha1, alpha2)
+        value = self._fpp(a1, a2)[0].reshape(shape)
+        return complex(value) if not shape else value
 
     def compatibility_residual(self, alpha1, alpha2) -> complex:
         """Residual of the compatibility equation with the remainder zeroed.
@@ -237,10 +238,9 @@ class AnsatzEvaluator:
         the inexactness of the closed-form candidate at this point.
         """
         inc = self.inc
-        kmm_a2var, _ = self._factor(MM, inc.a1, alpha2)
-        kpm_full, _ = self._factor(PM, alpha1, alpha2)
-        kmm_aa, _ = self._kmm_incidence()
-        kpm_a2fix, _ = self._factor(PM, alpha1, inc.a2)
+        (kmm_a2var, kpm_full, kmm_aa, kpm_a2fix), _ = self._factors(
+            [MM, PM, MM, PM], [inc.a1, alpha1, inc.a1, alpha1],
+            [alpha2, alpha2, inc.a2, inc.a2])
         bracket = (1.0 / (kmm_a2var * kpm_full)
                    - 1.0 / (kmm_aa * kpm_a2fix))
         if bracket == 0:
@@ -251,67 +251,64 @@ class AnsatzEvaluator:
 
     # -- physical far field --------------------------------------------------
 
-    def diffraction(self, obs: Observation) -> PointValue:
-        """Diffraction coefficient at one observation direction.
+    def _directions(self, observations):
+        """Values, flags and continued marks at directions, in one batch.
 
         ``f_d = k F_pp(-k xi, -k eta) / (4 pi^2 i)``; the flag records
-        pole proximity, the detected real-branch regime, or the use of
-        analytic continuation (in that precedence), else ``ok``.  A row
-        whose computation broke down (quadrature, continuation, branch
-        crossing, contour geometry) is NaN flagged ``failed``.
+        pole proximity, the real-branch regime, or continuation (in that
+        precedence), else ``ok``.  A direction that raises is isolated
+        (``_split_on_error``) and NaN, flagged ``near_pole`` where it is
+        genuinely singular (the forcing pole, or a factor branch point
+        hit exactly at theta = pi/2) and ``failed`` for a numerical
+        breakdown (quadrature, continuation, branch crossing, contour).
         """
         inc = self.inc
-        alpha1 = -inc.k * obs.xi
-        alpha2 = -inc.k * obs.eta
-        near_pole = (abs(obs.xi + inc.xi0) < NEAR_POLE_THRESHOLD
-                     or abs(obs.eta + inc.eta0) < NEAR_POLE_THRESHOLD)
-        try:
-            fpp, continued = self.fpp(alpha1, alpha2, with_continued=True)
-        except (DomainError, OnBranchCutError):
-            # A genuinely singular direction: the forcing pole itself, or
-            # an arc boundary where the spectral point meets the circle
-            # alpha1^2 + alpha2^2 = k^2 and a factor branch point is hit
-            # exactly (theta = pi/2 endpoints).  Flagged, never fatal.
-            return PointValue(value=complex(np.nan, np.nan),
-                              flag="near_pole", continued=False)
-        except QpdiffError:
-            # a numerical breakdown at a regular direction: not a pole
-            return PointValue(value=complex(np.nan, np.nan),
-                              flag="failed", continued=False)
-        value = inc.k * fpp / (4j * np.pi ** 2)
-        if near_pole:
-            flag = "near_pole"
-        elif abs(value.imag) < REAL_BRANCH_THRESHOLD * abs(value.real):
-            flag = "real_branch"
-        elif continued:
-            flag = "continued"
-        else:
-            flag = "ok"
-        return PointValue(value=value, flag=flag, continued=continued)
+        xi = np.array([obs.xi for obs in observations])
+        eta = np.array([obs.eta for obs in observations])
+        alpha1, alpha2 = -inc.k * xi, -inc.k * eta
+        values = np.full(xi.size, complex(np.nan, np.nan))
+        continued = np.zeros(xi.size, dtype=bool)
+        broken = {}
+        for part, got in _split_on_error(
+                lambda part: self._fpp(alpha1[part], alpha2[part]),
+                np.arange(xi.size)):
+            if isinstance(got, QpdiffError):
+                broken[part[0]] = ("near_pole" if isinstance(
+                    got, (DomainError, OnBranchCutError)) else "failed")
+            else:
+                values[part] = inc.k * got[0] / (4j * np.pi ** 2)
+                continued[part] = got[1]
+        near_pole = ((np.abs(xi + inc.xi0) < NEAR_POLE_THRESHOLD)
+                     | (np.abs(eta + inc.eta0) < NEAR_POLE_THRESHOLD))
+        real_branch = (np.abs(values.imag)
+                       < REAL_BRANCH_THRESHOLD * np.abs(values.real))
+        flags = [broken.get(i) or ("near_pole" if near_pole[i] else
+                                   "real_branch" if real_branch[i] else
+                                   "continued" if continued[i] else "ok")
+                 for i in range(xi.size)]
+        return values, flags, continued
+
+    def diffraction(self, obs: Observation) -> PointValue:
+        """Diffraction coefficient at one direction: a batch of one."""
+        values, flags, continued = self._directions([obs])
+        return PointValue(value=complex(values[0]), flag=flags[0],
+                          continued=bool(continued[0]))
 
     def arc_sweep(self, phi: float, n_theta: int,
                   workers: int = 1) -> ArcSweepResult:
         """Sweep theta over [0, pi/2] at fixed phi.
 
-        Rows are independent; a failing row is reported through its
-        flag rather than aborting the sweep.  Output is deterministic
-        for fixed inputs regardless of ``workers``.
+        All rows are one batch; a failing row is reported through its
+        flag rather than aborting the sweep, and every row gets the value
+        and flag ``diffraction`` gives it alone.  ``workers`` is accepted
+        and ignored, since a batch needs no thread pool; it stays because
+        callers such as the benchmark harness pass it.
         """
         if n_theta < 2:
             raise DomainError("arc sweep needs n_theta >= 2")
-        self._kmm_incidence()  # populate the cache before any fan-out
         thetas = np.linspace(0.0, math.pi / 2, n_theta)
-
-        def row(theta):
-            return self.diffraction(Observation(theta=float(theta), phi=phi))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                points = list(pool.map(row, thetas))
-        else:
-            points = [row(t) for t in thetas]
-        values = np.array([p.value for p in points], dtype=np.complex128)
-        flags = [p.flag for p in points]
+        values, flags, _ = self._directions(
+            [Observation(theta=float(theta), phi=phi) for theta in thetas])
         meta = {
             "k": self.inc.k,
             "contour_a": self.contour.a,
@@ -351,6 +348,6 @@ def arc_sweep(inc: Incidence, phi: float, n_theta: int,
               cfg: QuadratureConfig | None = None,
               contour: ContourSpec | None = None,
               workers: int = 1) -> ArcSweepResult:
-    """Functional form of the arc sweep."""
+    """Functional form of the arc sweep; ``workers`` is ignored, as there."""
     ev = AnsatzEvaluator(inc, contour=contour, cfg=cfg)
     return ev.arc_sweep(phi, n_theta, workers=workers)

@@ -8,8 +8,8 @@ times ``A'(s)`` -- is the same for every pixel; only the Cauchy kernel
 a composite GK15 mesh (uniform across the window's parameter range and
 the indentation, geometric in the tails) and the per-pixel sums go to
 the numpy kernel ``cauchy_pair_sums`` through ``_close_pair_sums``.  The
-rest of the formula comes from the ``whfactor`` helpers that the scalar
-``quarter_factor`` uses.
+rest of the formula comes from the ``whfactor`` helpers that the
+adaptive ``quarter_factor`` uses.
 
 Meshes are taken coarse to fine: each pixel keeps the first mesh whose
 Kronrod and Gauss sums agree, and only the pixels still pending are
@@ -19,8 +19,8 @@ sampled density (close evaluation, Helsing & Ojala 2008), so a pixel
 next to the contour settles as early as a far one.  The branch-crossing
 check always runs on the finest mesh.  Only pixels that fail the
 (relaxed) tolerance on the finest mesh, or come out non-finite, are
-computed through the scalar adaptive path, and pixels where even that
-fails are reported in the mask rather than raising.
+computed by the adaptive rule, all in one batch, and pixels where even
+that fails are reported in the mask rather than raising.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from ._cauchy_numpy import cauchy_pair_sums
 from .contour import ContourSpec, side_sign
 from .errors import QpdiffError
 from .quadrature import QuadratureConfig, _WG, _WK, _XK
-from .whfactor import (_ROT_BACK, FactorLabel, _alpha2_div, _check_log_track,
+from .specfun import half_factor
+from .whfactor import (_HALF_CH, _ROT_BACK, FactorLabel, _check_log_track,
                        _log_density, _quarter_value, _shifted_for,
-                       quarter_factor)
+                       _split_on_error, quarter_factor)
 
 
 #: the finest mesh spacing; the coarsest is ``_COARSEST`` times wider
@@ -86,7 +87,7 @@ def _sample_density(label: FactorLabel, alpha1: complex, k: float,
     half = 0.5 * (hi - lo)
     s = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
     z = shifted.point(s)
-    w, log_w = _log_density(label, alpha1, k, z)
+    w, log_w = _log_density(label.sign1, alpha1, k, z)
     if guard:
         _check_log_track(_ROT_BACK * w)  # s is already sorted per panel row-major
     base = log_w * shifted.derivative(s)
@@ -191,9 +192,11 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     (callers split mixed target sets; see ``factor_field``).  Each target
     keeps the coarsest mesh whose pair rule, with close evaluation of the
     panels near it (``_close_pair_sums``), meets the tolerance.
-    Finest-mesh rejects and non-finite values are recomputed by the scalar
-    ``quarter_factor``.  Returns ``(values, ok)``; ``ok`` is False only
-    where both the grid rule and the scalar fallback failed.
+    Finest-mesh rejects and non-finite values are recomputed by the
+    adaptive ``quarter_factor`` in one batch, where a raising pixel is
+    isolated by halves (``_split_on_error``).  Returns ``(values, ok)``;
+    ``ok`` is False only where both the grid rule and the adaptive rule
+    failed.
     """
     alpha1 = complex(alpha1)
     targets = np.asarray(targets, dtype=np.complex128)
@@ -213,7 +216,7 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i_hi))
         return i_hi, np.abs(i_hi - i_lo) / tol
 
-    def integral():
+    def integral(live):
         fine_edges = mesh(_H_FINE)
         finest = _sample_density(label, alpha1, k, shifted, fine_edges,
                                  guard=True)
@@ -221,7 +224,7 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
         pending = np.arange(flat.size)
         # Coarse meshes hold to the plain tolerance: a pixel they reject
         # only moves on to the next finer mesh.  The relaxed one is for
-        # the finest mesh, whose rejects take the scalar path.
+        # the finest mesh, whose rejects take the adaptive rule.
         scale = _COARSEST
         while pending.size and scale > 1:
             edges = mesh(scale * _H_FINE)
@@ -236,16 +239,17 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
             redo[pending] = ratio > _TOL_RELAX
         return result
 
-    values = _quarter_value(label, alpha1, flat, k, integral)
+    values = _quarter_value(label.side2, alpha1, flat, k, integral)
 
     redo |= ~np.isfinite(values)
-    for idx in np.nonzero(redo)[0]:
-        try:
-            values[idx] = quarter_factor(label, alpha1, flat[idx], k, contour,
-                                          cfg, enforce_domain=False)
-        except QpdiffError:
-            ok[idx] = False
-            values[idx] = np.nan
+    for part, got in _split_on_error(
+            lambda part: quarter_factor(label, alpha1, flat[part], k, contour,
+                                        cfg),
+            np.flatnonzero(redo)):
+        if isinstance(got, QpdiffError):
+            ok[part] = False
+            got = np.nan
+        values[part] = got
     return values.reshape(targets.shape), ok.reshape(targets.shape)
 
 
@@ -284,6 +288,7 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     if natural.any():
         values[natural] = grid(label, natural)
     if other.any():
-        values[other] = _alpha2_div(label, alpha1, flat[other], k,
-                                    lambda comp: grid(comp, other))
+        values[other] = (half_factor(_HALF_CH[label.tag[0]] + "o", alpha1,
+                                     flat[other], k)
+                         / grid(label.flip2(), other))
     return values.reshape(targets.shape), ok.reshape(targets.shape)

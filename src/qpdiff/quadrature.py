@@ -5,7 +5,8 @@ contour ``A(s) +- i eps`` with an integrand that decays like ``s^-2`` at
 the truncation ends.  The engine below works on the real parameter
 ``s``: a composite (G7, K15) pair rule on a panel mesh, refined by
 bisecting the panels carrying the largest error estimates, with all
-panels of a refinement round evaluated in one vectorised call.
+panels of a refinement round, for every integral of a batch, evaluated
+in one vectorised call.
 
 Truncation at ``s_max`` is accounted for explicitly.  Because panels are
 truncated symmetrically and the two tails of a Cauchy-kernel integrand
@@ -76,6 +77,8 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """Value, error and tail estimates (arrays for a batch), and the cost."""
+
     value: complex
     error: float
     tail: float
@@ -83,78 +86,102 @@ class QuadResult:
     n_panels: int
 
 
-def _panel_sums(fvec, lo, hi):
-    """Evaluate the (G7, K15) pair on a batch of panels.
-
-    Returns the K15 values, the |K15 - G7| error estimates, and the
-    number of integrand evaluations spent.
-    """
+def _panel_sums(fvec, lo, hi, owner):
+    """K15 values and |K15 - G7| estimates; panel p serves integral owner[p]."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(fvec(x.ravel()), dtype=np.complex128).reshape(x.shape)
+    y = np.asarray(fvec(x.ravel(), np.repeat(owner, _XK.size)),
+                   dtype=np.complex128).reshape(x.shape)
     i_k = (y * _WK[None, :]).sum(axis=1) * half
     i_g = (y * _WG[None, :]).sum(axis=1) * half
-    return i_k, np.abs(i_k - i_g), x.size
+    return i_k, np.abs(i_k - i_g)
 
 
-def adaptive_panels(fvec, edges, cfg: QuadratureConfig):
-    """Adaptively refine a composite GK15 rule on the given panel mesh.
+def _refine(fvec, edge_sets, cfg: QuadratureConfig):
+    """Adaptively refine composite GK15 rules for several integrals at once.
 
-    ``fvec`` maps an array of parameters to integrand values.  Panels
-    whose error exceeds their share of the tolerance are bisected, a
-    whole refinement round per vectorised call, until the summed error
-    estimate meets ``max(abs_tol, rel_tol |I|)``.
+    Integral ``j`` starts on the mesh ``edge_sets[j]``; ``fvec(s, owner)``
+    maps parameters, and the integral each serves, to integrand values.
+    Panels over their share of their integral's tolerance
+    ``max(abs_tol, rel_tol |I|)`` are bisected, one ``fvec`` call a round
+    for all unfinished integrals, until each summed error estimate meets
+    its tolerance.  An integral bisects exactly the panels it would
+    bisect alone.  Returns values, error estimates, evaluation and panel
+    counts, an entry per integral.
 
     Raises
     ------
     QuadratureError
-        If a panel would exceed ``max_subdivisions`` bisections, the
-        panel budget is exhausted, or a panel width underflows (which
+        If a panel would exceed ``max_subdivisions`` bisections, a panel
+        budget is exhausted, or a panel width underflows (which
         indicates a genuinely singular integrand).
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    edge_sets = [np.asarray(e, dtype=np.float64) for e in edge_sets]
+    if any(e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0)
+           for e in edge_sets):
         raise DomainError("edges must be a strictly increasing 1-D array")
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    m = len(edge_sets)
+    owner = np.repeat(np.arange(m), [e.size - 1 for e in edge_sets])
+    lo = np.concatenate([e[:-1] for e in edge_sets])
+    hi = np.concatenate([e[1:] for e in edge_sets])
     depth = np.zeros(lo.size, dtype=np.int64)
-    vals, errs, n_evals = _panel_sums(fvec, lo, hi)
+    vals, errs = _panel_sums(fvec, lo, hi, owner)
+    n_evals = _XK.size * np.bincount(owner, minlength=m)
+    value, error = np.empty(m, dtype=np.complex128), np.empty(m)
+    n_panels = np.empty(m, dtype=np.int64)
 
     while True:
-        total = vals.sum()
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        err_total = float(errs.sum())
-        if err_total <= tol:
-            return complex(total), err_total, n_evals, lo.size
-        share = tol / (2.0 * lo.size)
-        split = errs > share
-        if not split.any():
-            split = errs >= errs.max()
-        if np.any(depth[split] >= cfg.max_subdivisions):
+        # the panels of one integral are consecutive: group g is ids[g]
+        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        ids, count = owner[starts], np.diff(np.r_[starts, owner.size])
+        total = np.add.reduceat(vals, starts)
+        err_total = np.add.reduceat(errs, starts)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        done = err_total <= tol
+        value[ids[done]], error[ids[done]] = total[done], err_total[done]
+        n_panels[ids[done]] = count[done]
+        if done.all():
+            return value, error, n_evals, n_panels
+        group = np.repeat(np.arange(ids.size), count)
+        split = errs > (tol / (2.0 * count))[group]
+        # an integral with no panel over its share bisects its worst ones
+        idle = np.bincount(group[split], minlength=ids.size) == 0
+        split |= idle[group] & (errs >= np.maximum.reduceat(errs, starts)[group])
+        split &= ~done[group]
+        deep = group[split & (depth >= cfg.max_subdivisions)]
+        if deep.size:
             raise QuadratureError(
-                f"subdivision limit {cfg.max_subdivisions} reached "
-                f"(error estimate {err_total:.3e} vs tolerance {tol:.3e})"
+                f"subdivision limit {cfg.max_subdivisions} reached (error "
+                f"estimate {err_total[deep[0]]:.3e} vs tolerance {tol[deep[0]]:.3e})"
             )
-        if lo.size + split.sum() > _PANEL_CAP:
+        if np.any(count + np.bincount(group[split], minlength=ids.size)
+                  > _PANEL_CAP):
             raise QuadratureError("panel budget exhausted; integrand too hard")
-        w = hi[split] - lo[split]
-        if np.any(w < 1e-14 * (1.0 + np.abs(lo[split]))):
+        if np.any(hi[split] - lo[split] < 1e-14 * (1.0 + np.abs(lo[split]))):
             raise QuadratureError("panel width underflow: singular integrand")
 
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        new_depth = np.concatenate([depth[~split], depth[split] + 1,
-                                    depth[split] + 1])
-        keep_vals = vals[~split]
-        keep_errs = errs[~split]
-        fresh_vals, fresh_errs, extra = _panel_sums(
-            fvec, new_lo[keep_vals.size:], new_hi[keep_vals.size:])
-        n_evals += extra
-        lo, hi, depth = new_lo, new_hi, new_depth
-        vals = np.concatenate([keep_vals, fresh_vals])
-        errs = np.concatenate([keep_errs, fresh_errs])
+        fresh = (np.r_[lo[split], mid], np.r_[mid, hi[split]],
+                 np.tile(owner[split], 2))
+        fresh += _panel_sums(fvec, *fresh) + (np.tile(depth[split] + 1, 2),)
+        np.add.at(n_evals, fresh[2], _XK.size)
+        # each integral's kept panels, then its left and right halves
+        keep = ~split & ~done[group]
+        order = np.argsort(np.r_[owner[keep], fresh[2]], kind="stable")
+        lo, hi, owner, vals, errs, depth = (
+            np.r_[old[keep], new][order]
+            for old, new in zip((lo, hi, owner, vals, errs, depth), fresh))
+
+
+def adaptive_panels(fvec, edges, cfg: QuadratureConfig):
+    """``_refine`` for one integral of ``fvec(s)`` on the mesh ``edges``.
+
+    Returns ``(value, error, n_evals, n_panels)``.
+    """
+    value, error, n_evals, n_panels = _refine(lambda s, owner: fvec(s),
+                                              [edges], cfg)
+    return complex(value[0]), float(error[0]), int(n_evals[0]), int(n_panels[0])
 
 
 def default_edges(scale: float, s_max: float, inner_breaks=()):
@@ -179,32 +206,45 @@ def default_edges(scale: float, s_max: float, inner_breaks=()):
     return edges
 
 
-def integrate_over_shifted(integrand, shifted: ShiftedContour,
-                           cfg: QuadratureConfig, scale: float,
-                           inner_breaks=()) -> QuadResult:
-    """Integrate ``integrand(z) dz`` along a shifted contour.
+def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
+                           scale: float, inner_breaks=()) -> QuadResult:
+    """Integrate ``integrand(z) dz`` along a shifted contour, or many.
 
     The parametrised form ``integrand(A(s) + i offset) A'(s) ds`` is fed
     to the adaptive engine on ``[-s_max, s_max]``; the symmetric-pair
     tail estimate is then applied according to the configured policy.
+
+    A batch passes a sequence of ``ShiftedContour``s of one base contour
+    and a break set for each; ``integrand(z, owner)`` then also gets the
+    index of the integral each point serves, and the integrals are
+    refined together (``_refine``).  One ``ShiftedContour`` is a batch of
+    one.  ``n_evals`` and ``n_panels`` of the result are totals.
     """
-    spec = shifted.base
+    if isinstance(shifted, ShiftedContour):
+        res = integrate_over_shifted(lambda z, owner: integrand(z),
+                                     [shifted], cfg, scale, [inner_breaks])
+        return QuadResult(value=complex(res.value[0]),
+                          error=float(res.error[0]), tail=float(res.tail[0]),
+                          n_evals=res.n_evals, n_panels=res.n_panels)
+    spec = shifted[0].base
     s_max = cfg.s_max
-    shift = 1j * shifted.offset
+    shift = 1j * np.array([sh.offset for sh in shifted])
 
-    def fvec(s):
-        z = contour_point(spec, s) + shift
-        return integrand(z) * contour_derivative(spec, s)
+    def fvec(s, owner):
+        z = contour_point(spec, s) + shift[owner]
+        return integrand(z, owner) * contour_derivative(spec, s)
 
-    edges = default_edges(scale, s_max, inner_breaks)
-    value, err, n_evals, n_panels = adaptive_panels(fvec, edges, cfg)
+    value, err, n_evals, n_panels = _refine(
+        fvec, [default_edges(scale, s_max, b) for b in inner_breaks], cfg)
 
-    g_ends = fvec(np.array([-s_max, s_max]))
-    tail = 0.5 * s_max * abs(g_ends[0] + g_ends[1])
-    if cfg.tail_policy == "bound-check" and tail > cfg.abs_tol:
+    m = len(shifted)
+    g_ends = fvec(np.tile([-s_max, s_max], m), np.repeat(np.arange(m), 2))
+    tail = 0.5 * s_max * np.abs(g_ends[0::2] + g_ends[1::2])
+    if cfg.tail_policy == "bound-check" and np.any(tail > cfg.abs_tol):
         raise QuadratureError(
-            f"truncation tail estimate {tail:.3e} exceeds abs_tol "
+            f"truncation tail estimate {tail.max():.3e} exceeds abs_tol "
             f"{cfg.abs_tol:.3e}; increase s_max"
         )
     return QuadResult(value=value, error=err + tail, tail=tail,
-                      n_evals=n_evals + 2, n_panels=n_panels)
+                      n_evals=int(n_evals.sum()) + 2 * m,
+                      n_panels=int(n_panels.sum()))

@@ -82,9 +82,7 @@ def sqrt_down(z):
     axis and satisfies ``sqrt_down(z)**2 == z`` everywhere.
     """
     scalar = _is_scalar(z)
-    z = _as_complex(z)
-    w = _canonical_cut(-1j * z)
-    return _maybe_scalar(_ROT_QUARTER * np.sqrt(w), scalar)
+    return _maybe_scalar(_sqrt_down_raw(_as_complex(z)), scalar)
 
 
 def diag_log(z):
@@ -103,8 +101,13 @@ def diag_log(z):
 
 
 def _sqrt_down_raw(w):
-    """sqrt_down on pre-validated complex arrays (no input checks)."""
-    return _ROT_QUARTER * np.sqrt(_canonical_cut(-1j * w))
+    """sqrt_down on pre-validated complex arrays (no input checks).
+
+    The rotation is an explicit ``np.multiply``: numpy's scalar ``*``
+    rounds differently from its array loop, and a scalar must round as
+    an array entry does.
+    """
+    return np.multiply(_ROT_QUARTER, np.sqrt(_canonical_cut(-1j * w)))
 
 
 def _kappa_raw(kk, z):

@@ -21,13 +21,16 @@ along the contour; both choices are checked at run time rather than
 assumed.
 
 The pieces of this formula are private helpers here, shared by the
-scalar ``quarter_factor`` and the many-target ``grid_eval``.  One routine,
-``_cauchy_integral``, computes every Cauchy integral: the quarter factors
-and the sum-split of a function analytic on a strip around the contour
-(``cauchy_split``; ``cauchy_factorize`` is ``exp`` of the split of
-``log g``).  ``continue_factor`` extends each quarter factor past its
-natural domain by dividing the explicit half-plane factors by the
-complementary quarter factor.
+adaptive ``quarter_factor`` and the many-target ``grid_eval``.  One
+routine, ``_cauchy_integral``, computes every Cauchy integral: the
+quarter factors and the sum-split of a function analytic on a strip
+around the contour (``cauchy_split``; ``cauchy_factorize`` is ``exp`` of
+the split of ``log g``).  It takes a batch of integrals, each with its
+own target, shift and panel breaks, refined in lockstep; a scalar call
+is a batch of one.  ``continue_factor`` extends each quarter factor past
+its natural domain by dividing the explicit half-plane factors by the
+complementary quarter factor; ``_continued`` does so for a batch of
+points with one batch of integrals.
 """
 
 from __future__ import annotations
@@ -38,13 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import (ContourSpec, ShiftedContour, contour_point,
-                      contour_projection, default_shift, gap_side, side_sign)
+                      contour_projection, default_shift, gap_side)
 from .errors import (BranchCrossingError, ContinuationError, DomainError,
-                     NonFiniteInputError, WindingError)
+                     NonFiniteInputError, QpdiffError, WindingError)
 from .quadrature import QuadratureConfig, integrate_over_shifted
 from .specfun import _kappa_raw, diag_log, fourth_root_down, half_factor
 
 _ROT_BACK = np.exp(-0.25j * np.pi)  # undoes the diag_log cut rotation
+#: panel breaks around a target's projection, in shifts
+_WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
+#: panel breaks for |alpha1| > 4k, in |alpha1|: the log term stays
+#: O(log) out to |z| ~ |alpha1|
+_HUMP = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,16 @@ ALL_LABELS = (PP, PM, MP, MM)
 _HALF_CH = {"p": "+", "m": "-"}
 
 
-def _side_ok(side: int, required: int) -> bool:
-    """A side sign (+1 above, 0 on, -1 below) inside a required half-plane."""
-    return side == 0 or side == required
+def _side_ok(side, required):
+    """Side signs (+1 above, 0 on, -1 below) inside required half-planes."""
+    return (side == 0) | (side == required)
+
+
+def _pairs(alpha1, alpha2):
+    """Both variables as flat complex arrays, and their broadcast shape."""
+    a1, a2 = np.broadcast_arrays(np.asarray(alpha1, dtype=np.complex128),
+                                 np.asarray(alpha2, dtype=np.complex128))
+    return a1.ravel(), a2.ravel(), a1.shape
 
 
 def _shifted_for(contour: ContourSpec, side2: int, eps: float) -> ShiftedContour:
@@ -123,20 +138,22 @@ def _split_guard(contour: ShiftedContour, target: complex) -> float:
     return s_star
 
 
-def _cauchy_integral(density, target, s_star, shifted: ShiftedContour,
-                     cfg: QuadratureConfig, scale: float, extra_breaks=()):
-    """``int density(z) / (z - target) dz`` along ``shifted``.
+def _cauchy_integral(density, targets, s_star, shifted, cfg: QuadratureConfig,
+                     scale: float, extra_breaks):
+    """``int density(z, j) / (z - targets[j]) dz`` along ``shifted[j]``, every j.
 
-    Panel edges cluster around ``s_star``, the target's projection
-    parameter on the base contour, at multiples of the shift;
-    ``extra_breaks`` adds further edges.
+    One batch of the adaptive rule.  The panel edges of integral ``j``
+    cluster around ``s_star[j]``, its target's projection parameter on
+    the base contour, at multiples of its shift; ``extra_breaks[j]``
+    adds further edges.
     """
-    def integrand(z):
-        return density(z) / (z - target)
+    def integrand(z, owner):
+        return density(z, owner) / (z - targets[owner])
 
-    widths = abs(shifted.offset) * np.array([1.0, 4.0, 16.0, 64.0, 256.0])
-    breaks = np.concatenate([[s_star], s_star + widths, s_star - widths,
-                             extra_breaks])
+    breaks = [np.concatenate([[s], s + widths, s - widths, extra])
+              for s, widths, extra in zip(
+                  s_star, (abs(sh.offset) * _WIDTHS for sh in shifted),
+                  extra_breaks)]
     return integrate_over_shifted(integrand, shifted, cfg, scale,
                                   inner_breaks=breaks).value
 
@@ -166,8 +183,8 @@ def cauchy_split(f, target, side: str, contour: ShiftedContour,
         raise DomainError("side must be 'plus' or 'minus'")
     s_star = _split_guard(contour, target)
     return coef * _cauchy_integral(
-        lambda z: np.asarray(f(z), dtype=np.complex128), target, s_star,
-        contour, cfg, scale)
+        lambda z, owner: np.asarray(f(z), dtype=np.complex128),
+        np.array([target]), [s_star], [contour], cfg, scale, [()])[0]
 
 
 def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
@@ -207,13 +224,14 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
 # quarter factors
 # --------------------------------------------------------------------------
 
-def _log_density(label: FactorLabel, a1: complex, k: float, z):
+def _log_density(sign1, a1, k: float, z):
     """The log argument ``w = 1 +- a1/kappa(k, z)`` and ``diag_log(w)``.
 
-    Raises ``BranchCrossingError`` where ``w`` vanishes: the factor's
-    integral does not exist there.
+    ``sign1`` is the label's alpha1 sign; it and ``a1`` may be arrays
+    matching ``z``.  Raises ``BranchCrossingError`` where ``w``
+    vanishes: the factor's integral does not exist there.
     """
-    w = 1.0 + label.sign1 * a1 / _kappa_raw(np.complex128(k), z)
+    w = 1.0 + sign1 * a1 / _kappa_raw(np.complex128(k), z)
     if np.any(np.abs(w) < 1e-12):
         raise BranchCrossingError(
             "log argument vanished on the integration contour"
@@ -221,17 +239,20 @@ def _log_density(label: FactorLabel, a1: complex, k: float, z):
     return w, diag_log(w)
 
 
-def _check_log_track(rotated_samples):
+def _check_log_track(rotated_samples, owner=None):
     """Detect a crossing of the diagonal log cut along the contour.
 
     ``rotated_samples`` are ``exp(-i pi/4) * w`` ordered by contour
     parameter; the cut of ``diag_log`` maps to the negative real axis,
     so a sign change of the imaginary part while the real part is
-    negative marks a crossing.
+    negative marks a crossing.  With ``owner``, the samples hold one
+    such track per integral, each in order and told apart by ``owner``.
     """
     im = rotated_samples.imag
     re = rotated_samples.real
     crossed = (im[:-1] * im[1:] < 0.0) & ((re[:-1] < 0.0) | (re[1:] < 0.0))
+    if owner is not None:
+        crossed &= owner[:-1] == owner[1:]
     if np.any(crossed):
         raise BranchCrossingError(
             "the log argument crossed its diagonal branch cut along the "
@@ -239,24 +260,61 @@ def _check_log_track(rotated_samples):
         )
 
 
-def _quarter_value(label: FactorLabel, a1: complex, a2, k: float, integral):
-    """``exp(coef I) / fourth_root_down(k +- a2)``, scalar or array ``a2``.
+def _quarter_value(side2, a1, a2, k: float, integral):
+    """``exp(coef I) / fourth_root_down(k +- a2)`` for an array ``a2``.
 
-    ``integral()`` returns ``I``, the Cauchy integral of the log
-    density; it is not called when ``a1 = 0``, where the log argument is
-    identically 1 and the integral vanishes exactly.
+    ``integral(live)`` returns ``I``, the Cauchy integral of the log
+    density, where ``a1 != 0``; where ``a1 = 0`` the log argument is 1
+    and the integral vanishes exactly.  ``side2`` is the label's alpha2
+    half-plane; it and ``a1`` broadcast against ``a2``.
     """
-    pref = fourth_root_down(k + a2 if label.side2 > 0 else k - a2)
-    if a1 == 0:
-        return 1.0 / pref
-    coef = -1.0 / (4j * np.pi) if label.side2 > 0 else 1.0 / (4j * np.pi)
-    return np.exp(coef * integral()) / pref
+    side2, a1, a2 = np.broadcast_arrays(side2, a1, a2)
+    pref = fourth_root_down(np.where(side2 > 0, k + a2, k - a2))
+    value = np.reciprocal(pref)  # rounds as Python's 1.0 / pref does
+    live = a1 != 0
+    if live.any():
+        coef = np.where(side2[live] > 0, -1.0 / (4j * np.pi),
+                        1.0 / (4j * np.pi))
+        value[live] = np.exp(coef * integral(live)) / pref[live]
+    return value
+
+
+def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
+                   contour: ContourSpec, cfg: QuadratureConfig, eps=None):
+    """Quarter factors at M points by their integrals, in one batch.
+
+    Point ``j`` has the label of alpha1 sign ``sign1[j]`` and alpha2
+    half-plane ``side2[j]``; ``s2``, ``gap2`` are alpha2's projection
+    parameter and gap.  Each point keeps its own shift, panel breaks and
+    branch-crossing check; a point that raises raises for the batch.
+    """
+    def integral(live):
+        idx = np.flatnonzero(live)
+        shifted = [_shifted_for(contour, side2[j], default_shift(
+            k, abs(gap2[j])) if eps is None else eps) for j in idx]
+        humps = [abs(a1[j]) * _HUMP if abs(a1[j]) > 4.0 * k else ()
+                 for j in idx]
+        samples = []
+
+        def density(z, owner):
+            j = idx[owner]
+            w, log_w = _log_density(sign1[j], a1[j], k, z)
+            samples.append((owner, z.real, w))
+            return log_w
+
+        value = _cauchy_integral(density, a2[idx], s2[idx], shifted, cfg, k,
+                                 humps)
+        owner, re, ws = (np.concatenate(part) for part in zip(*samples))
+        order = np.lexsort((re, owner))
+        _check_log_track((_ROT_BACK * ws)[order], owner[order])
+        return value
+
+    return _quarter_value(side2, a1, a2, k, integral)
 
 
 def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
                    contour: ContourSpec, cfg: QuadratureConfig,
-                   eps: float | None = None,
-                   enforce_domain: bool = True) -> complex:
+                   eps: float | None = None):
     """One quarter factor by its own integral representation.
 
     Valid for points in the label's natural domain (boundary included);
@@ -265,53 +323,31 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
     ``contour.default_shift`` and is reduced automatically for targets
     close to the contour.  Alpha2 is projected onto the contour once;
     its gap feeds the domain check and the shift, its parameter the
-    panel breaks.  Callers that have already placed both variables (as
-    ``continue_factor`` has) turn ``enforce_domain`` off.
+    panel breaks.  ``alpha1`` and ``alpha2`` broadcast: arrays are one
+    batch of the adaptive rule, a scalar call a batch of one.
 
     Raises
     ------
     DomainError
-        If the point is outside the label's natural domain.
+        If a point is outside the label's natural domain.
     BranchCrossingError
         If the log argument vanishes on, or crosses its cut along, the
         integration contour (the factorisation does not reach there).
     """
-    a1 = complex(alpha1)
-    a2 = complex(alpha2)
-    if not (np.isfinite(a1) and np.isfinite(a2)):
+    a1, a2, shape = _pairs(alpha1, alpha2)
+    if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
         raise NonFiniteInputError("spectral point contains NaN/Inf")
-    s2, gap2 = contour_projection(contour, a2)
-    if enforce_domain:
-        gap1 = contour_projection(contour, a1)[1]
-        for name, gap, required in (("alpha1", gap1, label.side1),
-                                    ("alpha2", gap2, label.side2)):
-            if not _side_ok(gap_side(gap), required):
-                raise DomainError(
-                    f"{name} outside the natural domain of K_{label.tag}; "
-                    "use continue_factor"
-                )
-
-    samples = []
-
-    def density(z):
-        w, log_w = _log_density(label, a1, k, z)
-        samples.append((z.real, w))
-        return log_w
-
-    def integral():
-        shift = default_shift(k, abs(gap2)) if eps is None else eps
-        hump = ()
-        if abs(a1) > 4.0 * k:
-            # the log term stays O(log) out to |z| ~ |alpha1|
-            hump = abs(a1) * np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-        value = _cauchy_integral(density, a2, s2,
-                                 _shifted_for(contour, label.side2, shift),
-                                 cfg, k, hump)
-        re, ws = (np.concatenate(part) for part in zip(*samples))
-        _check_log_track((_ROT_BACK * ws)[np.argsort(re)])
-        return value
-
-    return _quarter_value(label, a1, a2, k, integral)
+    m = a2.size
+    s, gap = contour_projection(contour, np.concatenate([a2, a1]))
+    sides = gap_side(gap)
+    for name, side, required in (("alpha1", sides[m:], label.side1),
+                                 ("alpha2", sides[:m], label.side2)):
+        if not np.all(_side_ok(side, required)):
+            raise DomainError(f"{name} outside the natural domain of "
+                              f"K_{label.tag}; use continue_factor")
+    values = _quarter_batch(np.full(m, label.sign1), np.full(m, label.side2),
+                            a1, a2, s[:m], gap[:m], k, contour, cfg, eps)
+    return complex(values[0]) if not shape else values.reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -320,32 +356,31 @@ def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
     """Branch constant of the alpha1-plane continuation, measured once.
 
     The swapped half-plane factors give ``K_label = C * K_o? / K_comp``
-    with ``comp`` the alpha1-flipped label; no closed form fixes ``C``,
-    so it is measured on an overlap set (alpha1 on the contour, alpha2
-    strictly inside the natural half-plane), checked to be constant and
-    unimodular, and then applied uniformly.
+    with ``comp`` the alpha1-flipped label.  With the default contours
+    ``C = 1`` (within 2.5e-12 for all labels at k = 1, 3 and 10), but
+    ``C`` is still measured on an overlap set (alpha1 on the contour,
+    alpha2 inside its half-plane; 24 integrals in one batch) and checked
+    to be constant and unimodular: that check catches a user-supplied
+    contour that puts the factors on other branches.
 
     Raises
     ------
     ContinuationError
         If the measured ratios are not constant or not unimodular.
     """
-    comp = label.flip1()
-    tag2 = label.tag[1]
-    ratios = []
-    for s1 in (-5.0, -1.5, 1.5, 5.0):
-        a1 = contour_point(contour, s1)
-        for s2 in (-2.2, 0.0, 3.0):
-            # in both labels' domains by construction: alpha1 on the
-            # contour, alpha2 0.8 k/3 inside its half-plane
-            a2 = contour_point(contour, s2) + 1j * label.side2 * 0.8 * k / 3.0
-            direct = quarter_factor(label, a1, a2, k, contour, cfg,
-                                    enforce_domain=False)
-            comp_val = quarter_factor(comp, a1, a2, k, contour, cfg,
-                                      enforce_domain=False)
-            swapped = half_factor("o" + _HALF_CH[tag2], a1, a2, k)
-            ratios.append(direct * comp_val / swapped)
-    ratios = np.array(ratios)
+    # in both labels' domains by construction: alpha1 on the contour,
+    # alpha2 0.8 k/3 inside its half-plane
+    a1 = contour_point(contour, np.repeat([-5.0, -1.5, 1.5, 5.0], 3))
+    a2 = (contour_point(contour, np.tile([-2.2, 0.0, 3.0], 4))
+          + 1j * label.side2 * 0.8 * k / 3.0)
+    s2, gap2 = contour_projection(contour, a2)
+    n = a1.size
+    values = _quarter_batch(np.repeat([label.sign1, -label.sign1], n),
+                            np.full(2 * n, label.side2), np.tile(a1, 2),
+                            np.tile(a2, 2), np.tile(s2, 2), np.tile(gap2, 2),
+                            k, contour, cfg)
+    swapped = half_factor("o" + _HALF_CH[label.tag[1]], a1, a2, k)
+    ratios = values[:n] * values[n:] / swapped
     c = ratios.mean()
     if np.max(np.abs(ratios - c)) > 2e-4 or abs(abs(c) - 1.0) > 2e-4:
         raise ContinuationError(
@@ -355,15 +390,7 @@ def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
     return complex(c)
 
 
-def _alpha2_div(label: FactorLabel, a1, a2, k: float, flipped):
-    """``K_label`` across its alpha2 half-plane boundary.
-
-    The explicit alpha1-plane half-factor divided by the alpha2-flipped
-    quarter factor, whose integral is valid there; ``flipped(comp)``
-    evaluates that factor for the label ``comp``.
-    """
-    own_half = half_factor(_HALF_CH[label.tag[0]] + "o", a1, a2, k)
-    return own_half / flipped(label.flip2())
+_ROUTES = ("direct", "alpha2-div", "alpha1-div", "alpha1+alpha2")
 
 
 def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
@@ -382,43 +409,74 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
       constant;
     * both wrong: compose the two continuations.
 
-    Each variable is classified once per call; the factor integrals
-    below skip their own domain check.
-
-    Returns the complex value, or ``(value, route)`` when
-    ``with_route`` is set.
+    Returns the value, or ``(value, route)`` when ``with_route`` is set.
+    ``alpha1`` and ``alpha2`` broadcast: arrays are one batch
+    (``_continued``) and give arrays of values and routes; a scalar call
+    is a batch of one and gives a complex and a str.
     """
-    a1 = complex(alpha1)
-    a2 = complex(alpha2)
-    sides = (side_sign(contour, a1), side_sign(contour, a2))
-    value, route = _continued(label, a1, a2, sides, k, contour, cfg)
+    a1, a2, shape = _pairs(alpha1, alpha2)
+    values, routes = _continued([label] * a1.size, a1, a2, k, contour, cfg)
+    value, route = values.reshape(shape), np.array(_ROUTES)[routes].reshape(shape)
+    if not shape:
+        value, route = complex(value), str(route)
     return (value, route) if with_route else value
 
 
-def _continued(label: FactorLabel, a1: complex, a2: complex, sides,
-               k: float, contour: ContourSpec, cfg: QuadratureConfig):
-    """``continue_factor`` for variables whose side signs are ``sides``."""
-    ok1 = _side_ok(sides[0], label.side1)
-    ok2 = _side_ok(sides[1], label.side2)
-    if ok1 and ok2:
-        value = quarter_factor(label, a1, a2, k, contour, cfg,
-                               enforce_domain=False)
-        route = "direct"
-    elif ok1:
-        value = _alpha2_div(
-            label, a1, a2, k,
-            lambda comp: quarter_factor(comp, a1, a2, k, contour, cfg,
-                                        enforce_domain=False))
-        route = "alpha2-div"
-    else:
-        cst = continuation_constant(label, k, contour, cfg)
-        swapped = half_factor("o" + _HALF_CH[label.tag[1]], a1, a2, k)
-        if ok2:
-            comp = quarter_factor(label.flip1(), a1, a2, k, contour, cfg,
-                                  enforce_domain=False)
-            value, route = cst * swapped / comp, "alpha1-div"
-        else:
-            comp = _continued(label.flip1(), a1, a2, sides, k, contour,
-                              cfg)[0]
-            value, route = cst * swapped / comp, "alpha1+alpha2"
-    return value, route
+def _half_factors(tags, need, a1, a2, k: float):
+    """``half_factor(tags[j], a1[j], a2[j], k)`` where ``need``, else 1."""
+    out = np.ones(a1.size, dtype=np.complex128)
+    for tag in dict.fromkeys(tags[need]):
+        part = need & (tags == tag)
+        out[part] = half_factor(str(tag), a1[part], a2[part], k)
+    return out
+
+
+def _continued(labels, a1, a2, k: float, contour: ContourSpec,
+               cfg: QuadratureConfig):
+    """``continue_factor`` for ``labels[j]`` at ``(a1[j], a2[j])``, every j.
+
+    One projection places both variables of every point.  Each point
+    needs one integral, of its label flipped in each variable on the
+    wrong side; all are one batch, taken after the branch constants and
+    half-factors.  Returns the values and routes (indices into
+    ``_ROUTES``).
+    """
+    m = len(labels)
+    tags = np.array([lab.tag for lab in labels])
+    sign1 = np.array([lab.sign1 for lab in labels])
+    side2 = np.array([lab.side2 for lab in labels])
+    s, gap = contour_projection(contour, np.concatenate([a1, a2]))
+    sides = gap_side(gap)
+    off1 = ~_side_ok(sides[:m], sign1)
+    off2 = ~_side_ok(sides[m:], side2)
+    cst = np.ones(m, dtype=np.complex128)
+    for lab in dict.fromkeys(labels[j] for j in np.flatnonzero(off1)):
+        cst[tags == lab.tag] = continuation_constant(lab, k, contour, cfg)
+    # the label whose integral a point needs: flipped where off its side
+    q_sign1, q_side2 = np.where(off1, -sign1, sign1), np.where(off2, -side2, side2)
+    swapped = _half_factors(np.where(side2 > 0, "o+", "o-"), off1, a1, a2, k)
+    own_half = _half_factors(np.where(q_sign1 > 0, "+o", "-o"), off2, a1, a2, k)
+    value = _quarter_batch(q_sign1, q_side2, a1, a2, s[m:], gap[m:], k,
+                           contour, cfg)
+    value[off2] = own_half[off2] / value[off2]
+    value[off1] = cst[off1] * swapped[off1] / value[off1]
+    return value, 2 * off1 + off2
+
+
+def _split_on_error(evaluate, items):
+    """``(part, evaluate(part))`` pairs covering the index array ``items``.
+
+    A part whose evaluation raises a ``QpdiffError`` is split in halves
+    and retried, so an entry that raises alone costs O(log n) extra
+    calls; its result is the exception.
+    """
+    if not items.size:
+        return []
+    try:
+        return [(items, evaluate(items))]
+    except QpdiffError as exc:
+        if items.size == 1:
+            return [(items, exc)]
+        half = items.size // 2
+        return (_split_on_error(evaluate, items[:half])
+                + _split_on_error(evaluate, items[half:]))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,3 +22,20 @@ def test_quick_benchmark_is_correct():
     for line in lines:
         assert line["correct"] is True, (line, proc.stderr)
         assert line["failed"] == 0, (line, proc.stderr)
+
+
+@pytest.mark.parametrize("workload", ["diffcoef_arcs", "kpp_portrait",
+                                      "factor_points"])
+def test_traced_quick_round_is_correct(workload):
+    # the traced hooks read the library's contracts: a round that breaks
+    # one fails here, not only in a traced benchmark run
+    proc = subprocess.run([sys.executable, str(ROOT / "qpbench" / "rounds.py"),
+                           "--workload", workload, "--seed", "0", "--quick",
+                           "--trace"],
+                          cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line["problems"] == [], (line["problems"], proc.stderr)
+    assert line["failed"] == 0
+    assert line["layers"]

@@ -277,3 +277,47 @@ def test_threshold_flagged_pole_row_is_finite_and_large(inc12):
     assert point.flag == "near_pole"
     assert np.isfinite(point.value)
     assert abs(point.value) > 10.0
+
+
+class TestArcBatch:
+    """An arc is one batch; a raising row is isolated, not spread."""
+
+    @staticmethod
+    def assert_rows_match(ev_arc, ev_rows, phi, n):
+        res = ev_arc.arc_sweep(phi, n)
+        for theta, value, flag in zip(res.thetas, res.values, res.flags):
+            point = ev_rows.diffraction(ff.Observation(theta=float(theta),
+                                                       phi=phi))
+            assert flag == point.flag
+            if np.isnan(point.value):
+                assert np.isnan(value)
+            else:
+                assert abs(value - point.value) <= 1e-12 * abs(point.value)
+        return res
+
+    def test_singular_row_is_isolated(self, monkeypatch, inc12):
+        from qpdiff.errors import OnBranchCutError
+        with pytest.raises(OnBranchCutError):
+            ff.AnsatzEvaluator(inc12).fpp(-inc12.k, -0.0)
+        batches = []
+        original = ff._continued
+
+        def spy(labels, *args):
+            batches.append(len(labels))
+            return original(labels, *args)
+
+        monkeypatch.setattr(ff, "_continued", spy)
+        ev = ff.AnsatzEvaluator(inc12)
+        res = ev.arc_sweep(0.0, 21)
+        assert len(batches) < 21
+        monkeypatch.undo()
+        res = self.assert_rows_match(ev, ff.AnsatzEvaluator(inc12), 0.0, 21)
+        assert res.flags[-1] == "near_pole" and np.isnan(res.values[-1])
+        assert np.isfinite(res.values[:-1]).all()
+
+    def test_failed_rows_match_rows_alone(self, inc12):
+        cfg = QuadratureConfig(max_subdivisions=1)
+        res = self.assert_rows_match(ff.AnsatzEvaluator(inc12, cfg=cfg),
+                                     ff.AnsatzEvaluator(inc12, cfg=cfg),
+                                     math.pi, 9)
+        assert set(res.flags) == {"failed"}

@@ -203,3 +203,19 @@ def test_each_target_is_projected_once(monkeypatch, contour3, cfg, k3, alpha1):
     vals, ok = ge.factor_field(PP, alpha1, targets, k3, contour3, cfg)
     assert ok.all()
     assert sum(projected) == targets.size + 1  # every target, and alpha1
+
+
+def test_rescue_pixels_are_one_adaptive_batch(monkeypatch, contour3, cfg, k3,
+                                              alpha1):
+    # with a single mesh level and a zero relaxed tolerance every pixel is
+    # a finest-mesh reject: all of them go to the adaptive rule at once
+    monkeypatch.setattr(ge, "_COARSEST", 1)
+    monkeypatch.setattr(ge, "_TOL_RELAX", 0.0)
+    calls = []
+    _spy(monkeypatch, "quarter_factor", lambda *args: calls.append(args[2]))
+    targets = np.linspace(-4.0, 4.0, 7) + 4.0j
+    vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
+    assert ok.all()
+    assert len(calls) == 1 and np.array_equal(calls[0], targets)
+    for z, v in zip(targets, vals):
+        assert v == wf.quarter_factor(PP, alpha1, z, k3, contour3, cfg)

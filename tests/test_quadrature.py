@@ -5,7 +5,7 @@ import pytest
 
 from qpdiff.contour import ShiftedContour
 from qpdiff.errors import DomainError, QuadratureError
-from qpdiff.quadrature import (QuadratureConfig, adaptive_panels,
+from qpdiff.quadrature import (QuadratureConfig, _refine, adaptive_panels,
                                default_edges, integrate_over_shifted)
 
 
@@ -63,6 +63,29 @@ class TestEngine:
     def test_bad_edges_rejected(self, cfg):
         with pytest.raises(DomainError):
             adaptive_panels(np.exp, np.array([1.0, 0.0]), cfg)
+
+    def test_batch_refines_each_integral_as_alone(self, cfg):
+        # Lorentzians of very different sizes and widths on different
+        # meshes: a tolerance or stopping rule shared across the batch
+        # would change the panels of some of them
+        height = np.array([1e-6, 1.0, 1e3, 1e-3, 2e-9])
+        width = np.array([1e-3, 0.2, 1e-2, 5e-2, 3e-4])
+        centre = np.array([0.3, -2.0, 7.5, 0.0, -0.45])
+
+        def f(s, owner):
+            return height[owner] * width[owner] / (
+                width[owner] ** 2 + (s - centre[owner]) ** 2)
+
+        edges = [np.array([-50.0, -1.0, 1.0, 50.0]), np.array([-9.0, 9.0]),
+                 np.linspace(-20.0, 20.0, 7), np.array([-1.0, 0.5, 3.0]),
+                 np.array([-2.0, 2.0])]
+        values, errors, n_evals, n_panels = _refine(f, edges, cfg)
+        for j, mesh in enumerate(edges):
+            one = _refine(lambda s, owner: f(s, np.full(s.shape, j)), [mesh],
+                          cfg)
+            assert (n_evals[j], n_panels[j]) == (one[2][0], one[3][0])
+            assert abs(values[j] - one[0][0]) <= 1e-13 * abs(one[0][0])
+            assert abs(errors[j] - one[1][0]) <= 1e-13 * abs(one[1][0])
 
 
 class TestShiftedContourIntegrals:

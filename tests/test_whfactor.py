@@ -174,7 +174,7 @@ class TestQuarterFactor:
         # kappa(k, 0) = k, so w = 1 - k/k = 0 exactly at z = 0; the grid
         # path and the scalar path share this guard
         with pytest.raises(BranchCrossingError):
-            wf._log_density(wf.PP, -k3, k3, np.array([0.0j, 1.0 + 1.0j]))
+            wf._log_density(wf.PP.sign1, -k3, k3, np.array([0.0j, 1.0 + 1.0j]))
 
     def test_out_of_domain_rejected(self, contour3, cfg, k3):
         # alpha2 = -1.2 lies below the contour: not PP territory
@@ -271,3 +271,59 @@ def test_log_track_crossing_detection():
     bad = np.array([-1.0 + 0.2j, -1.0 - 0.2j])
     with pytest.raises(BranchCrossingError):
         wf._check_log_track(bad)
+
+
+class TestBatch:
+    """A pair's value does not depend on the batch it is computed in."""
+
+    @staticmethod
+    def pairs(label, contour, k):
+        # alpha2 targets inside the natural half-plane, one within 0.01 of
+        # the contour; alpha1 inside its own, one with |alpha1| > 4k (the
+        # hump breaks)
+        rng = np.random.default_rng(1729)
+        s1, s2 = rng.uniform(-6.0, 6.0, (2, 20))
+        d1, d2 = rng.uniform(0.05, 2.0, (2, 20))
+        d2[3] = 0.005
+        s1[7], d1[7] = 15.0, 0.5
+        a1 = contour_point(contour, s1) + 1j * label.sign1 * d1
+        a2 = contour_point(contour, s2) + 1j * label.side2 * d2
+        assert abs(a1[7]) > 4 * k and distance_to_contour(contour, a2[3]) < 0.01
+        return a1, a2
+
+    @pytest.mark.parametrize("tag", ["pp", "pm", "mp", "mm"])
+    def test_quarter_factor_batch_matches_batches_of_one(self, contour3, cfg,
+                                                          k3, tag):
+        label = wf.FactorLabel(tag)
+        a1, a2 = self.pairs(label, contour3, k3)
+        batch = wf.quarter_factor(label, a1, a2, k3, contour3, cfg)
+        for j in range(a2.size):
+            one = wf.quarter_factor(label, a1[j], a2[j], k3, contour3, cfg)
+            assert abs(batch[j] - one) <= 1e-13 * abs(one)
+
+    def test_mixed_label_continuation_matches_batches_of_one(self, contour3,
+                                                             cfg, k3):
+        # every label at the points drawn for every label: all routes
+        labels, a1, a2 = [], [], []
+        for label in wf.ALL_LABELS:
+            p1, p2 = self.pairs(label, contour3, k3)
+            for other in wf.ALL_LABELS:
+                labels += [other] * p1.size
+                a1.append(p1)
+                a2.append(p2)
+        a1, a2 = np.concatenate(a1), np.concatenate(a2)
+        values, routes = wf._continued(labels, a1, a2, k3, contour3, cfg)
+        assert set(routes) == {0, 1, 2, 3}
+        for j, label in enumerate(labels):
+            one, route = wf.continue_factor(label, a1[j], a2[j], k3, contour3,
+                                            cfg, with_route=True)
+            assert route == wf._ROUTES[routes[j]]
+            assert abs(values[j] - one) <= 1e-13 * abs(one)
+
+
+@pytest.mark.parametrize("k", [1.0, 3.0, 10.0])
+def test_continuation_constant_is_one(cfg, k):
+    from qpdiff.contour import default_contour
+    for label in wf.ALL_LABELS:
+        c = wf.continuation_constant(label, k, default_contour(k), cfg)
+        assert abs(c.real - 1.0) < 1e-10 and abs(c.imag) < 1e-10

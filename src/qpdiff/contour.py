@@ -74,7 +74,7 @@ def contour_point(spec: ContourSpec, s):
     s = np.asarray(s, dtype=np.float64)
     if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
-    denom = spec.a * (s.astype(np.complex128) ** 4 + spec.c)
+    denom = spec.a * (np.square(s * s) + spec.c)  # s^4 as the complex power gives
     if (denom == 0).any():
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
     out = s + s / denom
@@ -86,7 +86,7 @@ def contour_derivative(spec: ContourSpec, s):
     s = np.asarray(s, dtype=np.float64)
     if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
-    s4 = s.astype(np.complex128) ** 4
+    s4 = np.square(s * s)
     denom = spec.a * (s4 + spec.c) ** 2
     if (denom == 0).any():
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")

@@ -6,7 +6,8 @@ the truncation ends.  The engine below works on the real parameter
 ``s``: a composite (G7, K15) pair rule on a panel mesh, refined by
 bisecting the panels carrying the largest error estimates, with all
 panels of a refinement round, for every integral of a batch, evaluated
-in one vectorised call.
+in one vectorised call.  One builder (``_batch_edges``) lays out the
+starting meshes of a whole batch with one sort.
 
 Truncation at ``s_max`` is accounted for explicitly.  Because panels are
 truncated symmetrically and the two tails of a Cauchy-kernel integrand
@@ -98,17 +99,46 @@ def _panel_sums(fvec, lo, hi, owner):
     return i_k, np.abs(i_k - i_g)
 
 
-def _refine(fvec, edge_sets, cfg: QuadratureConfig):
+def _padded(rows):
+    """Ragged 1-D rows as one ``(m, L)`` array, NaN past each row's end."""
+    rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    if any(r.ndim != 1 for r in rows):
+        raise DomainError("edges must be a strictly increasing 1-D array")
+    sizes = np.array([r.size for r in rows])
+    out = np.full((sizes.size, sizes.max()), np.nan)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = np.concatenate(rows)
+    return out
+
+
+def _batch_edges(scale: float, s_max: float, breaks):
+    """Starting meshes of a batch, row ``j`` for the integral with ``breaks[j]``.
+
+    Each row joins the base mesh (fine through the indentation of feature
+    size ``scale``, geometric tails, ends ``+-s_max``) to its breaks; after
+    one sort, repeated edges and out-of-range breaks become NaN.
+    """
+    geo = 4.0 * 2.0 ** np.arange(1 + int(np.log2(s_max / scale)))
+    pts = scale * np.r_[0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, geo]
+    pts = np.r_[pts[pts < s_max], s_max]
+    rows = _padded(breaks)
+    edges = np.hstack([np.tile(np.r_[-pts[::-1], pts[1:]], (len(rows), 1)), rows])
+    edges.sort(axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
+    edges[~(np.abs(edges) <= s_max)] = np.nan
+    return edges
+
+
+def _refine(fvec, edges, cfg: QuadratureConfig):
     """Adaptively refine composite GK15 rules for several integrals at once.
 
-    Integral ``j`` starts on the mesh ``edge_sets[j]``; ``fvec(s, owner)``
-    maps parameters, and the integral each serves, to integrand values.
-    Panels over their share of their integral's tolerance
-    ``max(abs_tol, rel_tol |I|)`` are bisected, one ``fvec`` call a round
-    for all unfinished integrals, until each summed error estimate meets
-    its tolerance.  An integral bisects exactly the panels it would
-    bisect alone.  Returns values, error estimates, evaluation and panel
-    counts, an entry per integral.
+    Integral ``j`` starts on the mesh ``edges[j]`` (a 2-D array's NaN
+    entries skipped); ``fvec(s, owner)`` maps parameters, and the integral
+    each serves, to integrand values.  Panels over their share of their
+    integral's tolerance ``max(abs_tol, rel_tol |I|)`` are bisected, one
+    ``fvec`` call a round for all unfinished integrals, until each summed
+    error estimate meets its tolerance.  An integral bisects exactly the
+    panels it would bisect alone.  Returns values, error estimates,
+    evaluation and panel counts, an entry per integral.
 
     Raises
     ------
@@ -117,14 +147,13 @@ def _refine(fvec, edge_sets, cfg: QuadratureConfig):
         budget is exhausted, or a panel width underflows (which
         indicates a genuinely singular integrand).
     """
-    edge_sets = [np.asarray(e, dtype=np.float64) for e in edge_sets]
-    if any(e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0)
-           for e in edge_sets):
+    edges = edges if isinstance(edges, np.ndarray) else _padded(edges)
+    m, kept = len(edges), ~np.isnan(edges)
+    row, flat = np.nonzero(kept)[0], edges[kept]
+    same = row[1:] == row[:-1]  # the panels of one integral stay in order
+    lo, hi, owner = flat[:-1][same], flat[1:][same], row[1:][same]
+    if np.any(hi <= lo) or not np.bincount(owner, minlength=m).all():
         raise DomainError("edges must be a strictly increasing 1-D array")
-    m = len(edge_sets)
-    owner = np.repeat(np.arange(m), [e.size - 1 for e in edge_sets])
-    lo = np.concatenate([e[:-1] for e in edge_sets])
-    hi = np.concatenate([e[1:] for e in edge_sets])
     depth = np.zeros(lo.size, dtype=np.int64)
     vals, errs = _panel_sums(fvec, lo, hi, owner)
     n_evals = _XK.size * np.bincount(owner, minlength=m)
@@ -185,25 +214,9 @@ def adaptive_panels(fvec, edges, cfg: QuadratureConfig):
 
 
 def default_edges(scale: float, s_max: float, inner_breaks=()):
-    """Symmetric panel mesh: fine through the indentation, geometric tails.
-
-    ``scale`` is the feature size of the integrand near the origin (the
-    wavenumber, for the factor integrals).
-    """
-    base = [0.0, scale / 8, scale / 4, scale / 2, 0.75 * scale, scale,
-            1.25 * scale, 1.5 * scale, 2.0 * scale, 3.0 * scale, 4.0 * scale]
-    e = 4.0 * scale
-    while e < s_max:
-        e *= 2.0
-        base.append(min(e, s_max))
-    pts = np.array(base)
-    edges = np.concatenate([-pts[::-1], pts[1:]])
-    if len(inner_breaks):
-        ib = np.asarray(inner_breaks, dtype=np.float64)
-        ib = ib[(ib > -s_max) & (ib < s_max)]
-        edges = np.concatenate([edges, ib])
-    edges = np.unique(edges)
-    return edges
+    """One integral's starting mesh: ``_batch_edges`` for a batch of one."""
+    edges = _batch_edges(scale, s_max, [inner_breaks])[0]
+    return edges[~np.isnan(edges)]
 
 
 def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
@@ -235,7 +248,7 @@ def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
         return integrand(z, owner) * contour_derivative(spec, s)
 
     value, err, n_evals, n_panels = _refine(
-        fvec, [default_edges(scale, s_max, b) for b in inner_breaks], cfg)
+        fvec, _batch_edges(scale, s_max, inner_breaks), cfg)
 
     m = len(shifted)
     g_ends = fvec(np.tile([-s_max, s_max], m), np.repeat(np.arange(m), 2))

@@ -8,11 +8,12 @@ non-standard branch cuts:
 * ``diag_log``  -- a logarithm whose cut runs diagonally down-left
   (along ``arg z = -3*pi/4``).
 
-Both are realised as rotations of the principal (numpy) branch and are
-never re-derived from raw ``arg`` arithmetic.  Everything else here is a
+Both are rotations of the principal branch: numpy's square root of the
+rotated argument ``w = x + i y``, and its logarithm in real arithmetic
+(``log1p``/``hypot``; ``arctan2(y + 0.0, x)``, whose ``+ 0.0`` keeps the
+cut-ray convention below, after W. Kahan 1987).  Everything else here is a
 composition of the two: the two-sheeted ``kappa``, the spectral kernel
-``big_k`` and its companion ``gamma_fn``, and the four explicit
-half-plane factors of the kernel.
+``big_k`` and its companion ``gamma_fn``, and the four half-plane factors.
 
 Conventions
 -----------
@@ -37,6 +38,7 @@ import numpy as np
 from .errors import DomainError, NonFiniteInputError, OnBranchCutError
 
 _ROT_QUARTER = np.exp(0.25j * np.pi)  # e^{i pi/4}
+_ROT_BACK = np.exp(-0.25j * np.pi)  # e^{-i pi/4}, the diag_log rotation
 
 
 def _as_complex(z, name="z"):
@@ -58,7 +60,7 @@ def _is_scalar(*originals):
 def _canonical_cut(w):
     """Force +0.0 imaginary part on the principal-branch cut ray.
 
-    Makes sqrt/log of on-cut arguments independent of signed zeros,
+    Makes sqrt of on-cut arguments independent of signed zeros,
     pinning the value to the limit from arg -> pi.
     """
     w = np.array(w, copy=True)
@@ -66,12 +68,6 @@ def _canonical_cut(w):
     if np.any(on_cut):
         w[on_cut] = w[on_cut].real + 0.0j
     return w
-
-
-def _on_down_cut(w):
-    """True where w lies exactly on the open negative imaginary axis."""
-    w = np.asarray(w)
-    return (w.real == 0.0) & (w.imag < 0.0)
 
 
 def sqrt_down(z):
@@ -88,16 +84,30 @@ def sqrt_down(z):
 def diag_log(z):
     """Logarithm with branch cut along the ray ``arg z = -3*pi/4``.
 
-    Computed as ``log(exp(-i pi/4) z) + i pi/4`` with the principal
-    logarithm; agrees with the real logarithm on the positive real axis
-    and is continuous across the negative real axis.
+    ``log(w) + i pi/4`` for ``w = exp(-i pi/4) z = x + i y``; agrees with
+    the real logarithm on the positive real axis and is continuous across
+    the negative real axis.  ``log |w|`` is ``log1p((x-1)(x+1) + y^2) / 2``
+    where ``||w| - 1| < 1/2`` and ``log(hypot(x, y))`` elsewhere.
     """
     scalar = _is_scalar(z)
     z = _as_complex(z)
     if np.any(z == 0):
         raise DomainError("diag_log is undefined at z = 0")
-    w = _canonical_cut(np.exp(-0.25j * np.pi) * z)
-    return _maybe_scalar(np.log(w) + 0.25j * np.pi, scalar)
+    w = np.multiply(_ROT_BACK, z.reshape(-1))  # 1-D: a scalar rounds as an entry
+    x, y = w.real, w.imag
+    y += 0.0  # -0.0 -> +0.0: on the cut ray, arg w = pi
+    out = np.empty_like(w)
+    np.arctan2(y, x, out=out.imag)
+    out.imag += 0.25 * np.pi
+    with np.errstate(over="ignore", divide="ignore"):  # only where |w| is far from 1
+        t = x - 1.0  # t = |w|^2 - 1, built in place
+        t *= x + 1.0
+        t += y * y
+        np.log1p(t, out=out.real)
+    out.real *= 0.5
+    far = (t <= -0.75) | (t >= 1.25)
+    out.real[far] = np.log(np.hypot(x[far], y[far]))
+    return _maybe_scalar(out.reshape(z.shape), scalar)
 
 
 def _sqrt_down_raw(w):
@@ -137,9 +147,9 @@ def kappa(kk, z):
 
 
 def _check_composition_cuts(*sqrt_args):
-    """Signal evaluation exactly on a cut of an inner sqrt_down."""
+    """Signal evaluation exactly on an inner sqrt_down cut (Re 0, Im < 0)."""
     for w in sqrt_args:
-        if np.any(_on_down_cut(w)):
+        if np.any((np.real(w) == 0.0) & (np.imag(w) < 0.0)):
             raise OnBranchCutError(
                 "evaluation lies exactly on a branch cut; offset the point"
             )
@@ -210,19 +220,11 @@ def half_factor(tag, alpha1, alpha2, k):
     a1 = _as_complex(alpha1, "alpha1")
     a2 = _as_complex(alpha2, "alpha2")
     k = _as_complex(k, "k")
-    if tag == "-o":
-        inner_var, sign = a2, -1.0
-    elif tag == "+o":
-        inner_var, sign = a2, +1.0
-    elif tag == "o-":
-        inner_var, sign = a1, -1.0
-    elif tag == "o+":
-        inner_var, sign = a1, +1.0
-    else:
-        raise DomainError(
-            f"unknown half-factor tag {tag!r}; expected one of {HALF_FACTOR_TAGS}"
-        )
-    outer_var = a1 if inner_var is a2 else a2
+    if tag not in HALF_FACTOR_TAGS:
+        raise DomainError(f"unknown half-factor tag {tag!r}; expected one of "
+                          f"{HALF_FACTOR_TAGS}")
+    inner_var, outer_var = (a2, a1) if tag[1] == "o" else (a1, a2)
+    sign = -1.0 if "-" in tag else +1.0
     arg = _kappa_raw(k, inner_var) + sign * outer_var
     _check_composition_cuts(k - inner_var, k + inner_var, arg)
     if np.any(arg == 0):

@@ -37,6 +37,35 @@ class TestParametrisation:
                   - ct.contour_point(contour3, s0 - h)) / (2 * h)
             assert ct.contour_derivative(contour3, s0) == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("k", [3.0, 30.0])
+    def test_real_fourth_power_is_bit_identical_to_complex_power(self, k, rng):
+        # A(s) and A'(s) with s^4 taken as the complex power of s
+        spec = ct.default_contour(k)
+
+        def point(s):
+            s = np.asarray(s, dtype=np.float64)
+            out = s + s / (spec.a * (s.astype(np.complex128) ** 4 + spec.c))
+            return complex(out) if out.ndim == 0 else out
+
+        def derivative(s):
+            s = np.asarray(s, dtype=np.float64)
+            s4 = s.astype(np.complex128) ** 4
+            out = 1.0 + (spec.c - 3.0 * s4) / (spec.a * (s4 + spec.c) ** 2)
+            return complex(out) if out.ndim == 0 else out
+
+        s = np.concatenate([rng.uniform(-1e6, 1e6, 2000),
+                            rng.choice([-1.0, 1.0], 2000) * 10 ** rng.uniform(-8, 6, 2000),
+                            np.linspace(-60.0, 60.0, 1201), [0.0, -0.0, 1e6, -1e6]])
+
+        def bits(v):
+            return np.asarray(v, dtype=np.complex128).tobytes()
+
+        for mine, ref in ((ct.contour_point, point), (ct.contour_derivative, derivative)):
+            assert bits(mine(spec, s)) == bits(ref(s))
+            for v in s[::40]:
+                for arg in (float(v), np.float64(v), np.array(v)):
+                    assert bits(mine(spec, arg)) == bits(ref(arg))
+
     def test_degenerate_constants_rejected(self):
         # real negative c puts a zero of a(s^4+c) on the real parameter line
         spec = ct.ContourSpec(a=0.0012, c=-1.0)
@@ -240,6 +269,13 @@ class TestValidationGate:
         assert report.ok
         assert report.asymptotic_rel_error < 1e-6
         assert report.clearance > 0
+
+    def test_gate_figures_of_the_reference_contour(self, contour3, k3):
+        # the gate's figures for the k = 3 constants, to round-off
+        assert ct.validate_contour(contour3, k3).clearance == pytest.approx(
+            2.1069630579951, rel=1e-12)
+        scan = ct.sign_compatibility_scan(contour3, contour3, k3, 200)
+        assert scan.min_value == pytest.approx(7.482040602891173e-4, rel=1e-12)
 
     def test_scaled_constants_pass_for_other_wavenumbers(self):
         for k in (1.0, 2.0, 4.5):

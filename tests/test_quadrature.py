@@ -130,3 +130,80 @@ def test_default_edges_cover_truncation(k3):
     assert np.all(np.diff(edges) > 0)
     edges2 = default_edges(k3, 1e4, inner_breaks=[2.3, -55.0, 2e4])
     assert 2.3 in edges2 and -55.0 in edges2 and 2e4 not in edges2
+
+
+def _old_default_mesh(scale, s_max):
+    # the starting mesh before it stopped at s_max: base points up to
+    # 4 scale, unclipped, then doubling up to s_max (clipped to it)
+    base = [0.0, scale / 8, scale / 4, scale / 2, 0.75 * scale, scale,
+            1.25 * scale, 1.5 * scale, 2.0 * scale, 3.0 * scale, 4.0 * scale]
+    e = 4.0 * scale
+    while e < s_max:
+        e *= 2.0
+        base.append(min(e, s_max))
+    pts = np.array(base)
+    return np.concatenate([-pts[::-1], pts[1:]])
+
+
+@pytest.mark.parametrize("scale, s_max", [
+    (3.0, 10.0), (3.0, 5.0), (3.0, 12.0), (3.0, 0.1), (30.0, 100.0),
+    (0.5, 7.0), (3.0, 1e4), (30.0, 1e4), (0.7, 1e4)])
+def test_starting_mesh_stops_at_s_max(scale, s_max):
+    edges = default_edges(scale, s_max, inner_breaks=[0.3 * s_max, 2 * s_max])
+    assert edges[0] == -s_max and edges[-1] == s_max
+    assert np.all(np.abs(edges) <= s_max) and np.all(np.diff(edges) > 0)
+    assert 0.3 * s_max in edges
+    if s_max >= 4.0 * scale:  # the default s_max = 1e4 among them: unchanged
+        assert np.array_equal(default_edges(scale, s_max),
+                              _old_default_mesh(scale, s_max))
+
+
+def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
+    # every integral of a batch starts on the sorted unique union of the
+    # base mesh and its breaks inside (-s_max, s_max)
+    import qpdiff.quadrature as quad
+    import qpdiff.whfactor as wh
+    from qpdiff.contour import contour_point
+    from qpdiff.farfield import AnsatzEvaluator, make_incidence
+
+    batches, pending = [], []
+    original, panel_sums = wh.integrate_over_shifted, quad._panel_sums
+
+    def spy(integrand, shifted, cfg_, scale, inner_breaks=()):
+        batches.append((scale, cfg_.s_max,
+                        [np.asarray(b, dtype=np.float64) for b in inner_breaks]))
+        pending.append(len(batches) - 1)
+        return original(integrand, shifted, cfg_, scale, inner_breaks)
+
+    def first_panels(fvec, lo, hi, owner):
+        if pending:  # the first call of a batch sees its starting panels
+            batches[pending.pop()] += (lo.copy(), hi.copy(), owner.copy())
+        return panel_sums(fvec, lo, hi, owner)
+
+    monkeypatch.setattr(wh, "integrate_over_shifted", spy)
+    monkeypatch.setattr(quad, "_panel_sums", first_panels)
+    AnsatzEvaluator(make_incidence(np.pi / 4, -3 * np.pi / 4, k3)).arc_sweep(
+        np.pi / 4, 21)
+    # |alpha1| > 4k adds the hump breaks; the last batch has a repeated
+    # break, base points, an end point and breaks beyond s_max
+    wh.quarter_factor(wh.PP, contour_point(contour3, 20.0) + 0.5j,
+                      contour_point(contour3, np.array([1.0, 1.0])) + 0.5j,
+                      k3, contour3, cfg)
+    shifted = ShiftedContour(contour3, -0.2)
+    wh.integrate_over_shifted(
+        lambda z, owner: 1.0 / (z * z + 9.0), [shifted, shifted], cfg, k3,
+        inner_breaks=[[0.5, 0.5, k3, -k3 / 8, 2e4, -1e4, -2e4], []])
+    assert not pending
+
+    humps = repeats = 0
+    for scale, s_max, breaks, lo, hi, owner in batches:
+        base = default_edges(scale, s_max)
+        assert np.array_equal(owner, np.sort(owner))
+        for j, b in enumerate(breaks):
+            inside = b[(b > -s_max) & (b < s_max)]
+            want = np.unique(np.concatenate([base, inside]))
+            assert np.array_equal(lo[owner == j], want[:-1])
+            assert np.array_equal(hi[owner == j], want[1:])
+            humps += np.any(np.abs(b) > 4.0 * scale)
+            repeats += np.unique(b).size < b.size or np.isin(b, base).any()
+    assert len(batches) > 3 and humps and repeats

@@ -7,7 +7,10 @@ the truncation ends.  The engine below works on the real parameter
 bisecting the panels carrying the largest error estimates, with all
 panels of a refinement round, for every integral of a batch, evaluated
 in one vectorised call.  One builder (``_batch_edges``) lays out the
-starting meshes of a whole batch with one sort.
+starting meshes of a whole batch with one sort.  The integrand runs in
+two stages: a node stage (the contour point and slope, and what the
+caller derives from them alone) once per distinct panel of integrals
+that share it, and a member stage once per integral.
 
 Truncation at ``s_max`` is accounted for explicitly.  Because panels are
 truncated symmetrically and the two tails of a Cauchy-kernel integrand
@@ -87,13 +90,35 @@ class QuadResult:
     n_panels: int
 
 
+def _distinct(order, *keys):
+    """``first``, ``back`` with ``key[first][back] == key`` for each key;
+    ``order`` sorts entries equal in all keys next to each other."""
+    new = np.append(True, np.any([np.diff(k[order]) != 0 for k in keys], axis=0))
+    back = np.empty_like(order)
+    back[order] = np.cumsum(new) - 1
+    return order[new], back
+
+
 def _panel_sums(fvec, lo, hi, owner):
-    """K15 values and |K15 - G7| estimates; panel p serves integral owner[p]."""
+    """K15 values and |K15 - G7| estimates; panel p serves integral owner[p].
+
+    ``fvec = (node, member, rep)``: ``node(x, j)`` runs once per distinct
+    ``(rep[owner], lo, hi)`` panel (per panel when ``rep`` is None) with
+    ``j`` the integral that stands for it, ``member(data, owner)`` on
+    every panel's share of its result.
+    """
+    node, member, rep = fvec
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(fvec(x.ravel(), np.repeat(owner, _XK.size)),
-                   dtype=np.complex128).reshape(x.shape)
+    key = owner if rep is None else rep[owner]
+    first, back = (slice(None),) * 2 if rep is None else _distinct(
+        np.argsort(key + 1j * mid, kind="stable"), key, lo, hi)
+    x = mid[first, None] + half[first, None] * _XK[None, :]
+    data = node(x.ravel(), np.repeat(key[first], _XK.size))
+    if rep is not None:
+        data = tuple(d.reshape(x.shape)[back].ravel() for d in data)
+    y = np.asarray(member(data, np.repeat(owner, _XK.size)),
+                   dtype=np.complex128).reshape(lo.size, _XK.size)
     i_k = (y * _WK[None, :]).sum(axis=1) * half
     i_g = (y * _WG[None, :]).sum(axis=1) * half
     return i_k, np.abs(i_k - i_g)
@@ -118,10 +143,10 @@ def _batch_edges(scale: float, s_max: float, breaks):
     one sort, repeated edges and out-of-range breaks become NaN.
     """
     geo = 4.0 * 2.0 ** np.arange(1 + int(np.log2(s_max / scale)))
-    pts = scale * np.r_[0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, geo]
-    pts = np.r_[pts[pts < s_max], s_max]
+    pts = scale * np.append([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0], geo)
+    pts = np.append(pts[pts < s_max], s_max)
     rows = _padded(breaks)
-    edges = np.hstack([np.tile(np.r_[-pts[::-1], pts[1:]], (len(rows), 1)), rows])
+    edges = np.hstack([np.tile(np.append(-pts[::-1], pts[1:]), (len(rows), 1)), rows])
     edges.sort(axis=1)
     edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
     edges[~(np.abs(edges) <= s_max)] = np.nan
@@ -133,7 +158,8 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
 
     Integral ``j`` starts on the mesh ``edges[j]`` (a 2-D array's NaN
     entries skipped); ``fvec(s, owner)`` maps parameters, and the integral
-    each serves, to integrand values.  Panels over their share of their
+    each serves, to integrand values, or ``fvec`` is a staged integrand
+    (``_panel_sums``).  Panels over their share of their
     integral's tolerance ``max(abs_tol, rel_tol |I|)`` are bisected, one
     ``fvec`` call a round for all unfinished integrals, until each summed
     error estimate meets its tolerance.  An integral bisects exactly the
@@ -147,6 +173,8 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
         budget is exhausted, or a panel width underflows (which
         indicates a genuinely singular integrand).
     """
+    if not isinstance(fvec, tuple):  # one stage, every integral alone
+        fvec = (fvec, lambda data, owner: data, None)
     edges = edges if isinstance(edges, np.ndarray) else _padded(edges)
     m, kept = len(edges), ~np.isnan(edges)
     row, flat = np.nonzero(kept)[0], edges[kept]
@@ -162,8 +190,8 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
 
     while True:
         # the panels of one integral are consecutive: group g is ids[g]
-        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        ids, count = owner[starts], np.diff(np.r_[starts, owner.size])
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        ids, count = owner[starts], np.diff(starts, append=owner.size)
         total = np.add.reduceat(vals, starts)
         err_total = np.add.reduceat(errs, starts)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
@@ -191,15 +219,15 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
             raise QuadratureError("panel width underflow: singular integrand")
 
         mid = 0.5 * (lo[split] + hi[split])
-        fresh = (np.r_[lo[split], mid], np.r_[mid, hi[split]],
+        fresh = (np.append(lo[split], mid), np.append(mid, hi[split]),
                  np.tile(owner[split], 2))
         fresh += _panel_sums(fvec, *fresh) + (np.tile(depth[split] + 1, 2),)
         np.add.at(n_evals, fresh[2], _XK.size)
         # each integral's kept panels, then its left and right halves
         keep = ~split & ~done[group]
-        order = np.argsort(np.r_[owner[keep], fresh[2]], kind="stable")
+        order = np.argsort(np.append(owner[keep], fresh[2]), kind="stable")
         lo, hi, owner, vals, errs, depth = (
-            np.r_[old[keep], new][order]
+            np.append(old[keep], new)[order]
             for old, new in zip((lo, hi, owner, vals, errs, depth), fresh))
 
 
@@ -220,7 +248,7 @@ def default_edges(scale: float, s_max: float, inner_breaks=()):
 
 
 def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
-                           scale: float, inner_breaks=()) -> QuadResult:
+                           scale: float, inner_breaks=(), share=None) -> QuadResult:
     """Integrate ``integrand(z) dz`` along a shifted contour, or many.
 
     The parametrised form ``integrand(A(s) + i offset) A'(s) ds`` is fed
@@ -232,6 +260,11 @@ def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
     index of the integral each point serves, and the integrals are
     refined together (``_refine``).  One ``ShiftedContour`` is a batch of
     one.  ``n_evals`` and ``n_panels`` of the result are totals.
+
+    With ``share`` (a complex key per integral), ``integrand`` is a pair
+    of stages: ``node(z, dz, j)``, run once per distinct panel of the
+    integrals with ``j``'s key and shift (``dz = A'(s)``), returns a tuple
+    of arrays; ``member(data, owner)`` makes ``integrand(z) A'(s)`` of it.
     """
     if isinstance(shifted, ShiftedContour):
         res = integrate_over_shifted(lambda z, owner: integrand(z),
@@ -241,17 +274,24 @@ def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
                           n_evals=res.n_evals, n_panels=res.n_panels)
     spec = shifted[0].base
     s_max = cfg.s_max
-    shift = 1j * np.array([sh.offset for sh in shifted])
+    m, offset = len(shifted), np.array([sh.offset for sh in shifted])
+    node, member, rep = (lambda z, dz, j: integrand(z, j) * dz,
+                         lambda data, owner: data, None)
+    if share is not None:
+        first, back = _distinct(np.lexsort((offset, share.imag, share.real)),
+                                share, offset)  # integrals of one node stage
+        node, member = integrand
+        rep = first[back] if first.size < m else None
 
-    def fvec(s, owner):
-        z = contour_point(spec, s) + shift[owner]
-        return integrand(z, owner) * contour_derivative(spec, s)
+    def nodes(s, j):
+        return node(contour_point(spec, s) + 1j * offset[j],
+                    contour_derivative(spec, s), j)
 
     value, err, n_evals, n_panels = _refine(
-        fvec, _batch_edges(scale, s_max, inner_breaks), cfg)
+        (nodes, member, rep), _batch_edges(scale, s_max, inner_breaks), cfg)
 
-    m = len(shifted)
-    g_ends = fvec(np.tile([-s_max, s_max], m), np.repeat(np.arange(m), 2))
+    ends = np.repeat(np.arange(m), 2)
+    g_ends = member(nodes(np.tile([-s_max, s_max], m), ends), ends)
     tail = 0.5 * s_max * np.abs(g_ends[0::2] + g_ends[1::2])
     if cfg.tail_policy == "bound-check" and np.any(tail > cfg.abs_tol):
         raise QuadratureError(

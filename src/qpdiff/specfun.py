@@ -57,19 +57,6 @@ def _is_scalar(*originals):
     return all(np.ndim(v) == 0 and not isinstance(v, np.ndarray) for v in originals)
 
 
-def _canonical_cut(w):
-    """Force +0.0 imaginary part on the principal-branch cut ray.
-
-    Makes sqrt of on-cut arguments independent of signed zeros,
-    pinning the value to the limit from arg -> pi.
-    """
-    w = np.array(w, copy=True)
-    on_cut = (w.real < 0.0) & (w.imag == 0.0)
-    if np.any(on_cut):
-        w[on_cut] = w[on_cut].real + 0.0j
-    return w
-
-
 def sqrt_down(z):
     """Square root with branch cut on the negative imaginary axis.
 
@@ -113,11 +100,18 @@ def diag_log(z):
 def _sqrt_down_raw(w):
     """sqrt_down on pre-validated complex arrays (no input checks).
 
+    ``-i w`` is built from the parts of ``w``: real part ``Im w``,
+    imaginary part ``-Re w + 0.0``, whose ``+ 0.0`` puts a value on the
+    principal cut on its ``arg -> pi`` side; the root is taken in place.
     The rotation is an explicit ``np.multiply``: numpy's scalar ``*``
     rounds differently from its array loop, and a scalar must round as
     an array entry does.
     """
-    return np.multiply(_ROT_QUARTER, np.sqrt(_canonical_cut(-1j * w)))
+    t = np.empty(np.shape(w), dtype=np.complex128)
+    t.real = w.imag
+    np.negative(w.real, out=t.imag)
+    t.imag += 0.0
+    return np.multiply(_ROT_QUARTER, np.sqrt(t, out=t))
 
 
 def _kappa_raw(kk, z):

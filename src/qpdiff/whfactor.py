@@ -27,10 +27,12 @@ quarter factors and the sum-split of a function analytic on a strip
 around the contour (``cauchy_split``; ``cauchy_factorize`` is ``exp`` of
 the split of ``log g``).  It takes a batch of integrals, each with its
 own target, shift and panel breaks, refined in lockstep; a scalar call
-is a batch of one.  ``continue_factor`` extends each quarter factor past
-its natural domain by dividing the explicit half-plane factors by the
-complementary quarter factor; ``_continued`` does so for a batch of
-points with one batch of integrals.
+is a batch of one.  Its node stage (``kappa(k, z)``, the Cauchy kernel)
+runs once per node shared by integrals of one target and shift, its
+member stage (the log density) once per integral.  ``continue_factor``
+extends each quarter factor past its natural domain by dividing the
+explicit half-plane factors by the complementary quarter factor;
+``_continued`` does so for a batch of points with one batch of integrals.
 """
 
 from __future__ import annotations
@@ -145,17 +147,24 @@ def _cauchy_integral(density, targets, s_star, shifted, cfg: QuadratureConfig,
     One batch of the adaptive rule.  The panel edges of integral ``j``
     cluster around ``s_star[j]``, its target's projection parameter on
     the base contour, at multiples of its shift; ``extra_breaks[j]``
-    adds further edges.
+    adds further edges.  ``density = (node(z, j), member(data, owner))``
+    is staged as in ``integrate_over_shifted``; the node stage, shared by
+    the integrals with one target and shift, adds ``A'(s) / (z - t)``.
     """
-    def integrand(z, owner):
-        return density(z, owner) / (z - targets[owner])
+    node, member = density
+
+    def nodes(z, dz, j):
+        return node(z, j) + (dz / (z - targets[j]),)
+
+    def members(data, owner):
+        return member(data[:-1], owner) * data[-1]
 
     breaks = [np.concatenate([[s], s + widths, s - widths, extra])
               for s, widths, extra in zip(
                   s_star, (abs(sh.offset) * _WIDTHS for sh in shifted),
                   extra_breaks)]
-    return integrate_over_shifted(integrand, shifted, cfg, scale,
-                                  inner_breaks=breaks).value
+    return integrate_over_shifted((nodes, members), shifted, cfg, scale,
+                                  inner_breaks=breaks, share=targets).value
 
 
 def cauchy_split(f, target, side: str, contour: ShiftedContour,
@@ -182,9 +191,10 @@ def cauchy_split(f, target, side: str, contour: ShiftedContour,
     else:
         raise DomainError("side must be 'plus' or 'minus'")
     s_star = _split_guard(contour, target)
-    return coef * _cauchy_integral(
-        lambda z, owner: np.asarray(f(z), dtype=np.complex128),
-        np.array([target]), [s_star], [contour], cfg, scale, [()])[0]
+    density = (lambda z, j: (np.asarray(f(z), dtype=np.complex128),),
+               lambda data, owner: data[0])
+    return coef * _cauchy_integral(density, np.array([target]), [s_star],
+                                   [contour], cfg, scale, [()])[0]
 
 
 def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
@@ -224,14 +234,16 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
 # quarter factors
 # --------------------------------------------------------------------------
 
-def _log_density(sign1, a1, k: float, z):
+def _log_density(sign1, a1, k: float, z, kap=None):
     """The log argument ``w = 1 +- a1/kappa(k, z)`` and ``diag_log(w)``.
 
     ``sign1`` is the label's alpha1 sign; it and ``a1`` may be arrays
-    matching ``z``.  Raises ``BranchCrossingError`` where ``w``
-    vanishes: the factor's integral does not exist there.
+    matching ``z``.  A node stage passes ``kap = kappa(k, z)`` instead of
+    ``z``.  Raises ``BranchCrossingError`` where ``w`` vanishes: the
+    factor's integral does not exist there.
     """
-    w = 1.0 + sign1 * a1 / _kappa_raw(np.complex128(k), z)
+    kap = _kappa_raw(np.complex128(k), z) if kap is None else kap
+    w = 1.0 + sign1 * a1 / kap
     if np.any(np.abs(w) < 1e-12):
         raise BranchCrossingError(
             "log argument vanished on the integration contour"
@@ -258,6 +270,11 @@ def _check_log_track(rotated_samples, owner=None):
             "the log argument crossed its diagonal branch cut along the "
             "contour; the point is outside this factor's reachable domain"
         )
+
+
+def _track_order(owner, re):
+    """``np.lexsort((re, owner))``, as one stable sort of ``owner + i re``."""
+    return np.argsort(owner + 1j * re, kind="stable")
 
 
 def _quarter_value(side2, a1, a2, k: float, integral):
@@ -287,6 +304,7 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
     half-plane ``side2[j]``; ``s2``, ``gap2`` are alpha2's projection
     parameter and gap.  Each point keeps its own shift, panel breaks and
     branch-crossing check; a point that raises raises for the batch.
+    Points with one alpha2 and shift share the node stage, ``kappa(k, z)``.
     """
     def integral(live):
         idx = np.flatnonzero(live)
@@ -296,17 +314,26 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
                  for j in idx]
         samples = []
 
-        def density(z, owner):
+        def node(z, j):
+            return z.real, _kappa_raw(np.complex128(k), z)
+
+        def member(data, owner):
+            re, kap = data
             j = idx[owner]
-            w, log_w = _log_density(sign1[j], a1[j], k, z)
-            samples.append((owner, z.real, w))
+            w, log_w = _log_density(sign1[j], a1[j], k, None, kap=kap)
+            samples.append((owner, re, w))
             return log_w
 
-        value = _cauchy_integral(density, a2[idx], s2[idx], shifted, cfg, k,
-                                 humps)
+        value = _cauchy_integral((node, member), a2[idx], s2[idx], shifted,
+                                 cfg, k, humps)
         owner, re, ws = (np.concatenate(part) for part in zip(*samples))
-        order = np.lexsort((re, owner))
-        _check_log_track((_ROT_BACK * ws)[order], owner[order])
+        rotated = _ROT_BACK * ws
+        # only a track with a sample left of the imaginary axis can cross
+        crossable = np.zeros(idx.size, dtype=bool)
+        crossable[owner[rotated.real < 0.0]] = True
+        keep = crossable[owner]
+        order = _track_order(owner[keep], re[keep])
+        _check_log_track(rotated[keep][order], owner[keep][order])
         return value
 
     return _quarter_value(side2, a1, a2, k, integral)
@@ -350,7 +377,6 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
     return complex(values[0]) if not shape else values.reshape(shape)
 
 
-@functools.lru_cache(maxsize=64)
 def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
                           cfg: QuadratureConfig) -> complex:
     """Branch constant of the alpha1-plane continuation, measured once.
@@ -361,32 +387,45 @@ def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
     ``C`` is still measured on an overlap set (alpha1 on the contour,
     alpha2 inside its half-plane; 24 integrals in one batch) and checked
     to be constant and unimodular: that check catches a user-supplied
-    contour that puts the factors on other branches.
+    contour that puts the factors on other branches.  A measurement
+    that fails is not repeated: its error is raised again.
 
     Raises
     ------
     ContinuationError
         If the measured ratios are not constant or not unimodular.
     """
+    c = _measured_constant(label, k, contour, cfg)
+    if isinstance(c, QpdiffError):
+        raise c.with_traceback(None)
+    return c
+
+
+@functools.lru_cache(maxsize=64)
+def _measured_constant(label, k, contour, cfg):
+    """``continuation_constant``'s value, or the ``QpdiffError`` it raised."""
     # in both labels' domains by construction: alpha1 on the contour,
     # alpha2 0.8 k/3 inside its half-plane
     a1 = contour_point(contour, np.repeat([-5.0, -1.5, 1.5, 5.0], 3))
     a2 = (contour_point(contour, np.tile([-2.2, 0.0, 3.0], 4))
           + 1j * label.side2 * 0.8 * k / 3.0)
-    s2, gap2 = contour_projection(contour, a2)
     n = a1.size
-    values = _quarter_batch(np.repeat([label.sign1, -label.sign1], n),
-                            np.full(2 * n, label.side2), np.tile(a1, 2),
-                            np.tile(a2, 2), np.tile(s2, 2), np.tile(gap2, 2),
-                            k, contour, cfg)
-    swapped = half_factor("o" + _HALF_CH[label.tag[1]], a1, a2, k)
-    ratios = values[:n] * values[n:] / swapped
-    c = ratios.mean()
-    if np.max(np.abs(ratios - c)) > 2e-4 or abs(abs(c) - 1.0) > 2e-4:
-        raise ContinuationError(
-            f"alpha1 continuation of K_{label.tag} failed its branch "
-            f"consistency check: ratios {ratios}"
-        )
+    try:
+        s2, gap2 = contour_projection(contour, a2)
+        values = _quarter_batch(np.repeat([label.sign1, -label.sign1], n),
+                                np.full(2 * n, label.side2), np.tile(a1, 2),
+                                np.tile(a2, 2), np.tile(s2, 2),
+                                np.tile(gap2, 2), k, contour, cfg)
+        ratios = values[:n] * values[n:] / half_factor(
+            "o" + _HALF_CH[label.tag[1]], a1, a2, k)
+        c = ratios.mean()
+        if np.max(np.abs(ratios - c)) > 2e-4 or abs(abs(c) - 1.0) > 2e-4:
+            raise ContinuationError(
+                f"alpha1 continuation of K_{label.tag} failed its branch "
+                f"consistency check: ratios {ratios}"
+            )
+    except QpdiffError as exc:
+        return exc
     return complex(c)
 
 

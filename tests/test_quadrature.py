@@ -122,6 +122,37 @@ class TestShiftedContourIntegrals:
             shifted, cfg, 3.0)
         assert res.tail < 1e-9
 
+    def test_shared_node_stage(self, contour3, cfg):
+        # integrals 0 and 2 share their key and shift, 1 only the key, 3
+        # only the shift; 2 also has a break of its own.  The shared node
+        # stage changes neither a value nor the refinement.
+        offset = np.array([-0.2, 0.2, -0.2, -0.2])
+        share = np.array([0.5j, 0.5j, 0.5j, 1.0 + 0.5j])
+        shifted = [ShiftedContour(contour3, o) for o in offset]
+        breaks = [[], [], [0.3], []]
+        weight = np.array([1.0, 2.0, -3.0, 0.5j])
+        nodes, seen = [], []
+
+        def node(z, dz, j):
+            nodes.append(z.size)
+            seen.append(set(j))
+            return (dz / ((z - share[j]) * (z * z + 16.0)),)
+
+        def member(data, owner):
+            return weight[owner] * data[0]
+
+        res = integrate_over_shifted((node, member), shifted, cfg, 3.0,
+                                     breaks, share)
+        alone = [integrate_over_shifted(
+            lambda z, t=t, c=c: c / ((z - t) * (z * z + 16.0)), sh, cfg, 3.0,
+            b) for sh, t, c, b in zip(shifted, share, weight, breaks)]
+        for value, one in zip(res.value, alone):
+            assert abs(value - one.value) <= 1e-14 * abs(one.value)
+        assert res.n_evals == sum(one.n_evals for one in alone)
+        assert res.n_panels == sum(one.n_panels for one in alone)
+        assert sum(nodes) < 0.8 * res.n_evals
+        assert seen[0] == {0, 1, 3}  # the first round: every panel
+
 
 def test_default_edges_cover_truncation(k3):
     edges = default_edges(k3, 1e4)
@@ -169,11 +200,11 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     batches, pending = [], []
     original, panel_sums = wh.integrate_over_shifted, quad._panel_sums
 
-    def spy(integrand, shifted, cfg_, scale, inner_breaks=()):
+    def spy(integrand, shifted, cfg_, scale, inner_breaks=(), share=None):
         batches.append((scale, cfg_.s_max,
                         [np.asarray(b, dtype=np.float64) for b in inner_breaks]))
         pending.append(len(batches) - 1)
-        return original(integrand, shifted, cfg_, scale, inner_breaks)
+        return original(integrand, shifted, cfg_, scale, inner_breaks, share)
 
     def first_panels(fvec, lo, hi, owner):
         if pending:  # the first call of a batch sees its starting panels

@@ -67,6 +67,30 @@ class TestSqrtDown:
         with pytest.raises(NonFiniteInputError):
             sf.sqrt_down(np.inf)
 
+    def test_raw_root_matches_the_rotated_copy_formula_bitwise(self, rng):
+        # the former formula: multiply by -i, force +0.0 on the principal
+        # cut ray, root, rotate back
+        def copied(w):
+            t = np.array(-1j * w, copy=True)
+            on_cut = (t.real < 0.0) & (t.imag == 0.0)
+            t[on_cut] = t[on_cut].real + 0.0j
+            return np.multiply(sf._ROT_QUARTER, np.sqrt(t))
+
+        parts = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.7, 1e-300, -1e-300,
+                          5e-324, 1e300, -1e300])
+        signed = np.empty(parts.size ** 2, dtype=np.complex128)
+        signed.real, signed.imag = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        n = 2000
+        scale = 10.0 ** rng.uniform(-8, 8, n)
+        random = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        on_cut = np.concatenate([-1j * scale, -scale * (1 + 0j), scale + 0j])
+        for w in (signed, random, on_cut, random[:7]):
+            assert sf._sqrt_down_raw(w).tobytes() == copied(w).tobytes()
+        for w in signed:  # 0-d arrays, as a scalar call passes them
+            w = np.asarray(w)
+            assert (np.asarray(sf._sqrt_down_raw(w)).tobytes()
+                    == np.asarray(copied(w)).tobytes())
+
 
 class TestDiagLog:
     def test_log_of_unity(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpdiff import specfun as sf
 from qpdiff import whfactor as wf
@@ -273,6 +275,48 @@ def test_log_track_crossing_detection():
         wf._check_log_track(bad)
 
 
+def test_tracks_of_two_owners_are_told_apart():
+    # owner 0 ends just above the negative real axis and owner 1 starts
+    # just below it: no crossing, while one track doing the same crosses
+    owner = np.array([1, 0, 1, 0])
+    re = np.array([4.0, 2.0, 3.0, 1.0])
+    w = np.array([1.0 - 0.1j, -1.0 + 0.2j, -1.0 - 0.2j, 1.0 + 0.3j])
+    order = wf._track_order(owner, re)
+    assert list(order) == [3, 1, 2, 0]
+    wf._check_log_track(w[order], owner[order])
+    with pytest.raises(BranchCrossingError):
+        wf._check_log_track(w[order], np.zeros(4, dtype=int))
+    inside = np.array([1.0 + 0.1j, -1.0 + 0.2j, -1.0 - 0.2j])
+    with pytest.raises(BranchCrossingError):
+        wf._check_log_track(inside, np.array([0, 1, 1]))
+
+
+def test_crossing_track_raises_inside_a_batch(contour3, cfg, k3):
+    # K_pp's log argument at alpha1 = -5 - 2i crosses its cut along the
+    # contour; batched with points whose tracks stay right of the cut
+    from qpdiff.contour import contour_projection
+    a1 = np.array([0.5 + 0.3j, -5.0 - 2.0j, 1.5 + 1.0j, 2.0 + 0.2j])
+    a2 = contour_point(contour3, np.array([1.0, 1.0, -2.0, 3.0])) + 0.7j
+    s2, gap2 = contour_projection(contour3, a2)
+    ones = np.ones(4, dtype=int)
+    clear = [0, 2, 3]
+    wf._quarter_batch(ones[clear], ones[clear], a1[clear], a2[clear],
+                      s2[clear], gap2[clear], k3, contour3, cfg)
+    with pytest.raises(BranchCrossingError, match="crossed"):
+        wf._quarter_batch(ones, ones, a1, a2, s2, gap2, k3, contour3, cfg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5),
+                          st.floats(-1e4, 1e4, allow_nan=False)),
+                min_size=1, max_size=200))
+def test_track_order_is_the_lexsort_order(samples):
+    # tracks grouped by owner; ties (repeated parameters, -0.0 against
+    # 0.0) keep their input order in both
+    owner, re = (np.array(part) for part in zip(*samples))
+    assert np.array_equal(wf._track_order(owner, re), np.lexsort((re, owner)))
+
+
 class TestBatch:
     """A pair's value does not depend on the batch it is computed in."""
 
@@ -301,6 +345,53 @@ class TestBatch:
             one = wf.quarter_factor(label, a1[j], a2[j], k3, contour3, cfg)
             assert abs(batch[j] - one) <= 1e-13 * abs(one)
 
+    def test_shared_nodes_match_batches_of_one(self, monkeypatch, contour3,
+                                               cfg, k3):
+        # K_pp and K_mp at one alpha2 share their nodes, and so do K_pm and
+        # K_mm; the |alpha1| > 4k pair has a mesh of its own
+        import qpdiff.quadrature as quad
+        from qpdiff.contour import contour_projection
+
+        sign1, side2, a1, a2 = [], [], [], []
+        for label in (wf.PP, wf.MP, wf.PM, wf.MM):
+            p1, p2 = self.pairs(label, contour3, k3)
+            sign1 += [label.sign1] * p1.size
+            side2 += [label.side2] * p1.size
+            a1.append(p1)
+            a2.append(p2)
+        sign1, side2 = np.array(sign1), np.array(side2)
+        a1, a2 = np.concatenate(a1), np.concatenate(a2)
+        s2, gap2 = contour_projection(contour3, a2)
+        refined, entries = [], []
+        refine, kappa = quad._refine, wf._kappa_raw
+
+        def spy_refine(*args):
+            refined.append(refine(*args))
+            return refined[-1]
+
+        def spy_kappa(kk, z):
+            entries.append(np.size(z))
+            return kappa(kk, z)
+
+        monkeypatch.setattr(quad, "_refine", spy_refine)
+        monkeypatch.setattr(wf, "_kappa_raw", spy_kappa)
+        batch = wf._quarter_batch(sign1, side2, a1, a2, s2, gap2, k3,
+                                  contour3, cfg)
+        (_, _, n_evals, n_panels), = refined
+        shared = sum(entries)
+        refined.clear()
+        entries.clear()
+        for j in range(a1.size):
+            part = slice(j, j + 1)
+            one = wf._quarter_batch(sign1[part], side2[part], a1[part],
+                                    a2[part], s2[part], gap2[part], k3,
+                                    contour3, cfg)
+            assert abs(batch[j] - one[0]) <= 1e-14 * abs(one[0])
+        alone = np.array([r[2:] for r in refined])[:, :, 0]
+        assert np.array_equal(alone[:, 0], n_evals)
+        assert np.array_equal(alone[:, 1], n_panels)
+        assert shared < 0.6 * sum(entries)
+
     def test_mixed_label_continuation_matches_batches_of_one(self, contour3,
                                                              cfg, k3):
         # every label at the points drawn for every label: all routes
@@ -327,3 +418,39 @@ def test_continuation_constant_is_one(cfg, k):
     for label in wf.ALL_LABELS:
         c = wf.continuation_constant(label, k, default_contour(k), cfg)
         assert abs(c.real - 1.0) < 1e-10 and abs(c.imag) < 1e-10
+
+
+def test_failed_continuation_constant_is_measured_once(monkeypatch, contour3,
+                                                        k3):
+    # a tail bound no integral meets: every row of the phi = 0 arc fails,
+    # and each constant it asks for is measured once, not once per half
+    # batch of _split_on_error nor once per sweep
+    from qpdiff.errors import QuadratureError
+    from qpdiff.farfield import AnsatzEvaluator, make_incidence
+    from qpdiff.quadrature import QuadratureConfig
+
+    cfg = QuadratureConfig(tail_policy="bound-check", abs_tol=1e-14)
+    overlap = np.tile(contour_point(
+        contour3, np.repeat([-5.0, -1.5, 1.5, 5.0], 3)), 2)
+    measured = []
+    batch = wf._quarter_batch
+
+    def spy(sign1, side2, a1, *args):
+        if np.array_equal(a1, overlap):
+            measured.append((int(sign1[0]), int(side2[0])))
+        return batch(sign1, side2, a1, *args)
+
+    monkeypatch.setattr(wf, "_quarter_batch", spy)
+    wf._measured_constant.cache_clear()
+    inc = make_incidence(np.pi / 4, -3 * np.pi / 4, k3)
+    for _ in range(2):
+        sweep = AnsatzEvaluator(inc, contour=contour3, cfg=cfg).arc_sweep(0.0, 9)
+        assert set(sweep.flags) == {"failed"}
+        assert np.isnan(sweep.values).all()
+    assert measured and len(measured) == len(set(measured))
+    for sign1, side2 in measured:
+        label = wf.FactorLabel(("p" if sign1 > 0 else "m")
+                               + ("p" if side2 > 0 else "m"))
+        with pytest.raises(QuadratureError):
+            wf.continuation_constant(label, k3, contour3, cfg)
+    assert len(measured) == len(set(measured))

@@ -85,9 +85,7 @@ class RunConfig:
     contour_c: complex | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    s_max: float = 1e4
     max_subdivisions: int = 60
-    tail_policy: str = "truncate"
     eps_shift: float | None = None
 
     def contour(self) -> ContourSpec:
@@ -101,9 +99,7 @@ class RunConfig:
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                                s_max=self.s_max,
-                                max_subdivisions=self.max_subdivisions,
-                                tail_policy=self.tail_policy)
+                                max_subdivisions=self.max_subdivisions)
 
 
 def _load_config_file(path: str) -> dict:
@@ -126,21 +122,27 @@ _CONFIG_PARSERS = {
     "contour_c": complex,
     "abs_tol": float,
     "rel_tol": float,
-    "s_max": float,
     "max_subdivisions": int,
-    "tail_policy": str,
     "eps_shift": float,
 }
+
+#: flags, and their config keys, that went with the integrals' truncation
+_REMOVED = ("--s-max", "--tail-policy")
 
 
 def build_run_config(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
-                raise QpdiffError(f"unknown config key {key!r}")
-            setattr(cfg, key, _parse(_CONFIG_PARSERS[key], raw,
-                                     f"config value for {key}"))
+    given = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    for flag in _REMOVED:
+        key = flag[2:].replace("-", "_")
+        if key in given or getattr(args, key, None) is not None:
+            raise QpdiffError(f"{flag} (config key {key}) was removed: the "
+                              "integrals run over the whole contour")
+    for key, raw in given.items():
+        if key not in _CONFIG_PARSERS:
+            raise QpdiffError(f"unknown config key {key!r}")
+        setattr(cfg, key, _parse(_CONFIG_PARSERS[key], raw,
+                                 f"config value for {key}"))
     for key in _CONFIG_PARSERS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -272,11 +274,10 @@ def _add_common(p):
     p.add_argument("--contour-c", dest="contour_c", type=complex, default=None)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--s-max", dest="s_max", type=float, default=None)
     p.add_argument("--max-subdivisions", dest="max_subdivisions", type=int,
                    default=None)
-    p.add_argument("--tail-policy", dest="tail_policy",
-                   choices=("truncate", "bound-check"), default=None)
+    for flag in _REMOVED:
+        p.add_argument(flag, help=argparse.SUPPRESS)
     p.add_argument("--eps-shift", dest="eps_shift", type=float, default=None)
 
 

@@ -39,8 +39,9 @@ C_REF = 1000j
 class ContourSpec:
     """Shape constants of one inversion contour.
 
-    The same constants serve both spectral planes; the truncation bound
-    of the integrals along it is ``QuadratureConfig.s_max``.
+    The same constants serve both spectral planes.  The integrals along
+    it run over the whole parameter line; ``quadrature`` maps each tail
+    onto a finite interval.
     """
 
     a: complex
@@ -368,11 +369,12 @@ def validate_contour(spec: ContourSpec, k: float, scan_n: int = 120,
     """Run the acceptance diagnostics for a contour at wavenumber ``k``.
 
     Checks, in order: A(0) = 0; the relative asymptote |A(s)/s - 1| at
-    s = +-10^3; Re-monotonicity (sampled, not proven); indentation above
+    s = +-10^3 k / K_REF, the same point of every similarity-scaled
+    contour; Re-monotonicity (sampled, not proven); indentation above
     -k / below +k; the sign-compatibility scan; the loci clearance.
     """
     passes_origin = contour_point(spec, 0.0) == 0.0
-    big = 1e3
+    big = 1e3 * k / K_REF
     rel = max(abs(contour_point(spec, sgn * big) - sgn * big) / big for sgn in (-1, 1))
     try:
         _geometry(spec)

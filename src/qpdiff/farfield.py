@@ -315,7 +315,6 @@ class AnsatzEvaluator:
             "contour_c": self.contour.c,
             "abs_tol": self.cfg.abs_tol,
             "rel_tol": self.cfg.rel_tol,
-            "s_max": self.cfg.s_max,
             "eps_shift": self.inc.eps_shift,
         }
         return ArcSweepResult(incidence=self.inc, phi=phi, thetas=thetas,

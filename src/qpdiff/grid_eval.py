@@ -6,7 +6,9 @@ the integrand -- the log density ``diag_log(1 +- alpha1/kappa(k, z))``
 times ``A'(s)`` -- is the same for every pixel; only the Cauchy kernel
 ``1/(z - alpha2)`` changes.  So the density is sampled once per mesh on
 a composite GK15 mesh (uniform across the window's parameter range and
-the indentation, geometric in the tails) and the per-pixel sums go to
+the indentation, a short geometric walk on each side, then one panel
+over each whole tail in the mapped coordinate of ``quadrature``, so
+nothing is cut off) and the per-pixel sums go to
 the numpy kernel ``cauchy_pair_sums`` through ``_close_pair_sums``.  The
 rest of the formula comes from the ``whfactor`` helpers that the
 adaptive ``quarter_factor`` uses.
@@ -30,9 +32,9 @@ import numpy as np
 from ._cauchy_numpy import cauchy_pair_sums
 from .contour import ContourSpec, side_sign
 from .errors import QpdiffError
-from .quadrature import QuadratureConfig, _WG, _WK, _XK
+from .quadrature import QuadratureConfig, _WG, _WK, _XK, _s_of_u
 from .specfun import half_factor
-from .whfactor import (_HALF_CH, _ROT_BACK, FactorLabel, _check_log_track,
+from .whfactor import (_HALF_CH, FactorLabel, _check_log_track,
                        _log_density, _quarter_value, _shifted_for,
                        _split_on_error, quarter_factor)
 
@@ -50,26 +52,31 @@ _TOL_RELAX = 100.0
 _NEAR = 2.0
 
 
-def _grid_mesh(re_lo: float, re_hi: float, k: float, s_max: float, h: float):
-    """Panel edges: spacing ``h`` across the window, geometric tails.
+def _grid_mesh(targets, k: float, h: float):
+    """Panel edges in the mapped coordinate ``u`` of ``quadrature._s_of_u``.
 
-    The uniform part always spans the indentation ``[-(2 + k), 2 + k]``
-    as well, so no panel bridges it when the window excludes 0.  Tail
-    edges grow by 1.7, but by at most ``1.7^n (2 + k)`` at the n-th
-    step, so the first tail panels of a window far from 0 stay narrow.
+    Spacing ``h`` across the targets' Re range and the indentation
+    ``[-(2 + k), 2 + k]``, so no panel bridges it when the window
+    excludes 0.  Each side then walks until an edge reaches twice the
+    largest ``|target|``, growing by 1.7 but by at most ``1.7^n (2 + k)``
+    at step n, so the panels next to a far window stay narrow.  From
+    ``S``, the farther walk end, one panel ``[S, 2S]`` maps each tail.
     """
     pad = 2.0 + k
-    lo, hi = min(re_lo - pad, -pad), max(re_hi + pad, pad)
+    lo = min(targets.real.min() - pad, -pad)
+    hi = max(targets.real.max() + pad, pad)
     n_uniform = max(8, int(np.ceil((hi - lo) / h)))
     edges = [np.linspace(lo, hi, n_uniform + 1)]
+    reach = 2.0 * np.abs(targets).max()
     for sign, e in ((-1.0, -lo), (1.0, hi)):
-        tail = []
+        walk = [e]
         w = 1.7 * pad
-        while e < s_max:
-            e = min(1.7 * e, e + w)
+        while walk[-1] < reach:
+            walk.append(min(1.7 * walk[-1], walk[-1] + w))
             w *= 1.7
-            tail.append(sign * min(e, s_max))
-        edges.append(np.array(tail))
+        edges.append(sign * np.array(walk))
+    big = max(abs(edges[1][-1]), edges[2][-1])
+    edges.append(big * np.array([-2.0, -1.0, 1.0, 2.0]))
     return np.unique(np.concatenate(edges))
 
 
@@ -85,12 +92,13 @@ def _sample_density(label: FactorLabel, alpha1: complex, k: float,
     hi = edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    s = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
+    s, ds_du = _s_of_u((mid[:, None] + half[:, None] * _XK[None, :]).ravel(),
+                       0.5 * edges[-1])
     z = shifted.point(s)
-    w, log_w = _log_density(label.sign1, alpha1, k, z)
+    rotated, log_w = _log_density(label.sign1, alpha1, k, z)
     if guard:
-        _check_log_track(_ROT_BACK * w)  # s is already sorted per panel row-major
-    base = log_w * shifted.derivative(s)
+        _check_log_track(rotated)  # s is already sorted per panel row-major
+    base = log_w * (shifted.derivative(s) * ds_du)
     hw = np.repeat(half, _XK.size)
     coef_hi = base * hw * np.tile(_WK, mid.size)
     coef_lo = base * hw * np.tile(_WG, mid.size)
@@ -144,8 +152,10 @@ def _close_pair_sums(nodes, density, ends, targets):
     """``cauchy_pair_sums`` with close evaluation of the near panels.
 
     ``nodes`` and ``density`` hold the GK15 nodes, rule coefficients and
-    density values of consecutive panels with end points ``ends``.  For
-    every (target, panel) pair whose panel coordinate ``u0 = (t - c)/h``
+    density values of consecutive panels: first and last a mapped tail
+    panel, whose far end is at infinity and which is never close, and in
+    between the panels with end points ``ends``.  For every (target,
+    panel) pair of these whose panel coordinate ``u0 = (t - c)/h``
     (``c``, ``h``: midpoint and half-difference of the panel's end
     points) has ``|u0| < _NEAR``, the panel's terms in both sums are
     replaced by ``_product_rule``.  The replaced terms are subtracted
@@ -154,7 +164,8 @@ def _close_pair_sums(nodes, density, ends, targets):
     least the shift ``_EPS`` from the integration contour.
     """
     i_hi, i_lo = cauchy_pair_sums(*nodes, targets)
-    z, coef_hi, coef_lo = (np.reshape(a, (-1, _XK.size)) for a in nodes)
+    z, coef_hi, coef_lo, density = (np.reshape(a, (-1, _XK.size))[1:-1]
+                                    for a in nodes + (density,))
     c = 0.5 * (ends[1:] + ends[:-1])
     h = 0.5 * (ends[1:] - ends[:-1])
     # candidate pairs have |Re(t - c)| < _NEAR |h|, found on sorted Re t
@@ -174,8 +185,7 @@ def _close_pair_sums(nodes, density, ends, targets):
     target, u0 = target[near], u0[near]
     z = z[used]
     close_hi, close_lo = _product_rule(
-        (z - c[used, None]) / h[used, None],
-        density.reshape(-1, _XK.size)[used], panel, u0)
+        (z - c[used, None]) / h[used, None], density[used], panel, u0)
     kernel = 1.0 / (z[panel] - targets[target, None])
     np.add.at(i_hi, target,
               close_hi - (coef_hi[used][panel] * kernel).sum(axis=1))
@@ -206,12 +216,11 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     shifted = _shifted_for(contour, label.side2, _EPS)
 
     def mesh(h):
-        return _grid_mesh(float(flat.real.min()), float(flat.real.max()), k,
-                          cfg.s_max, h)
+        return _grid_mesh(flat, k, h)
 
     def pair_rule(edges, sampled, idx):
         """The Kronrod sums at ``flat[idx]`` and their error/tolerance ratios."""
-        i_hi, i_lo = _close_pair_sums(*sampled, shifted.point(edges),
+        i_hi, i_lo = _close_pair_sums(*sampled, shifted.point(edges[1:-1]),
                                       flat[idx])
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i_hi))
         return i_hi, np.abs(i_hi - i_lo) / tol

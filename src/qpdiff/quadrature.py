@@ -1,24 +1,20 @@
 """Adaptive Gauss-Kronrod quadrature along shifted inversion contours.
 
-The factor integrals all take the form ``int f(z) dz`` over a shifted
-contour ``A(s) +- i eps`` with an integrand that decays like ``s^-2`` at
-the truncation ends.  The engine below works on the real parameter
-``s``: a composite (G7, K15) pair rule on a panel mesh, refined by
-bisecting the panels carrying the largest error estimates, with all
-panels of a refinement round, for every integral of a batch, evaluated
-in one vectorised call.  One builder (``_batch_edges``) lays out the
-starting meshes of a whole batch with one sort.  The integrand runs in
-two stages: a node stage (the contour point and slope, and what the
-caller derives from them alone) once per distinct panel of integrals
-that share it, and a member stage once per integral.
-
-Truncation at ``s_max`` is accounted for explicitly.  Because panels are
-truncated symmetrically and the two tails of a Cauchy-kernel integrand
-cancel to leading order, the recorded tail estimate is
-``|g(s_max) + g(-s_max)| * s_max / 2`` (the integral of an ``s^-3``
-bound matched to the endpoint values).  Policy ``"truncate"`` adds the
-estimate to the reported error; ``"bound-check"`` raises when it exceeds
-``abs_tol``.
+The factor integrals all take the form ``int f(z) dz`` over a whole
+shifted contour ``A(s) +- i eps``, ``s`` running over the real line,
+with an integrand that decays like ``s^-2`` or faster.  The engine works
+on a mapped coordinate ``u`` in ``(-2S, 2S)`` (QUADPACK's QAGI idea):
+``s = u`` for ``|u| <= S``, and each tail ``S < |s| < oo`` maps onto one
+finite interval by ``s = sign(u) S^2 / (2S - |u|)``, ``ds/du = s^2/S^2``
+(``_s_of_u``), so no part of the contour is cut off.  On ``u`` runs a
+composite (G7, K15) pair rule on a panel mesh, refined by bisecting the
+panels carrying the largest error estimates, with all panels of a
+refinement round, for every integral of a batch, evaluated in one
+vectorised call.  One builder (``_batch_edges``) lays out the starting
+meshes of a whole batch with one sort.  The integrand runs in two
+stages: a node stage (the contour point and slope, and what the caller
+derives from them alone) once per distinct panel of integrals that
+share it, and a member stage once per integral.
 """
 
 from __future__ import annotations
@@ -57,23 +53,17 @@ _PANEL_CAP = 16384
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation policy for all Cauchy integrals."""
+    """Tolerances and the bisection limit for all Cauchy integrals."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 60
-    s_max: float = 1e4
-    tail_policy: str = "truncate"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("quadrature tolerances must be positive")
-        if self.s_max <= 0:
-            raise DomainError("s_max must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
-        if self.tail_policy not in ("truncate", "bound-check"):
-            raise DomainError("tail_policy must be 'truncate' or 'bound-check'")
 
     def with_(self, **kw) -> "QuadratureConfig":
         return dataclasses.replace(self, **kw)
@@ -81,11 +71,10 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, error and tail estimates (arrays for a batch), and the cost."""
+    """Value and error estimate (arrays for a batch), and the cost."""
 
     value: complex
     error: float
-    tail: float
     n_evals: int
     n_panels: int
 
@@ -135,21 +124,36 @@ def _padded(rows):
     return out
 
 
-def _batch_edges(scale: float, s_max: float, breaks):
+def _s_of_u(u, big: float):
+    """``s`` and ``ds/du`` at mapped coordinates ``u`` in ``[-2 big, 2 big]``."""
+    far = np.abs(u) > big
+    # a node of a panel bisected to a few ulps may round onto -+2 big
+    gap = np.maximum(2.0 * big - np.abs(u), 0.5 * np.spacing(2.0 * big))
+    s = np.where(far, np.sign(u) * big * big / gap, u)
+    return s, np.where(far, np.square(s / big), 1.0)
+
+
+def _u_of_s(s, big: float):
+    """The mapped coordinate of the parameters ``s``: ``_s_of_u`` inverted."""
+    mag = np.abs(s)
+    return np.where(mag > big,
+                    np.sign(s) * (2.0 * big - big * big / np.maximum(mag, big)), s)
+
+
+def _batch_edges(scale: float, breaks):
     """Starting meshes of a batch, row ``j`` for the integral with ``breaks[j]``.
 
-    Each row joins the base mesh (fine through the indentation of feature
-    size ``scale``, geometric tails, ends ``+-s_max``) to its breaks; after
-    one sort, repeated edges and out-of-range breaks become NaN.
+    Rows are mapped coordinates with ``S = 4 scale`` (``_s_of_u``).  Each
+    joins the base mesh (fine through the indentation of feature size
+    ``scale``, one panel over each tail ``|s| > S``) to its breaks,
+    mapped; after one sort, repeated edges become NaN.
     """
-    geo = 4.0 * 2.0 ** np.arange(1 + int(np.log2(s_max / scale)))
-    pts = scale * np.append([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0], geo)
-    pts = np.append(pts[pts < s_max], s_max)
-    rows = _padded(breaks)
+    pts = scale * np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0,
+                            3.0, 4.0, 8.0])
+    rows = _u_of_s(_padded(breaks), 4.0 * scale)
     edges = np.hstack([np.tile(np.append(-pts[::-1], pts[1:]), (len(rows), 1)), rows])
     edges.sort(axis=1)
     edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
-    edges[~(np.abs(edges) <= s_max)] = np.nan
     return edges
 
 
@@ -231,29 +235,14 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
             for old, new in zip((lo, hi, owner, vals, errs, depth), fresh))
 
 
-def adaptive_panels(fvec, edges, cfg: QuadratureConfig):
-    """``_refine`` for one integral of ``fvec(s)`` on the mesh ``edges``.
-
-    Returns ``(value, error, n_evals, n_panels)``.
-    """
-    value, error, n_evals, n_panels = _refine(lambda s, owner: fvec(s),
-                                              [edges], cfg)
-    return complex(value[0]), float(error[0]), int(n_evals[0]), int(n_panels[0])
-
-
-def default_edges(scale: float, s_max: float, inner_breaks=()):
-    """One integral's starting mesh: ``_batch_edges`` for a batch of one."""
-    edges = _batch_edges(scale, s_max, [inner_breaks])[0]
-    return edges[~np.isnan(edges)]
-
-
 def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
                            scale: float, inner_breaks=(), share=None) -> QuadResult:
     """Integrate ``integrand(z) dz`` along a shifted contour, or many.
 
-    The parametrised form ``integrand(A(s) + i offset) A'(s) ds`` is fed
-    to the adaptive engine on ``[-s_max, s_max]``; the symmetric-pair
-    tail estimate is then applied according to the configured policy.
+    The parametrised form ``integrand(A(s) + i offset) A'(s) ds``, with
+    ``s = s(u)`` the whole real line (``_s_of_u``, ``S = 4 scale``), is
+    fed to the adaptive engine over ``u``; ``inner_breaks`` are values of
+    ``s``.
 
     A batch passes a sequence of ``ShiftedContour``s of one base contour
     and a break set for each; ``integrand(z, owner)`` then also gets the
@@ -263,17 +252,17 @@ def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
 
     With ``share`` (a complex key per integral), ``integrand`` is a pair
     of stages: ``node(z, dz, j)``, run once per distinct panel of the
-    integrals with ``j``'s key and shift (``dz = A'(s)``), returns a tuple
-    of arrays; ``member(data, owner)`` makes ``integrand(z) A'(s)`` of it.
+    integrals with ``j``'s key and shift (``dz = A'(s) ds/du``), returns
+    a tuple of arrays; ``member(data, owner)`` makes
+    ``integrand(z) A'(s) ds/du`` of it.
     """
     if isinstance(shifted, ShiftedContour):
         res = integrate_over_shifted(lambda z, owner: integrand(z),
                                      [shifted], cfg, scale, [inner_breaks])
         return QuadResult(value=complex(res.value[0]),
-                          error=float(res.error[0]), tail=float(res.tail[0]),
+                          error=float(res.error[0]),
                           n_evals=res.n_evals, n_panels=res.n_panels)
     spec = shifted[0].base
-    s_max = cfg.s_max
     m, offset = len(shifted), np.array([sh.offset for sh in shifted])
     node, member, rep = (lambda z, dz, j: integrand(z, j) * dz,
                          lambda data, owner: data, None)
@@ -283,21 +272,12 @@ def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
         node, member = integrand
         rep = first[back] if first.size < m else None
 
-    def nodes(s, j):
+    def nodes(u, j):
+        s, ds_du = _s_of_u(u, 4.0 * scale)
         return node(contour_point(spec, s) + 1j * offset[j],
-                    contour_derivative(spec, s), j)
+                    contour_derivative(spec, s) * ds_du, j)
 
     value, err, n_evals, n_panels = _refine(
-        (nodes, member, rep), _batch_edges(scale, s_max, inner_breaks), cfg)
-
-    ends = np.repeat(np.arange(m), 2)
-    g_ends = member(nodes(np.tile([-s_max, s_max], m), ends), ends)
-    tail = 0.5 * s_max * np.abs(g_ends[0::2] + g_ends[1::2])
-    if cfg.tail_policy == "bound-check" and np.any(tail > cfg.abs_tol):
-        raise QuadratureError(
-            f"truncation tail estimate {tail.max():.3e} exceeds abs_tol "
-            f"{cfg.abs_tol:.3e}; increase s_max"
-        )
-    return QuadResult(value=value, error=err + tail, tail=tail,
-                      n_evals=int(n_evals.sum()) + 2 * m,
+        (nodes, member, rep), _batch_edges(scale, inner_breaks), cfg)
+    return QuadResult(value=value, error=err, n_evals=int(n_evals.sum()),
                       n_panels=int(n_panels.sum()))

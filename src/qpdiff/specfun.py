@@ -80,9 +80,14 @@ def diag_log(z):
     z = _as_complex(z)
     if np.any(z == 0):
         raise DomainError("diag_log is undefined at z = 0")
-    w = np.multiply(_ROT_BACK, z.reshape(-1))  # 1-D: a scalar rounds as an entry
-    x, y = w.real, w.imag
-    y += 0.0  # -0.0 -> +0.0: on the cut ray, arg w = pi
+    # 1-D: a scalar rounds as an entry
+    out = _diag_log_rotated(np.multiply(_ROT_BACK, z.reshape(-1)))
+    return _maybe_scalar(out.reshape(z.shape), scalar)
+
+
+def _diag_log_rotated(w):
+    """``diag_log(z)`` from ``w = exp(-i pi/4) z``, a nonzero 1-D array (unchecked)."""
+    x, y = w.real, w.imag + 0.0  # -0.0 -> +0.0: on the cut ray, arg w = pi
     out = np.empty_like(w)
     np.arctan2(y, x, out=out.imag)
     out.imag += 0.25 * np.pi
@@ -94,7 +99,7 @@ def diag_log(z):
     out.real *= 0.5
     far = (t <= -0.75) | (t >= 1.25)
     out.real[far] = np.log(np.hypot(x[far], y[far]))
-    return _maybe_scalar(out.reshape(z.shape), scalar)
+    return out
 
 
 def _sqrt_down_raw(w):

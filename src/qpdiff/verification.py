@@ -159,7 +159,7 @@ def check_decay(run=None) -> CheckResult:
         slopes[f"K{tag}"] = _loglog_slope(radii, mags)
 
     # quarter factors in alpha2, each along a ray inside its half-plane
-    cfg_q = QuadratureConfig(s_max=1e6)
+    cfg_q = QuadratureConfig()
     fixed = {"p": 0.7 + 0.9j, "m": -0.7 - 0.9j}
     rays = {"p": np.exp(1j * np.pi / 4), "m": np.exp(-1j * 3 * np.pi / 4)}
     for label in ALL_LABELS:
@@ -170,7 +170,7 @@ def check_decay(run=None) -> CheckResult:
 
     # assembled candidate in alpha1 and the alpha2 product estimate
     inc = make_incidence(math.pi / 4, -3 * math.pi / 4, k)
-    cfg_f = QuadratureConfig(s_max=3e6)
+    cfg_f = QuadratureConfig()
     ev = AnsatzEvaluator(inc, contour=spec, cfg=cfg_f)
     mags = np.abs(ev.fpp(radii * np.exp(1j * np.pi / 3), 0.4 + 0.6j))
     slopes["F"] = _loglog_slope(radii, mags)
@@ -310,7 +310,7 @@ def check_diffraction(run=None) -> CheckResult:
     # evaluation chains ~10 contour integrals, so the pipeline noise
     # floor is that multiple of rel_tol; the criterion's "10x the
     # quadrature tolerance" is pinned against it.
-    cfg5 = QuadratureConfig(s_max=1e5)
+    cfg5 = QuadratureConfig()
     inc_a = make_incidence(math.pi / 4, math.pi / 8, k)
     inc_b = make_incidence(math.pi / 4, math.pi / 8, k,
                            eps_shift=inc_a.eps_shift / 2)

@@ -47,9 +47,9 @@ from .contour import (ContourSpec, ShiftedContour, contour_point,
 from .errors import (BranchCrossingError, ContinuationError, DomainError,
                      NonFiniteInputError, QpdiffError, WindingError)
 from .quadrature import QuadratureConfig, integrate_over_shifted
-from .specfun import _kappa_raw, diag_log, fourth_root_down, half_factor
+from .specfun import (_ROT_BACK, _diag_log_rotated, _kappa_raw,
+                      fourth_root_down, half_factor)
 
-_ROT_BACK = np.exp(-0.25j * np.pi)  # undoes the diag_log cut rotation
 #: panel breaks around a target's projection, in shifts
 _WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
 #: panel breaks for |alpha1| > 4k, in |alpha1|: the log term stays
@@ -235,12 +235,14 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
 # --------------------------------------------------------------------------
 
 def _log_density(sign1, a1, k: float, z, kap=None):
-    """The log argument ``w = 1 +- a1/kappa(k, z)`` and ``diag_log(w)``.
+    """The rotated log argument ``exp(-i pi/4) w`` and ``diag_log(w)``.
 
-    ``sign1`` is the label's alpha1 sign; it and ``a1`` may be arrays
-    matching ``z``.  A node stage passes ``kap = kappa(k, z)`` instead of
-    ``z``.  Raises ``BranchCrossingError`` where ``w`` vanishes: the
-    factor's integral does not exist there.
+    ``w = 1 +- a1/kappa(k, z)``; ``sign1`` is the label's alpha1 sign; it
+    and ``a1`` may be arrays matching ``z``.  A node stage passes
+    ``kap = kappa(k, z)`` instead of ``z``.  Each sample is validated
+    once, here: raises ``BranchCrossingError`` where ``w`` vanishes, the
+    factor's integral does not exist there.  The rotated samples are
+    what ``_check_log_track`` reads.
     """
     kap = _kappa_raw(np.complex128(k), z) if kap is None else kap
     w = 1.0 + sign1 * a1 / kap
@@ -248,7 +250,8 @@ def _log_density(sign1, a1, k: float, z, kap=None):
         raise BranchCrossingError(
             "log argument vanished on the integration contour"
         )
-    return w, diag_log(w)
+    rotated = np.multiply(_ROT_BACK, w)
+    return rotated, _diag_log_rotated(rotated)
 
 
 def _check_log_track(rotated_samples, owner=None):
@@ -320,14 +323,13 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
         def member(data, owner):
             re, kap = data
             j = idx[owner]
-            w, log_w = _log_density(sign1[j], a1[j], k, None, kap=kap)
-            samples.append((owner, re, w))
+            rotated, log_w = _log_density(sign1[j], a1[j], k, None, kap=kap)
+            samples.append((owner, re, rotated))
             return log_w
 
         value = _cauchy_integral((node, member), a2[idx], s2[idx], shifted,
                                  cfg, k, humps)
-        owner, re, ws = (np.concatenate(part) for part in zip(*samples))
-        rotated = _ROT_BACK * ws
+        owner, re, rotated = (np.concatenate(part) for part in zip(*samples))
         # only a track with a sample left of the imaginary axis can cross
         crossable = np.zeros(idx.size, dtype=bool)
         crossable[owner[rotated.real < 0.0]] = True

@@ -196,6 +196,22 @@ class TestConfigFile:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("setting", ["--s-max=1e5", "--tail-policy=truncate",
+                                         "s_max = 1e4", "tail_policy = truncate"])
+    def test_removed_settings_are_usage_errors(self, setting, tmp_path, capsys):
+        # the integrals are no longer truncated: the knobs that set the
+        # truncation are gone, and naming one is an error, not a no-op
+        argv = ["factor", "--label", "full", "--alpha1", "0,0", "--alpha2", "0,0"]
+        if setting.startswith("--"):
+            argv.append(setting)
+        else:
+            cfgfile = tmp_path / "old.cfg"
+            cfgfile.write_text(setting + "\n")
+            argv += ["--config", str(cfgfile)]
+        assert cli.main(argv) == 2
+        assert "was removed" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_specfun_suite_passes(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"

@@ -278,10 +278,22 @@ class TestValidationGate:
         assert scan.min_value == pytest.approx(7.482040602891173e-4, rel=1e-12)
 
     def test_scaled_constants_pass_for_other_wavenumbers(self):
-        for k in (1.0, 2.0, 4.5):
+        for k in (1.0, 2.0, 4.5, 20.0, 30.0, 50.0):
             spec = ct.default_contour(k)
             report = ct.validate_contour(spec, k)
             assert report.ok, f"scaled contour failed at k={k}: {report}"
+
+    @pytest.mark.parametrize("k", [3.0, 20.0, 30.0, 50.0])
+    def test_asymptote_read_at_the_scaled_point(self, k):
+        # s = 1e3 k / K_REF is the same point of every scaled contour, so
+        # the figure is the same at every k; a contour that really
+        # approaches its asymptote 1e4 times more slowly still fails
+        a, c = ct.scaled_constants(k)
+        report = ct.validate_contour(ct.ContourSpec(a=a, c=c), k)
+        assert report.asymptotic_rel_error == pytest.approx(7.45356e-10,
+                                                            rel=1e-5)
+        slow = ct.validate_contour(ct.ContourSpec(a=a * 1e-4, c=c), k)
+        assert slow.asymptotic_rel_error > 1e-6 and not slow.ok
 
     def test_scaling_law_is_geometric_similarity(self):
         k = 1.5

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpdiff import farfield as ff
 from qpdiff.contour import ContourSpec
@@ -180,6 +182,25 @@ class TestDiffraction:
         assert abs(vals[0] - vals[1]) / abs(vals[1]) < 1e-5
 
 
+@settings(max_examples=100, deadline=None)
+@given(k=st.floats(0.25, 50.0),
+       phi=st.sampled_from([math.pi / 3, math.pi, 5 * math.pi / 4]),
+       theta=st.floats(0.0, math.pi / 2, exclude_max=True))
+def test_diffraction_is_k_invariant(k, phi, theta):
+    # f_d depends on the directions alone.  Regular directions keep 0.05
+    # from both forcing-pole lines, where f_d is well conditioned (the
+    # near_pole flag takes 1e-3).  theta = pi/2 is left out: on phi = pi/3
+    # it sits on the xi pole, NaN at k = 20 and 30 but finite at k = 50.
+    inc3 = ff.make_incidence(math.pi / 4, -3 * math.pi / 4, 3.0)
+    obs = ff.Observation(theta=theta, phi=phi)
+    assume(min(abs(obs.xi + inc3.xi0), abs(obs.eta + inc3.eta0)) >= 0.05)
+    inc = ff.make_incidence(math.pi / 4, -3 * math.pi / 4, k)
+    got = ff.AnsatzEvaluator(inc).diffraction(obs)
+    want = ff.AnsatzEvaluator(inc3).diffraction(obs)
+    assert got.flag == want.flag
+    assert abs(got.value - want.value) <= 5e-14 * abs(want.value)
+
+
 class TestArcSweep:
     def test_two_point_arc_hits_endpoints(self, ev12):
         res = ev12.arc_sweep(math.pi, 2)
@@ -232,7 +253,7 @@ class TestArcSweep:
 
 class TestShiftRobustness:
     def test_halving_changes_below_pipeline_noise(self):
-        cfg = QuadratureConfig(s_max=1e5)
+        cfg = QuadratureConfig()
         inc_a = ff.make_incidence(math.pi / 4, math.pi / 8, 3.0)
         inc_b = ff.make_incidence(math.pi / 4, math.pi / 8, 3.0,
                                   eps_shift=inc_a.eps_shift / 2)

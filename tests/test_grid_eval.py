@@ -53,8 +53,7 @@ def test_gap_classes_settle_on_the_coarsest_mesh(monkeypatch, contour3, cfg,
         for i in members[::members.size // 4][:4]:
             ref = continue_factor(PP, alpha1, z[i], k3, contour3, cfg)
             assert abs(vals[i] - ref) / abs(ref) < 1e-7
-    coarsest = ge._grid_mesh(-6.0, 6.0, k3, cfg.s_max,
-                             ge._COARSEST * ge._H_FINE)
+    coarsest = ge._grid_mesh(z, k3, ge._COARSEST * ge._H_FINE)
     assert modal_nodes == [ge._XK.size * (coarsest.size - 1)] * 4
 
 
@@ -67,7 +66,7 @@ def test_finest_mesh_guarded_when_all_pixels_settle_coarse(monkeypatch, contour3
     targets = np.linspace(-6.0, 6.0, 9) + 5.0j
     vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
     assert ok.all()
-    fine_edges = ge._grid_mesh(-6.0, 6.0, k3, cfg.s_max, ge._H_FINE)
+    fine_edges = ge._grid_mesh(targets, k3, ge._H_FINE)
     fine_nodes = ge._XK.size * (fine_edges.size - 1)
     assert tracks == [fine_nodes]
     assert summed and fine_nodes not in summed
@@ -96,13 +95,35 @@ def test_window_excluding_zero_needs_no_fallback(monkeypatch, contour3, cfg, k3,
         assert abs(v - ref) / abs(ref) < 1e-7
 
 
+def test_tall_window_needs_no_fallback(monkeypatch, contour3, cfg, k3, alpha1):
+    # the walks reach twice the largest |target|, not only the largest
+    # |Re|: the mapped tail panels stay accurate for targets far above
+    # the contour, and nothing is cut off
+    fallbacks = []
+    _spy(monkeypatch, "quarter_factor", lambda *args: fallbacks.append(args[2]))
+    targets = np.array([-5.0 + 60.0j, -1.0 + 55.0j, 0.5 + 30.0j, 6.0 + 45.0j])
+    vals, ok = ge.factor_field(PP, alpha1, targets, k3, contour3, cfg)
+    assert ok.all()
+    assert fallbacks == []
+    fine = cfg.with_(abs_tol=1e-15, rel_tol=1e-13)
+    ref = wf.quarter_factor(PP, alpha1, targets, k3, contour3, fine)
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-12
+
+
 @pytest.mark.parametrize("re_lo, re_hi", [(22.0, 28.0), (-28.0, -25.0),
                                           (-6.0, 6.0), (5.0, 5.0)])
-def test_mesh_spans_window_and_indentation(k3, cfg, re_lo, re_hi):
+def test_mesh_spans_window_and_indentation(k3, re_lo, re_hi):
+    # the whole line: the walks reach twice the largest |target|, and
+    # one mapped panel [S, 2S] covers each tail beyond S
     pad = 2.0 + k3
     h = 0.05
-    edges = ge._grid_mesh(re_lo, re_hi, k3, cfg.s_max, h)
-    assert edges[0] == -cfg.s_max and edges[-1] == cfg.s_max
+    edges = ge._grid_mesh(np.array([re_lo, re_hi]), k3, h)
+    big = 0.5 * edges[-1]
+    assert edges[0] == -2.0 * big and -big in edges and big in edges
+    assert big >= 2.0 * max(abs(re_lo), abs(re_hi))
+    assert np.all(np.diff(edges) > 0)
+    walk = edges[(np.abs(edges) >= pad) & (np.abs(edges) <= big)]
+    assert np.all(np.abs(walk[1:] / walk[:-1]) <= 1.7 * (1 + 1e-12))
     lo, hi = min(re_lo - pad, -pad), max(re_hi + pad, pad)
     uniform = edges[(edges >= lo) & (edges <= hi)]
     assert uniform[0] == lo and uniform[-1] == hi
@@ -154,8 +175,7 @@ def test_band_needs_no_fallback(monkeypatch, contour3, cfg, k3, tag):
     label = FactorLabel(tag)
     alpha1 = (0.8 + 0.9j) * label.sign1
     ends = np.array([-4.0, 4.0])
-    edges = ge._grid_mesh(*contour_point(contour3, ends).real, k3, cfg.s_max,
-                          ge._H_FINE)
+    edges = ge._grid_mesh(contour_point(contour3, ends).real, k3, ge._H_FINE)
     inner = edges[np.abs(edges) < 3.5]
     s = np.concatenate([ends, inner[::23], inner[::23] + 0.3 * ge._H_FINE,
                         [-0.6, 0.0, 1.7]])

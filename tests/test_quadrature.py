@@ -1,12 +1,25 @@
-"""Adaptive GK engine: accuracy, budgets, truncation policies."""
+"""Adaptive GK engine: accuracy, budgets, the mapped coordinate."""
 
 import numpy as np
 import pytest
 
 from qpdiff.contour import ShiftedContour
 from qpdiff.errors import DomainError, QuadratureError
-from qpdiff.quadrature import (QuadratureConfig, _refine, adaptive_panels,
-                               default_edges, integrate_over_shifted)
+from qpdiff.quadrature import (QuadratureConfig, _batch_edges, _refine,
+                               _s_of_u, _u_of_s, integrate_over_shifted)
+
+
+def _one(fvec, edges, cfg):
+    """``_refine`` for one integral of ``fvec(s)`` on the mesh ``edges``."""
+    value, error, n_evals, n_panels = _refine(lambda s, owner: fvec(s),
+                                              [edges], cfg)
+    return complex(value[0]), float(error[0]), int(n_evals[0]), int(n_panels[0])
+
+
+def _mesh(scale, breaks=()):
+    """One integral's starting mesh: ``_batch_edges`` for a batch of one."""
+    edges = _batch_edges(scale, [breaks])[0]
+    return edges[~np.isnan(edges)]
 
 
 class TestConfig:
@@ -14,41 +27,41 @@ class TestConfig:
         cfg = QuadratureConfig()
         assert cfg.abs_tol == 1e-10
         assert cfg.rel_tol == 1e-8
-        assert cfg.s_max == 1e4
         assert cfg.max_subdivisions == 60
-        assert cfg.tail_policy == "truncate"
 
     @pytest.mark.parametrize("kw", [
-        {"abs_tol": 0.0}, {"rel_tol": -1e-9}, {"s_max": 0.0},
-        {"max_subdivisions": 0}, {"tail_policy": "ignore"},
+        {"abs_tol": 0.0}, {"rel_tol": -1e-9}, {"s_max": 1e4},
+        {"max_subdivisions": 0}, {"tail_policy": "truncate"},
     ])
     def test_invalid_rejected(self, kw):
-        with pytest.raises(DomainError):
+        # the truncation knobs are gone: no integral is cut off
+        removed = {"s_max", "tail_policy"} & kw.keys()
+        with pytest.raises(TypeError if removed else DomainError):
             QuadratureConfig(**kw)
 
     def test_with_override(self):
-        cfg = QuadratureConfig().with_(s_max=1e6)
-        assert cfg.s_max == 1e6
-        assert cfg.rel_tol == 1e-8
+        cfg = QuadratureConfig().with_(rel_tol=1e-12)
+        assert cfg.rel_tol == 1e-12
+        assert cfg.abs_tol == 1e-10
 
 
 class TestEngine:
     def test_smooth_integral(self, cfg):
-        val, err, _, _ = adaptive_panels(np.exp, np.array([0.0, 1.0]), cfg)
+        val, err, _, _ = _one(np.exp, np.array([0.0, 1.0]), cfg)
         assert val == pytest.approx(np.e - 1.0, abs=1e-13)
         assert err < 1e-10
 
     def test_oscillatory_integral(self, cfg):
         # int_0^10 exp(50 i x) dx, highly oscillatory on the coarse mesh
         exact = (np.exp(500j) - 1.0) / 50j
-        val, err, _, _ = adaptive_panels(lambda x: np.exp(50j * x),
-                                         np.array([0.0, 10.0]), cfg)
+        val, err, _, _ = _one(lambda x: np.exp(50j * x),
+                              np.array([0.0, 10.0]), cfg)
         assert abs(val - exact) < 1e-9
 
     def test_near_singular_peak(self, cfg):
         # Lorentzian of width 1e-3 hidden inside a wide panel mesh
         w = 1e-3
-        val, err, _, _ = adaptive_panels(
+        val, err, _, _ = _one(
             lambda x: w / (w ** 2 + (x - 0.3) ** 2),
             np.array([-50.0, -1.0, 1.0, 50.0]), cfg)
         exact = np.arctan((50 - 0.3) / w) + np.arctan((50 + 0.3) / w)
@@ -57,12 +70,12 @@ class TestEngine:
     def test_subdivision_limit_raises(self):
         cfg = QuadratureConfig(max_subdivisions=3)
         with pytest.raises(QuadratureError):
-            adaptive_panels(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300),
-                            np.array([-1.0, 1.0]), cfg)
+            _one(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300),
+                 np.array([-1.0, 1.0]), cfg)
 
     def test_bad_edges_rejected(self, cfg):
         with pytest.raises(DomainError):
-            adaptive_panels(np.exp, np.array([1.0, 0.0]), cfg)
+            _one(np.exp, np.array([1.0, 0.0]), cfg)
 
     def test_batch_refines_each_integral_as_alone(self, cfg):
         # Lorentzians of very different sizes and widths on different
@@ -90,37 +103,22 @@ class TestEngine:
 
 class TestShiftedContourIntegrals:
     def test_cauchy_residue_value(self, contour3, cfg):
-        # closing below, int f(z)/(z - i) dz over the below-shifted
-        # contour picks up no poles of f = 1/(z^2+9) above it except...
-        # use the plain Lorentzian: int 1/(z^2+9) dz along the real-ish
-        # contour equals pi/3 (arctan limits), independent of indentation
+        # int 1/(z^2+9) dz along the real-ish contour equals pi/3 (arctan
+        # limits), independent of indentation; its s^-2 tails are
+        # integrated whole, not cut off
         shifted = ShiftedContour(contour3, -0.2)
         res = integrate_over_shifted(lambda z: 1.0 / (z * z + 9.0),
                                      shifted, cfg, 3.0)
-        assert res.value == pytest.approx(np.pi / 3, abs=2e-4)  # truncation tail
-        assert res.error < 1e-3
-
-    def test_tail_estimate_reported(self, contour3, cfg):
-        shifted = ShiftedContour(contour3, -0.2)
-        res = integrate_over_shifted(lambda z: 1.0 / (z * z + 9.0),
-                                     shifted, cfg, 3.0)
-        # even integrand: no pair cancellation, tail ~ 1/s_max
-        assert res.tail == pytest.approx(1e-4, rel=0.1)
-
-    def test_bound_check_policy_raises_on_fat_tail(self, contour3):
-        cfg = QuadratureConfig(tail_policy="bound-check")
-        shifted = ShiftedContour(contour3, -0.2)
-        with pytest.raises(QuadratureError):
-            integrate_over_shifted(lambda z: 1.0 / (z * z + 9.0),
-                                   shifted, cfg, 3.0)
+        assert abs(res.value - np.pi / 3) < 1e-12
+        assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
     def test_pair_cancellation_for_odd_kernel(self, contour3, cfg):
-        # Cauchy-type integrand: opposite tails cancel to s^-3
+        # Cauchy-type integrand: closing below leaves the residue at -4i
         shifted = ShiftedContour(contour3, -0.2)
         res = integrate_over_shifted(
             lambda z: (1.0 / (z - 0.5j)) * (1.0 / (z * z + 16.0)),
             shifted, cfg, 3.0)
-        assert res.tail < 1e-9
+        assert abs(res.value - 2j * np.pi / 36.0) < 1e-12
 
     def test_shared_node_stage(self, contour3, cfg):
         # integrals 0 and 2 share their key and shift, 1 only the key, 3
@@ -155,43 +153,55 @@ class TestShiftedContourIntegrals:
 
 
 def test_default_edges_cover_truncation(k3):
-    edges = default_edges(k3, 1e4)
-    assert edges[0] == -1e4 and edges[-1] == 1e4
+    # the mesh covers the whole line: -+8 k3 are the mapped -+infinity, and
+    # a break anywhere on the line is kept, mapped
+    edges = _mesh(k3)
+    assert edges[0] == -8.0 * k3 and edges[-1] == 8.0 * k3
     assert 0.0 in edges
     assert np.all(np.diff(edges) > 0)
-    edges2 = default_edges(k3, 1e4, inner_breaks=[2.3, -55.0, 2e4])
-    assert 2.3 in edges2 and -55.0 in edges2 and 2e4 not in edges2
+    edges2 = _mesh(k3, [2.3, -55.0, 2e4])
+    assert 2.3 in edges2
+    assert _u_of_s(-55.0, 4.0 * k3) in edges2 and _u_of_s(2e4, 4.0 * k3) in edges2
 
 
-def _old_default_mesh(scale, s_max):
-    # the starting mesh before it stopped at s_max: base points up to
-    # 4 scale, unclipped, then doubling up to s_max (clipped to it)
-    base = [0.0, scale / 8, scale / 4, scale / 2, 0.75 * scale, scale,
-            1.25 * scale, 1.5 * scale, 2.0 * scale, 3.0 * scale, 4.0 * scale]
-    e = 4.0 * scale
-    while e < s_max:
-        e *= 2.0
-        base.append(min(e, s_max))
-    pts = np.array(base)
-    return np.concatenate([-pts[::-1], pts[1:]])
+def test_mapped_coordinate_round_trip():
+    big = 12.0
+    s = np.array([-2e4, -13.0, -12.0, -3.0, 0.0, 5.5, 12.0, 40.0, 1e3])
+    u = _u_of_s(s, big)
+    assert np.all(np.abs(u) < 2.0 * big) and np.all(np.diff(u) > 0)
+    back, ds_du = _s_of_u(u, big)
+    assert np.allclose(back, s, rtol=1e-12, atol=0.0)
+    assert np.array_equal(u[np.abs(s) <= big], s[np.abs(s) <= big])
+    # a node rounded onto the mapped infinity still maps to a finite s
+    ends, _ = _s_of_u(np.array([-2.0 * big, 2.0 * big]), big)
+    assert np.all(np.isfinite(ends)) and ends[0] < -1e15 and ends[1] > 1e15
+    # ds/du by central differences, continuous through u = -+S
+    h = 1e-6
+    for x in (-20.0, -12.0, 3.0, 12.0, 23.9):
+        diff = (_s_of_u(np.array(x + h), big)[0]
+                - _s_of_u(np.array(x - h), big)[0]) / (2 * h)
+        assert abs(diff - _s_of_u(np.array(x), big)[1]) < 1e-6 * abs(diff)
 
 
 @pytest.mark.parametrize("scale, s_max", [
     (3.0, 10.0), (3.0, 5.0), (3.0, 12.0), (3.0, 0.1), (30.0, 100.0),
     (0.5, 7.0), (3.0, 1e4), (30.0, 1e4), (0.7, 1e4)])
 def test_starting_mesh_stops_at_s_max(scale, s_max):
-    edges = default_edges(scale, s_max, inner_breaks=[0.3 * s_max, 2 * s_max])
-    assert edges[0] == -s_max and edges[-1] == s_max
-    assert np.all(np.abs(edges) <= s_max) and np.all(np.diff(edges) > 0)
-    assert 0.3 * s_max in edges
-    if s_max >= 4.0 * scale:  # the default s_max = 1e4 among them: unchanged
-        assert np.array_equal(default_edges(scale, s_max),
-                              _old_default_mesh(scale, s_max))
+    # s_max, where integrals were once cut off, is now an ordinary break:
+    # it and 2 s_max are kept, and the mesh stops at the mapped infinity
+    big = 4.0 * scale
+    edges = _mesh(scale, [0.3 * s_max, 2 * s_max])
+    assert edges[0] == -2.0 * big and edges[-1] == 2.0 * big
+    assert np.all(np.diff(edges) > 0)
+    assert np.isin(_u_of_s(np.array([0.3, 2.0]) * s_max, big), edges).all()
+    base = scale * np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5,
+                             2.0, 3.0, 4.0, 8.0])
+    assert np.array_equal(_mesh(scale), np.append(-base[:0:-1], base))
 
 
 def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     # every integral of a batch starts on the sorted unique union of the
-    # base mesh and its breaks inside (-s_max, s_max)
+    # base mesh and its breaks, mapped
     import qpdiff.quadrature as quad
     import qpdiff.whfactor as wh
     from qpdiff.contour import contour_point
@@ -201,7 +211,7 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     original, panel_sums = wh.integrate_over_shifted, quad._panel_sums
 
     def spy(integrand, shifted, cfg_, scale, inner_breaks=(), share=None):
-        batches.append((scale, cfg_.s_max,
+        batches.append((scale,
                         [np.asarray(b, dtype=np.float64) for b in inner_breaks]))
         pending.append(len(batches) - 1)
         return original(integrand, shifted, cfg_, scale, inner_breaks, share)
@@ -216,7 +226,7 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     AnsatzEvaluator(make_incidence(np.pi / 4, -3 * np.pi / 4, k3)).arc_sweep(
         np.pi / 4, 21)
     # |alpha1| > 4k adds the hump breaks; the last batch has a repeated
-    # break, base points, an end point and breaks beyond s_max
+    # break, base points and breaks in both mapped tails
     wh.quarter_factor(wh.PP, contour_point(contour3, 20.0) + 0.5j,
                       contour_point(contour3, np.array([1.0, 1.0])) + 0.5j,
                       k3, contour3, cfg)
@@ -227,14 +237,14 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     assert not pending
 
     humps = repeats = 0
-    for scale, s_max, breaks, lo, hi, owner in batches:
-        base = default_edges(scale, s_max)
+    for scale, breaks, lo, hi, owner in batches:
+        base = _mesh(scale)
         assert np.array_equal(owner, np.sort(owner))
         for j, b in enumerate(breaks):
-            inside = b[(b > -s_max) & (b < s_max)]
-            want = np.unique(np.concatenate([base, inside]))
+            want = np.unique(np.concatenate([base, _u_of_s(b, 4.0 * scale)]))
             assert np.array_equal(lo[owner == j], want[:-1])
             assert np.array_equal(hi[owner == j], want[1:])
             humps += np.any(np.abs(b) > 4.0 * scale)
-            repeats += np.unique(b).size < b.size or np.isin(b, base).any()
+            repeats += (np.unique(b).size < b.size
+                        or np.isin(_u_of_s(b, 4.0 * scale), base).any())
     assert len(batches) > 3 and humps and repeats

@@ -422,14 +422,14 @@ def test_continuation_constant_is_one(cfg, k):
 
 def test_failed_continuation_constant_is_measured_once(monkeypatch, contour3,
                                                         k3):
-    # a tail bound no integral meets: every row of the phi = 0 arc fails,
-    # and each constant it asks for is measured once, not once per half
-    # batch of _split_on_error nor once per sweep
+    # tolerances that no integral meets in one bisection: every row of
+    # the phi = 0 arc fails, and each constant it asks for is measured
+    # once, not once per half batch of _split_on_error nor once per sweep
     from qpdiff.errors import QuadratureError
     from qpdiff.farfield import AnsatzEvaluator, make_incidence
     from qpdiff.quadrature import QuadratureConfig
 
-    cfg = QuadratureConfig(tail_policy="bound-check", abs_tol=1e-14)
+    cfg = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=1)
     overlap = np.tile(contour_point(
         contour3, np.repeat([-5.0, -1.5, 1.5, 5.0], 3)), 2)
     measured = []

@@ -28,7 +28,9 @@ Observation points put the spectral variables on the real interval
 goes through the continuation dispatch of ``whfactor``; evaluations
 whose route was not "direct" are flagged ``continued`` in sweep output.
 The factors of all rows of an arc are one batch of the adaptive rule;
-a single direction is a batch of one.
+a single direction is a batch of one.  A row that fails a check before
+any integral (the forcing pole, a half-factor branch point or cut) is
+named by the error, so the arc's other rows take one more batch.
 """
 
 from __future__ import annotations
@@ -140,12 +142,13 @@ def g_pp(alpha1, alpha2, inc: Incidence):
     """Forcing term ``1 / ((alpha1 - a1)(alpha2 - a2))``.
 
     Exact rational value with simple poles at the shifted incidence
-    constants; evaluation at a pole raises.
+    constants; evaluation at a pole raises, naming the entries there.
     """
     d1 = np.asarray(alpha1, dtype=np.complex128) - inc.a1
     d2 = np.asarray(alpha2, dtype=np.complex128) - inc.a2
-    if np.any(d1 == 0) or np.any(d2 == 0):
-        raise DomainError("g_pp evaluated at its pole")
+    pole = (d1 == 0) | (d2 == 0)
+    if np.any(pole):
+        raise DomainError("g_pp evaluated at its pole", mask=np.ravel(pole))
     out = 1.0 / (d1 * d2)
     return complex(out) if out.ndim == 0 else out
 
@@ -213,14 +216,21 @@ class AnsatzEvaluator:
     # -- spectral-plane quantities ------------------------------------------
 
     def _fpp(self, alpha1, alpha2):
-        """The (++) candidate at arrays of points, and if it was continued."""
+        """The (++) candidate at arrays of points, and if it was continued.
+
+        A raised ``mask`` names points (none for ``K_mm(a1, a2)``)."""
         inc = self.inc
         n = alpha1.size
         forcing = g_pp(alpha1, alpha2, inc)  # the pole raises before any integral
-        values, continued = self._factors(
-            [PP] * n + [MP] * n + [PM] * n + [MM],
-            np.r_[alpha1, np.full(n, inc.a1), alpha1, inc.a1],
-            np.r_[alpha2, alpha2, np.full(n, inc.a2), inc.a2])
+        try:
+            values, continued = self._factors(
+                [PP] * n + [MP] * n + [PM] * n + [MM],
+                np.r_[alpha1, np.full(n, inc.a1), alpha1, inc.a1],
+                np.r_[alpha2, alpha2, np.full(n, inc.a2), inc.a2])
+        except QpdiffError as exc:
+            if exc.mask is not None:
+                exc.mask = None if exc.mask[-1] else exc.mask[:-1].reshape(3, n).any(0)
+            raise
         kpp, kmp, kpm = values[:-1].reshape(3, n)
         value = forcing / (kpp * kmp * values[-1] * kpm)
         return value, continued[:-1].reshape(3, n).any(axis=0) | continued[-1]
@@ -261,6 +271,8 @@ class AnsatzEvaluator:
         genuinely singular (the forcing pole, or a factor branch point
         hit exactly at theta = pi/2) and ``failed`` for a numerical
         breakdown (quadrature, continuation, branch crossing, contour).
+        Singular directions are named by their errors and cost one retry;
+        a breakdown inside the integrals is found by halving the batch.
         """
         inc = self.inc
         xi = np.array([obs.xi for obs in observations])

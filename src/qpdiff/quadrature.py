@@ -60,8 +60,9 @@ class QuadratureConfig:
     max_subdivisions: int = 60
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
+        # NaN and +-inf fail the chained test: no estimate could meet them
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise DomainError("quadrature tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
 

@@ -146,12 +146,15 @@ def kappa(kk, z):
 
 
 def _check_composition_cuts(*sqrt_args):
-    """Signal evaluation exactly on an inner sqrt_down cut (Re 0, Im < 0)."""
+    """Signal evaluation exactly on an inner sqrt_down cut (Re 0, Im < 0),
+    naming the entries on a cut over the arguments' broadcast shape."""
+    on_cut = False
     for w in sqrt_args:
-        if np.any((np.real(w) == 0.0) & (np.imag(w) < 0.0)):
-            raise OnBranchCutError(
-                "evaluation lies exactly on a branch cut; offset the point"
-            )
+        on_cut = on_cut | ((np.real(w) == 0.0) & (np.imag(w) < 0.0))
+    if np.any(on_cut):
+        raise OnBranchCutError(
+            "evaluation lies exactly on a branch cut; offset the point",
+            mask=np.ravel(on_cut))
 
 
 def big_k(alpha1, alpha2, k):
@@ -227,7 +230,8 @@ def half_factor(tag, alpha1, alpha2, k):
     arg = _kappa_raw(k, inner_var) + sign * outer_var
     _check_composition_cuts(k - inner_var, k + inner_var, arg)
     if np.any(arg == 0):
-        raise OnBranchCutError("half-factor branch point hit exactly")
+        raise OnBranchCutError("half-factor branch point hit exactly",
+                               mask=np.ravel(arg == 0))
     return _maybe_scalar(1.0 / _sqrt_down_raw(arg), scalar)
 
 

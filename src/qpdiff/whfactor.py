@@ -427,6 +427,7 @@ def _measured_constant(label, k, contour, cfg):
                 f"consistency check: ratios {ratios}"
             )
     except QpdiffError as exc:
+        exc.mask = None  # its entries are the overlap set's, not a caller's
         return exc
     return complex(c)
 
@@ -464,11 +465,19 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
 
 
 def _half_factors(tags, need, a1, a2, k: float):
-    """``half_factor(tags[j], a1[j], a2[j], k)`` where ``need``, else 1."""
+    """``half_factor(tags[j], a1[j], a2[j], k)`` where ``need``, else 1;
+    an error's ``mask`` names its entries among all j."""
     out = np.ones(a1.size, dtype=np.complex128)
     for tag in dict.fromkeys(tags[need]):
         part = need & (tags == tag)
-        out[part] = half_factor(str(tag), a1[part], a2[part], k)
+        try:
+            out[part] = half_factor(str(tag), a1[part], a2[part], k)
+        except QpdiffError as exc:
+            if exc.mask is not None:
+                named = np.zeros_like(part)
+                named[part] = exc.mask
+                exc.mask = named
+            raise
     return out
 
 
@@ -507,15 +516,20 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
 def _split_on_error(evaluate, items):
     """``(part, evaluate(part))`` pairs covering the index array ``items``.
 
-    A part whose evaluation raises a ``QpdiffError`` is split in halves
-    and retried, so an entry that raises alone costs O(log n) extra
-    calls; its result is the exception.
+    An entry that raises a ``QpdiffError`` gets the exception as its
+    result, in a part of its own.  Entries the error's ``mask`` names
+    (they failed a check before any integral) cost one retry of the rest;
+    an error naming none halves the part, each half retried: O(log n).
     """
     if not items.size:
         return []
     try:
         return [(items, evaluate(items))]
     except QpdiffError as exc:
+        named = exc.mask
+        if named is not None and named.size == items.size and named.any():
+            return ([(items[[i]], exc) for i in np.flatnonzero(named)]
+                    + _split_on_error(evaluate, items[~named]))
         if items.size == 1:
             return [(items, exc)]
         half = items.size // 2

@@ -159,6 +159,16 @@ def test_malformed_value_is_an_error_not_a_traceback(argv, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("flag", ["--abs-tol=nan", "--rel-tol=nan",
+                                  "--rel-tol=inf"])
+def test_non_finite_tolerance_is_usage_error(flag, capsys):
+    # no error estimate meets a NaN or infinite tolerance: refuse it up
+    # front instead of bisecting every panel down to underflow
+    assert cli.main(["factor", "--label", "pp", "--alpha1", "0.5,0.5",
+                     "--alpha2", "1,1", flag]) == 2
+    assert "tolerances must be finite and positive" in capsys.readouterr().err
+
+
 def test_outputs_follow_the_umask(tmp_path, capsys):
     ppm, csv = tmp_path / "id.ppm", tmp_path / "arc.csv"
     old = os.umask(0o022)

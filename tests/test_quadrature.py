@@ -32,6 +32,8 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"abs_tol": 0.0}, {"rel_tol": -1e-9}, {"s_max": 1e4},
         {"max_subdivisions": 0}, {"tail_policy": "truncate"},
+        {"abs_tol": np.nan}, {"rel_tol": np.nan}, {"rel_tol": np.inf},
+        {"abs_tol": -np.inf},
     ])
     def test_invalid_rejected(self, kw):
         # the truncation knobs are gone: no integral is cut off
@@ -223,6 +225,9 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
 
     monkeypatch.setattr(wh, "integrate_over_shifted", spy)
     monkeypatch.setattr(quad, "_panel_sums", first_panels)
+    # the arc's continuation constants are batches of their own only when
+    # they are measured here, not taken from the cache
+    wh._measured_constant.cache_clear()
     AnsatzEvaluator(make_incidence(np.pi / 4, -3 * np.pi / 4, k3)).arc_sweep(
         np.pi / 4, 21)
     # |alpha1| > 4k adds the hump breaks; the last batch has a repeated

@@ -454,3 +454,63 @@ def test_failed_continuation_constant_is_measured_once(monkeypatch, contour3,
         with pytest.raises(QuadratureError):
             wf.continuation_constant(label, k3, contour3, cfg)
     assert len(measured) == len(set(measured))
+
+
+class TestSplitOnError:
+    """Row isolation: named entries cost one retry, unnamed errors halve."""
+
+    @staticmethod
+    def split(fail, mask_pad=0, named=True):
+        # entries in ``fail`` raise; the error names them if ``named``,
+        # with ``mask_pad`` extra entries to give the mask a wrong size
+        calls = []
+
+        def evaluate(part):
+            calls.append(part.tolist())
+            bad = np.isin(part, fail)
+            if bad.any():
+                mask = np.append(bad, np.zeros(mask_pad, bool)) if named else None
+                raise DomainError("entry fails", mask=mask)
+            return 10 * part
+
+        got = {}
+        for part, result in wf._split_on_error(evaluate, np.arange(8)):
+            for j, i in enumerate(part):
+                assert i not in got
+                got[i] = (result if isinstance(result, DomainError)
+                          else result[j])
+        assert sorted(got) == list(range(8))
+        return got, calls
+
+    def test_named_entries_cost_one_retry(self):
+        got, calls = self.split([2, 5])
+        assert calls == [list(range(8)), [0, 1, 3, 4, 6, 7]]
+        assert isinstance(got[2], DomainError) and got[5] is got[2]
+        assert all(got[i] == 10 * i for i in (0, 1, 3, 4, 6, 7))
+
+    def test_every_entry_named_needs_no_retry(self):
+        got, calls = self.split(range(8))
+        assert calls == [list(range(8))]
+        assert len({id(e) for e in got.values()}) == 1
+
+    def test_unnamed_error_is_halved(self):
+        got, calls = self.split(range(8), named=False)
+        assert len(calls) == 2 * 8 - 1
+        assert all(isinstance(e, DomainError) for e in got.values())
+
+    def test_mask_of_another_size_is_ignored(self):
+        got, calls = self.split([2, 5], mask_pad=1)
+        assert calls == self.split([2, 5], named=False)[1]
+        assert len(calls) > 2
+        assert all(isinstance(got[i], DomainError) for i in (2, 5))
+
+
+def test_half_factor_mask_names_entries_of_the_batch():
+    # "o-" branch point: kappa(3, alpha1) - alpha2 = 0 at (3, 0); the
+    # "o-" call sees entries 0, 2, 3 and names its second one
+    from qpdiff.errors import OnBranchCutError
+    tags = np.array(["o-", "-o", "o-", "o-"])
+    a1 = np.array([1.0, 0.5, 3.0, 0.2], dtype=complex)
+    with pytest.raises(OnBranchCutError) as info:
+        wf._half_factors(tags, np.ones(4, bool), a1, np.zeros(4, complex), 3.0)
+    assert info.value.mask.tolist() == [False, False, True, False]

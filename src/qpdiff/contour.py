@@ -102,8 +102,8 @@ def scaled_constants(k: float, k_ref: float = K_REF,
     ``A_k(s) = (k/k_ref) A_ref(s k_ref / k)`` maps the reference contour
     onto one whose indentation sits at ``-+k`` instead of ``-+k_ref``.
     """
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
+    if not 0 < k < np.inf:  # NaN fails the chained test too
+        raise DomainError("wavenumber must be finite and positive")
     ratio = k_ref / k
     return a_ref * ratio ** 4, c_ref / ratio ** 4
 

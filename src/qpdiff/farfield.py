@@ -101,12 +101,13 @@ def make_incidence(theta0: float, phi0: float, k: float,
         raise DomainError("theta0 must lie in [0, pi/2]")
     if not (-3 * math.pi / 4 <= phi0 <= math.pi / 4):
         raise DomainError("phi0 must lie in [-3 pi/4, pi/4]")
-    if k <= 0:
-        raise DomainError("wavenumber must be positive")
+    # NaN and +-inf fail the chained tests
+    if not 0 < k < math.inf:
+        raise DomainError("wavenumber must be finite and positive")
     if eps_shift is None:
         eps_shift = EPS_SHIFT_FRACTION * k
-    if eps_shift < 0:
-        raise DomainError("eps_shift must be nonnegative")
+    if not 0 <= eps_shift < math.inf:
+        raise DomainError("eps_shift must be finite and nonnegative")
     a1 = k * math.sin(theta0) * math.cos(phi0)
     a2 = k * math.sin(theta0) * math.sin(phi0)
     a3 = k * math.cos(theta0)

@@ -33,11 +33,16 @@ member stage (the log density) once per integral.  ``continue_factor``
 extends each quarter factor past its natural domain by dividing the
 explicit half-plane factors by the complementary quarter factor;
 ``_continued`` does so for a batch of points with one batch of integrals.
+Off both contours, the four labels at a point need one and the same
+integral; every quarter-factor integral is kept in a bounded
+process-wide memo (``_integral_memo``), so it is taken once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +304,45 @@ def _quarter_value(side2, a1, a2, k: float, integral):
     return value
 
 
+class _IntegralMemo:
+    """Integral values by key: at most ``cap``, the oldest evicted first;
+    ``clear()``, ``hits`` and ``misses`` as an ``lru_cache`` has them.
+    The lock is not held while integrating."""
+
+    def __init__(self, cap: int):
+        self.cap, self.lock = cap, threading.Lock()
+        self.clear()
+
+    def clear(self):
+        with self.lock:
+            self.values, self.hits, self.misses = {}, 0, 0
+
+    def lookup(self, keys, integrate):
+        """The value of every key.  Each key it lacks is integrated once, by
+        ``integrate(positions in keys)``, and stored only after that call
+        has returned, its checks passed."""
+        with self.lock:
+            known = {key: self.values[key] for key in keys
+                     if key in self.values}
+            todo = {key: pos for pos, key in enumerate(keys)
+                    if key not in known}
+            self.hits += len(keys) - len(todo)
+            self.misses += len(todo)
+        if todo:
+            fresh = dict(zip(todo, integrate(np.fromiter(todo.values(), int))))
+            with self.lock:
+                self.values.update(fresh)
+                for old in list(itertools.islice(
+                        self.values, max(0, len(self.values) - self.cap))):
+                    del self.values[old]
+            known.update(fresh)
+        return np.array([known[key] for key in keys], dtype=np.complex128)
+
+
+#: every ``_quarter_batch`` integral; 2048 of them take under 0.7 MiB
+_integral_memo = _IntegralMemo(2048)
+
+
 def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
                    contour: ContourSpec, cfg: QuadratureConfig, eps=None):
     """Quarter factors at M points by their integrals, in one batch.
@@ -308,9 +352,21 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
     parameter and gap.  Each point keeps its own shift, panel breaks and
     branch-crossing check; a point that raises raises for the batch.
     Points with one alpha2 and shift share the node stage, ``kappa(k, z)``.
+    ``_integral_memo`` keys each integral by ``(sign1, side2, a1, a2)``,
+    compared bit for bit (-0.0 is not 0.0), and ``(eps, k, contour,
+    cfg)``, which fix its shift, breaks and rule.  A stored value is the
+    one its first batch computed; a batch of another size can round it
+    differently in the last bit, since numpy's in-place temporaries
+    (arrays of 256 KiB and more) change ``contour_point``'s rounding.
     """
     def integral(live):
         idx = np.flatnonzero(live)
+        raw = np.column_stack([sign1, side2, a1, a2])[idx].tobytes()
+        ctx = (eps, k, contour, cfg)
+        keys = [(ctx, raw[i:i + 64]) for i in range(0, len(raw), 64)]
+        return _integral_memo.lookup(keys, lambda pos: integrate(idx[pos]))
+
+    def integrate(idx):
         shifted = [_shifted_for(contour, side2[j], default_shift(
             k, abs(gap2[j])) if eps is None else eps) for j in idx]
         humps = [abs(a1[j]) * _HUMP if abs(a1[j]) > 4.0 * k else ()
@@ -450,6 +506,9 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
       the alpha1-flipped quarter factor, times the session branch
       constant;
     * both wrong: compose the two continuations.
+
+    Off both contours all four labels need the integral of the label of
+    the point's own sides; the integral memo takes it once for all four.
 
     Returns the value, or ``(value, route)`` when ``with_route`` is set.
     ``alpha1`` and ``alpha2`` broadcast: arrays are one batch

@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qpdiff.contour import default_contour  # noqa: E402
 from qpdiff.quadrature import QuadratureConfig  # noqa: E402
+from qpdiff.whfactor import _integral_memo  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,10 @@ def cfg():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(autouse=True)
+def cold_integrals():
+    """Every test integrates its quarter factors itself: none is served
+    from integrals an earlier test left in the process-wide memo."""
+    _integral_memo.clear()

@@ -10,7 +10,7 @@ from qpdiff.contour import contour_point
 from qpdiff.errors import QpdiffError
 from qpdiff.farfield import AnsatzEvaluator, make_incidence
 from qpdiff.quadrature import QuadratureConfig
-from qpdiff.whfactor import FactorLabel, continue_factor
+from qpdiff.whfactor import FactorLabel, _integral_memo, continue_factor
 
 
 class TestParsers:
@@ -65,6 +65,7 @@ class TestFactorCommand:
             assert rc == 0
             out = capsys.readouterr().out
             printed = out.split("=")[1].split("[")[0].strip()
+            _integral_memo.clear()  # the library integrates again
             lib = continue_factor(FactorLabel(tag),
                                   cli.parse_complex(a1s, contour3),
                                   cli.parse_complex(a2s, contour3),
@@ -109,6 +110,7 @@ class TestDiffcoefCommand:
         assert rc == 0
         rows = out.read_text().strip().split("\n")[1:]
         inc = make_incidence(math.pi / 4, -3 * math.pi / 4, 3.0)
+        _integral_memo.clear()  # the library integrates again
         res = AnsatzEvaluator(inc).arc_sweep(math.pi, 5)
         for row, val in zip(rows, res.values):
             fields = row.split(",")
@@ -167,6 +169,31 @@ def test_non_finite_tolerance_is_usage_error(flag, capsys):
     assert cli.main(["factor", "--label", "pp", "--alpha1", "0.5,0.5",
                      "--alpha2", "1,1", flag]) == 2
     assert "tolerances must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--label", "pp", "--alpha1", "A1:10", "--alpha2=-1.2,0"],
+    ["diffcoef", "--theta0", "pi/4", "--phi0=-3*pi/4", "--phi", "0"],
+    ["portrait", "--function", "k_pp", "--res", "2"],
+], ids=["factor", "diffcoef", "portrait"])
+@pytest.mark.parametrize("k", ["inf", "nan", "-inf", "0"])
+def test_invalid_wavenumber_is_usage_error(argv, k, tmp_path, capsys):
+    if argv[0] != "factor":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv + [f"--k={k}"]) == 2
+    assert "wavenumber must be finite and positive" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_non_finite_shift_is_usage_error(eps, tmp_path, capsys):
+    # a NaN shift once gave all-NaN rows flagged failed, and exit 1
+    out = tmp_path / "arc.csv"
+    assert cli.main(["diffcoef", "--theta0", "pi/4", "--phi0", "pi/8",
+                     "--phi", "0", "--n-theta", "3", f"--eps-shift={eps}",
+                     "--out", str(out)]) == 2
+    assert "eps_shift must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_follow_the_umask(tmp_path, capsys):

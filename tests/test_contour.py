@@ -1,5 +1,6 @@
 """Indented contours: parametrisation, side classification, diagnostics."""
 
+import math
 import os
 import subprocess
 import sys
@@ -282,6 +283,12 @@ class TestValidationGate:
             spec = ct.default_contour(k)
             report = ct.validate_contour(spec, k)
             assert report.ok, f"scaled contour failed at k={k}: {report}"
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf, 0.0, -3.0])
+    def test_scaled_constants_need_a_finite_positive_wavenumber(self, k):
+        # k = inf once divided by ratio**4 = 0 (ZeroDivisionError)
+        with pytest.raises(DomainError, match="finite and positive"):
+            ct.scaled_constants(k)
 
     @pytest.mark.parametrize("k", [3.0, 20.0, 30.0, 50.0])
     def test_asymptote_read_at_the_scaled_point(self, k):

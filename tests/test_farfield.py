@@ -13,6 +13,7 @@ from qpdiff import farfield as ff
 from qpdiff.contour import ContourSpec
 from qpdiff.errors import ContourError, DomainError, QuadratureError
 from qpdiff.quadrature import QuadratureConfig
+from qpdiff.whfactor import _integral_memo
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,16 @@ class TestIncidence:
         with pytest.raises(DomainError):
             ff.make_incidence(theta0, phi0, 3.0)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf, 0.0])
+    def test_wavenumber_must_be_finite_and_positive(self, k):
+        with pytest.raises(DomainError, match="finite and positive"):
+            ff.make_incidence(math.pi / 4, -3 * math.pi / 4, k)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_shift_must_be_finite_and_nonnegative(self, eps):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            ff.make_incidence(math.pi / 4, math.pi / 8, 3.0, eps_shift=eps)
+
     def test_observation_ranges(self):
         with pytest.raises(DomainError):
             ff.Observation(theta=math.pi / 2 + 0.01, phi=0.0)
@@ -106,6 +117,7 @@ class TestCandidate:
 
     def test_matches_functional_form(self, inc12):
         val_a = ff.radlow_fpp(0.5 + 0.5j, 0.7 + 0.2j, inc12)
+        _integral_memo.clear()  # both forms integrate
         ev = ff.AnsatzEvaluator(inc12)
         val_b = ev.fpp(0.5 + 0.5j, 0.7 + 0.2j)
         assert val_a == pytest.approx(val_b, rel=1e-12)
@@ -196,6 +208,7 @@ def test_diffraction_is_k_invariant(k, phi, theta):
     assume(min(abs(obs.xi + inc3.xi0), abs(obs.eta + inc3.eta0)) >= 0.05)
     inc = ff.make_incidence(math.pi / 4, -3 * math.pi / 4, k)
     got = ff.AnsatzEvaluator(inc).diffraction(obs)
+    _integral_memo.clear()  # at k = 3 the same integrals again
     want = ff.AnsatzEvaluator(inc3).diffraction(obs)
     assert got.flag == want.flag
     assert abs(got.value - want.value) <= 5e-14 * abs(want.value)
@@ -222,6 +235,7 @@ class TestArcSweep:
         ev_a = ff.AnsatzEvaluator(inc12)
         ev_b = ff.AnsatzEvaluator(inc12)
         res1 = ev_a.arc_sweep(2.0, 9, workers=1)
+        _integral_memo.clear()
         res2 = ev_b.arc_sweep(2.0, 9, workers=3)
         assert np.array_equal(res1.values, res2.values)
         assert res1.flags == res2.flags
@@ -270,17 +284,20 @@ class TestFunctionalWrappers:
     def test_diffraction_coefficient_function(self, inc12):
         obs = ff.Observation(theta=0.6, phi=math.pi)
         point = ff.diffraction_coefficient(obs, inc12)
+        _integral_memo.clear()  # both forms integrate
         ev_val = ff.AnsatzEvaluator(inc12).diffraction(obs)
         assert point.value == pytest.approx(ev_val.value, rel=1e-12)
         assert point.flag == ev_val.flag
 
     def test_arc_sweep_function(self, inc12):
         res = ff.arc_sweep(inc12, 2.0, 5)
+        _integral_memo.clear()  # both forms integrate
         ev_res = ff.AnsatzEvaluator(inc12).arc_sweep(2.0, 5)
         assert np.allclose(res.values, ev_res.values, rtol=1e-12)
 
     def test_compatibility_residual_function(self, inc12):
         val = ff.compatibility_residual(0.5 + 0.8j, 1.0 + 0.5j, inc12)
+        _integral_memo.clear()  # both forms integrate
         ev_val = ff.AnsatzEvaluator(inc12).compatibility_residual(
             0.5 + 0.8j, 1.0 + 0.5j)
         assert val == pytest.approx(ev_val, rel=1e-12)
@@ -306,6 +323,7 @@ class TestArcBatch:
     @staticmethod
     def assert_rows_match(ev_arc, ev_rows, phi, n):
         res = ev_arc.arc_sweep(phi, n)
+        _integral_memo.clear()  # the rows alone integrate again
         for theta, value, flag in zip(res.thetas, res.values, res.flags):
             point = ev_rows.diffraction(ff.Observation(theta=float(theta),
                                                        phi=phi))

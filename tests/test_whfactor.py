@@ -1,5 +1,8 @@
 """Cauchy machinery and quarter factors against closed-form oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 
 from qpdiff import specfun as sf
 from qpdiff import whfactor as wf
-from qpdiff.contour import ShiftedContour, contour_point, distance_to_contour
+from qpdiff.contour import (ShiftedContour, contour_point, contour_projection,
+                            distance_to_contour)
 from qpdiff.errors import BranchCrossingError, DomainError, WindingError
 
 
@@ -191,6 +195,7 @@ class TestContinuation:
     def test_dispatch_matches_direct_in_natural_domain(self, contour3, cfg, k3):
         a1, a2 = 0.8 + 0.9j, 1.0 + 1.2j
         direct = wf.quarter_factor(wf.PP, a1, a2, k3, contour3, cfg)
+        wf._integral_memo.clear()  # the dispatch integrates again
         value, route = wf.continue_factor(wf.PP, a1, a2, k3, contour3, cfg,
                                           with_route=True)
         assert route == "direct"
@@ -302,6 +307,7 @@ def test_crossing_track_raises_inside_a_batch(contour3, cfg, k3):
     clear = [0, 2, 3]
     wf._quarter_batch(ones[clear], ones[clear], a1[clear], a2[clear],
                       s2[clear], gap2[clear], k3, contour3, cfg)
+    wf._integral_memo.clear()  # the batch integrates the clear tracks too
     with pytest.raises(BranchCrossingError, match="crossed"):
         wf._quarter_batch(ones, ones, a1, a2, s2, gap2, k3, contour3, cfg)
 
@@ -341,6 +347,7 @@ class TestBatch:
         label = wf.FactorLabel(tag)
         a1, a2 = self.pairs(label, contour3, k3)
         batch = wf.quarter_factor(label, a1, a2, k3, contour3, cfg)
+        wf._integral_memo.clear()  # the pairs alone integrate again
         for j in range(a2.size):
             one = wf.quarter_factor(label, a1[j], a2[j], k3, contour3, cfg)
             assert abs(batch[j] - one) <= 1e-13 * abs(one)
@@ -381,6 +388,7 @@ class TestBatch:
         shared = sum(entries)
         refined.clear()
         entries.clear()
+        wf._integral_memo.clear()  # the pairs alone integrate again
         for j in range(a1.size):
             part = slice(j, j + 1)
             one = wf._quarter_batch(sign1[part], side2[part], a1[part],
@@ -405,11 +413,153 @@ class TestBatch:
         a1, a2 = np.concatenate(a1), np.concatenate(a2)
         values, routes = wf._continued(labels, a1, a2, k3, contour3, cfg)
         assert set(routes) == {0, 1, 2, 3}
+        wf._integral_memo.clear()  # the points alone integrate again
         for j, label in enumerate(labels):
             one, route = wf.continue_factor(label, a1[j], a2[j], k3, contour3,
                                             cfg, with_route=True)
             assert route == wf._ROUTES[routes[j]]
             assert abs(values[j] - one) <= 1e-13 * abs(one)
+
+
+class TestIntegralMemo:
+    """Each quarter-factor integral is taken once per process."""
+
+    memo = wf._integral_memo
+
+    @staticmethod
+    def batch_of(points, contour, k, cfg, eps=None):
+        # K_pp at (a1, a2) pairs, through _quarter_batch
+        a1, a2 = (np.array(p, dtype=np.complex128) for p in zip(*points))
+        s2, gap2 = contour_projection(contour, a2)
+        ones = np.ones(a1.size, dtype=int)
+        return wf._quarter_batch(ones, ones, a1, a2, s2, gap2, k, contour,
+                                 cfg, eps)
+
+    def test_four_labels_at_a_point_take_one_integral(self, monkeypatch,
+                                                      contour3, cfg, k3):
+        # off both contours every label needs the integral of the label
+        # of the point's own sides: one integral, asked for one or four
+        # labels at a time
+        a1, a2 = 0.8 + 0.9j, 1.0 - 1.2j
+        for label in wf.ALL_LABELS:  # the branch constants, measured apart
+            wf.continuation_constant(label, k3, contour3, cfg)
+        integrals = []
+        original = wf.integrate_over_shifted
+
+        def spy(integrand, shifted, *args, **kwargs):
+            integrals.append(len(shifted))
+            return original(integrand, shifted, *args, **kwargs)
+
+        monkeypatch.setattr(wf, "integrate_over_shifted", spy)
+        self.memo.clear()
+        values = [wf.continue_factor(label, a1, a2, k3, contour3, cfg)
+                  for label in wf.ALL_LABELS]
+        assert integrals == [1]
+        assert (self.memo.misses, self.memo.hits) == (1, 3)
+        self.memo.clear()
+        batch, routes = wf._continued(list(wf.ALL_LABELS), np.full(4, a1),
+                                      np.full(4, a2), k3, contour3, cfg)
+        assert integrals == [1, 1] and set(routes) == {0, 1, 2, 3}
+        assert batch.tobytes() == np.array(values).tobytes()
+
+    def test_warm_values_equal_cold_values(self, contour3, cfg, k3):
+        labels, a1, a2 = [], [], []
+        for label in wf.ALL_LABELS:
+            p1, p2 = TestBatch.pairs(label, contour3, k3)
+            labels += [label] * 6
+            a1.append(p1[:6])
+            a2.append(p2[:6])
+        a1, a2 = np.concatenate(a1), np.concatenate(a2)
+        cold, _ = wf._continued(labels, a1, a2, k3, contour3, cfg)
+        misses = self.memo.misses
+        warm, _ = wf._continued(labels, a1, a2, k3, contour3, cfg)
+        assert self.memo.misses == misses and self.memo.hits >= a1.size
+        assert warm.tobytes() == cold.tobytes()
+        self.memo.clear()
+        again, _ = wf._continued(labels[::-1], a1[::-1], a2[::-1], k3,
+                                 contour3, cfg)
+        assert again[::-1].tobytes() == cold.tobytes()
+
+    def test_every_input_of_an_integral_is_in_its_key(self, contour3, cfg, k3):
+        # a change in any of them is a miss; so is a zero's sign
+        from qpdiff.contour import default_contour
+        point = [(0.8 + 0.9j, 1.0 + 1.2j)]
+        self.batch_of(point, contour3, k3, cfg)
+        variants = [
+            lambda: self.batch_of(point, contour3, k3, cfg.with_(rel_tol=1e-9)),
+            lambda: self.batch_of(point, contour3, k3, cfg, eps=0.05),
+            lambda: self.batch_of(point, contour3, 3.5, cfg),
+            lambda: self.batch_of(point, default_contour(3.5), k3, cfg),
+            lambda: self.batch_of([(0.8 + 0.9j, 1.1 + 1.2j)], contour3, k3, cfg),
+            lambda: self.batch_of([(complex(0.0, 0.9), 1.2j)], contour3, k3, cfg),
+            lambda: self.batch_of([(complex(-0.0, 0.9), 1.2j)], contour3, k3, cfg),
+            lambda: self.batch_of([(0.9j, complex(-0.0, 1.2))], contour3, k3, cfg),
+        ]
+        for n, variant in enumerate(variants, start=2):
+            variant()
+            assert self.memo.misses == len(self.memo.values) == n
+        for n, variant in enumerate(variants, start=2):
+            variant()
+        assert self.memo.misses == len(self.memo.values) == 1 + len(variants)
+
+    def test_a_raising_batch_stores_nothing(self, contour3, cfg, k3):
+        # K_pp's track at alpha1 = -5 - 2i crosses its cut (see
+        # test_crossing_track_raises_inside_a_batch)
+        a1 = [0.5 + 0.3j, -5.0 - 2.0j, 1.5 + 1.0j, 2.0 + 0.2j]
+        a2 = contour_point(contour3, np.array([1.0, 1.0, -2.0, 3.0])) + 0.7j
+        for attempt in (1, 2):
+            with pytest.raises(BranchCrossingError, match="crossed"):
+                self.batch_of(list(zip(a1, a2)), contour3, k3, cfg)
+            assert not self.memo.values and self.memo.misses == 4 * attempt
+        clear = [0, 2, 3]
+        self.batch_of([(a1[j], a2[j]) for j in clear], contour3, k3, cfg)
+        assert self.memo.misses == 8 + len(clear)
+
+    def test_the_memo_keeps_at_most_its_cap(self, monkeypatch, contour3, cfg,
+                                            k3):
+        # the oldest values go first: the batch's last three stay
+        monkeypatch.setattr(self.memo, "cap", 3)
+        points = [(0.8 + 0.9j, contour_point(contour3, s) + 1.2j)
+                  for s in (-2.0, -1.0, 0.5, 1.5, 2.5)]
+        values = self.batch_of(points, contour3, k3, cfg)
+        assert len(self.memo.values) == 3 and self.memo.misses == 5
+        for j in (4, 3, 2):
+            assert self.batch_of(points[j:j + 1], contour3, k3, cfg) == values[j]
+        assert self.memo.misses == 5 and self.memo.hits == 3
+        assert self.batch_of(points[:1], contour3, k3, cfg) == values[0]
+        assert self.memo.misses == 6 and len(self.memo.values) == 3
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores, a short switch interval and a cap that
+        # evicts in most lookups: every value is its key's, no lookup
+        # raises and no count is lost
+        memo = wf._IntegralMemo(4)
+        names = [("key", n) for n in range(8)]
+        errors = []
+
+        def work(seed):
+            try:
+                for draw in np.random.default_rng(seed).integers(0, 8, (3000, 3)):
+                    keys = [names[n] for n in draw]
+                    values = memo.lookup(keys, lambda pos, keys=keys: np.array(
+                        [keys[p][1] for p in pos], dtype=np.complex128))
+                    assert np.array_equal(values, draw)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert memo.hits + memo.misses == 4 * 3000 * 3
+        assert len(memo.values) <= 4
 
 
 @pytest.mark.parametrize("k", [1.0, 3.0, 10.0])

@@ -191,8 +191,13 @@ def _solve_projection(spec: ContourSpec, x):
     s_out = np.empty(x.shape)
     pts = np.empty(x.shape, dtype=np.complex128)
     for _ in range(_NEWTON_MAXIT):
-        p = contour_point(spec, s)
-        d = contour_derivative(spec, s)
+        # contour_point and contour_derivative, term for term, s^4 formed once
+        s4 = np.square(s * s)
+        q = s4 + spec.c
+        if (spec.a * q == 0).any():
+            raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
+        p = s + s / (spec.a * q)
+        d = 1.0 + (spec.c - 3.0 * s4) / (spec.a * q ** 2)
         f = p.real - x
         below = f < 0.0
         lo = np.where(below, s, lo)
@@ -372,7 +377,10 @@ def validate_contour(spec: ContourSpec, k: float, scan_n: int = 120,
     s = +-10^3 k / K_REF, the same point of every similarity-scaled
     contour; Re-monotonicity (sampled, not proven); indentation above
     -k / below +k; the sign-compatibility scan; the loci clearance.
+    A wavenumber that is not finite and positive is a ``DomainError``.
     """
+    if not 0 < k < np.inf:
+        raise DomainError("wavenumber must be finite and positive")
     passes_origin = contour_point(spec, 0.0) == 0.0
     big = 1e3 * k / K_REF
     rel = max(abs(contour_point(spec, sgn * big) - sgn * big) / big for sgn in (-1, 1))

@@ -77,7 +77,9 @@ def _grid_mesh(targets, k: float, h: float):
         edges.append(sign * np.array(walk))
     big = max(abs(edges[1][-1]), edges[2][-1])
     edges.append(big * np.array([-2.0, -1.0, 1.0, 2.0]))
-    return np.unique(np.concatenate(edges))
+    # np.unique's result, without its first-call import of numpy.ma
+    edges = np.sort(np.concatenate(edges))
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _sample_density(label: FactorLabel, alpha1: complex, k: float,

@@ -175,8 +175,11 @@ def test_non_finite_tolerance_is_usage_error(flag, capsys):
     ["factor", "--label", "pp", "--alpha1", "A1:10", "--alpha2=-1.2,0"],
     ["diffcoef", "--theta0", "pi/4", "--phi0=-3*pi/4", "--phi", "0"],
     ["portrait", "--function", "k_pp", "--res", "2"],
-], ids=["factor", "diffcoef", "portrait"])
-@pytest.mark.parametrize("k", ["inf", "nan", "-inf", "0"])
+    # explicit constants skip scaled_constants: the contour gate checks k
+    ["factor", "--label", "pp", "--alpha1", "0.5,0.5", "--alpha2=-1.2,0",
+     "--contour-a", "0.0012+0.0006j", "--contour-c", "1000j"],
+], ids=["factor", "diffcoef", "portrait", "factor-explicit-contour"])
+@pytest.mark.parametrize("k", ["inf", "nan", "-inf", "0", "-3"])
 def test_invalid_wavenumber_is_usage_error(argv, k, tmp_path, capsys):
     if argv[0] != "factor":
         argv = argv + ["--out", str(tmp_path / "out")]

@@ -1,6 +1,9 @@
 """Grid evaluation of quarter factors: mesh levels, mesh extent, guards."""
 
 import collections
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +131,45 @@ def test_mesh_spans_window_and_indentation(k3, re_lo, re_hi):
     uniform = edges[(edges >= lo) & (edges <= hi)]
     assert uniform[0] == lo and uniform[-1] == hi
     assert np.diff(uniform).max() <= h * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("re_lo, re_hi", [(22.0, 28.0), (-28.0, -25.0),
+                                          (-6.0, 6.0), (5.0, 5.0)])
+def test_mesh_equals_unique_of_its_edges(monkeypatch, k3, re_lo, re_hi):
+    # the walks start on the uniform part's end points, so equal edges
+    # are always there to drop
+    seen = []
+    original = np.sort
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.copy())
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    edges = ge._grid_mesh(np.array([re_lo, re_hi]), k3, 0.05)
+    monkeypatch.undo()
+    assert len(seen) == 1 and seen[0].size > edges.size
+    want = np.unique(seen[0])
+    assert edges.dtype == want.dtype and edges.tobytes() == want.tobytes()
+
+
+def test_portrait_job_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, inside the timed job
+    script = (
+        "import sys\n"
+        "from qpdiff import contour, portrait\n"
+        "spec = contour.default_contour(3.0)\n"
+        "p = portrait.PortraitSpec(window=(-6, 6, -6, 6), resolution=(20, 20),\n"
+        "    function='k_pp', params=(('k', 3.0),\n"
+        "    ('alpha1', contour.contour_point(spec, 10.0))))\n"
+        "portrait.render(p, contour=spec)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_product_rule_on_curved_panel():

@@ -75,7 +75,13 @@ def contour_point(spec: ContourSpec, s):
     s = np.asarray(s, dtype=np.float64)
     if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
-    denom = spec.a * (np.square(s * s) + spec.c)  # s^4 as the complex power gives
+    # s^4 as the complex power gives.  Every factor of a product with a
+    # complex constant is named: numpy computes ``a * temporary`` in
+    # place as ``temporary * a`` once the temporary holds 256 KiB, which
+    # rounds differently, so a point would move in the last bit with the
+    # size of its batch
+    q = np.square(s * s) + spec.c
+    denom = spec.a * q
     if (denom == 0).any():
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
     out = s + s / denom
@@ -88,7 +94,8 @@ def contour_derivative(spec: ContourSpec, s):
     if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
     s4 = np.square(s * s)
-    denom = spec.a * (s4 + spec.c) ** 2
+    q2 = (s4 + spec.c) ** 2  # named, as in contour_point
+    denom = spec.a * q2
     if (denom == 0).any():
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
     out = 1.0 + (spec.c - 3.0 * s4) / denom
@@ -191,13 +198,16 @@ def _solve_projection(spec: ContourSpec, x):
     s_out = np.empty(x.shape)
     pts = np.empty(x.shape, dtype=np.complex128)
     for _ in range(_NEWTON_MAXIT):
-        # contour_point and contour_derivative, term for term, s^4 formed once
+        # contour_point and contour_derivative, term for term, s^4 formed
+        # once and every factor of a product with a constant named
         s4 = np.square(s * s)
         q = s4 + spec.c
-        if (spec.a * q == 0).any():
+        aq = spec.a * q
+        if (aq == 0).any():
             raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
-        p = s + s / (spec.a * q)
-        d = 1.0 + (spec.c - 3.0 * s4) / (spec.a * q ** 2)
+        p = s + s / aq
+        q2 = q ** 2
+        d = 1.0 + (spec.c - 3.0 * s4) / (spec.a * q2)
         f = p.real - x
         below = f < 0.0
         lo = np.where(below, s, lo)

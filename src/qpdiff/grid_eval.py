@@ -9,9 +9,10 @@ a composite GK15 mesh (uniform across the window's parameter range and
 the indentation, a short geometric walk on each side, then one panel
 over each whole tail in the mapped coordinate of ``quadrature``, so
 nothing is cut off) and the per-pixel sums go to
-the numpy kernel ``cauchy_pair_sums`` through ``_close_pair_sums``.  The
-rest of the formula comes from the ``whfactor`` helpers that the
-adaptive ``quarter_factor`` uses.
+the kernel ``cauchy_pair_sums`` through ``_close_pair_sums``; the kernel
+sums the nodes near a pixel's lattice box directly and the far ones
+through the box's local expansion.  The rest of the formula comes from
+the ``whfactor`` helpers that the adaptive ``quarter_factor`` uses.
 
 Meshes are taken coarse to fine: each pixel keeps the first mesh whose
 Kronrod and Gauss sums agree, and only the pixels still pending are

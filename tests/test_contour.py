@@ -67,6 +67,26 @@ class TestParametrisation:
                 for arg in (float(v), np.float64(v), np.array(v)):
                     assert bits(mine(spec, arg)) == bits(ref(arg))
 
+    def test_batches_of_any_size_round_alike(self, contour3, rng):
+        # numpy computes a product with a temporary of 256 KiB or more in
+        # place, with its operands swapped; no entry may feel that
+        s = rng.uniform(-300.0, 300.0, 60000)
+
+        def bits_by_thousands(f):
+            return np.concatenate([f(s[i:i + 1000])
+                                   for i in range(0, s.size, 1000)]).tobytes()
+
+        for f in (ct.contour_point, ct.contour_derivative):
+            assert (f(contour3, s).tobytes()
+                    == bits_by_thousands(lambda part: f(contour3, part)))
+        x = np.sort(rng.uniform(-30.0, 30.0, 60000))
+        whole = np.concatenate(ct._solve_projection(contour3, x))
+        parts = [ct._solve_projection(contour3, x[i:i + 1000])
+                 for i in range(0, x.size, 1000)]
+        assert whole.tobytes() == np.concatenate(
+            [np.concatenate([p[0] for p in parts]),
+             np.concatenate([p[1] for p in parts])]).tobytes()
+
     def test_degenerate_constants_rejected(self):
         # real negative c puts a zero of a(s^4+c) on the real parameter line
         spec = ct.ContourSpec(a=0.0012, c=-1.0)

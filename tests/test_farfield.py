@@ -363,6 +363,12 @@ class TestArcBatch:
             assert res.flags[row] == "near_pole" and np.isnan(res.values[row])
             assert np.isfinite(np.delete(res.values, row)).all()
 
+    def test_long_arc_rows_match_rows_alone(self, inc12):
+        # the README's 101-row arcs sample the contour in batches of more
+        # than 16,384 points, which must round as a row's batch alone does
+        self.assert_rows_match(ff.AnsatzEvaluator(inc12),
+                               ff.AnsatzEvaluator(inc12), math.pi / 2, 101)
+
     def test_failed_rows_match_rows_alone(self, inc12):
         cfg = QuadratureConfig(max_subdivisions=1)
         res = self.assert_rows_match(ff.AnsatzEvaluator(inc12, cfg=cfg),

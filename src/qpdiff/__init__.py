@@ -26,9 +26,7 @@ from .errors import (BranchCrossingError, ContinuationError, ContourError,
                      DomainError, NonFiniteInputError, OnBranchCutError,
                      QpdiffError, QuadratureError, WindingError)
 from .farfield import (AnsatzEvaluator, ArcSweepResult, Incidence,
-                       Observation, arc_sweep, compatibility_residual,
-                       diffraction_coefficient, g_pp, make_incidence,
-                       radlow_fpp)
+                       Observation, g_pp, make_incidence)
 from .portrait import PortraitSpec, render, write_image
 from .quadrature import QuadratureConfig
 from .specfun import (big_k, diag_log, fourth_root_down, gamma_fn,
@@ -59,8 +57,7 @@ __all__ = [
     "cauchy_split", "cauchy_factorize", "quarter_factor", "continue_factor",
     # far field
     "Incidence", "Observation", "ArcSweepResult", "AnsatzEvaluator",
-    "make_incidence", "g_pp", "radlow_fpp", "compatibility_residual",
-    "diffraction_coefficient", "arc_sweep",
+    "make_incidence", "g_pp",
     # portraits
     "PortraitSpec", "render", "write_image",
 ]

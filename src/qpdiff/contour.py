@@ -279,16 +279,6 @@ def classify_side(spec: ContourSpec, z: complex, tol: float = SIDE_TOL) -> str:
     return _SIDE_NAME[side_sign(spec, complex(z), tol)]
 
 
-def distance_to_contour(spec: ContourSpec, z):
-    """Vertical distance ``|Im z - Im A(s*)|`` from ``z`` to the contour.
-
-    The contour graph has bounded slope for valid constants, so the
-    vertical gap at the Re-projection is an adequate proxy for the true
-    distance wherever the quadrature guard needs it.
-    """
-    return np.abs(contour_projection(spec, z)[1])
-
-
 # --------------------------------------------------------------------------
 # diagnostics
 # --------------------------------------------------------------------------
@@ -424,9 +414,8 @@ def default_shift(k: float, distance: float, floor: float = 1e-3) -> float:
     """Shift magnitude for the Cauchy contours serving a given target.
 
     Takes the smaller of 0.05 k (strip safety) and a ninth of the
-    target's ``distance`` to the base contour (``distance_to_contour``),
-    so that the target stays at least ten shifts away from the shifted
-    contour; clamped below at ``floor``.  Callers re-halve it for the
-    shift-independence check.
+    target's ``distance`` to the base contour (the absolute gap that
+    ``contour_projection`` returns), so that the target stays at least
+    ten shifts away from the shifted contour; clamped below at ``floor``.
     """
     return float(max(floor, min(0.05 * k, distance / 9.0)))

@@ -83,11 +83,6 @@ class Incidence:
     def eta0(self) -> float:
         return math.sin(self.theta0) * math.sin(self.phi0)
 
-    @property
-    def is_degenerate(self) -> bool:
-        """Normal incidence: both forcing poles collapse onto the origin."""
-        return self.theta0 == 0.0
-
 
 def make_incidence(theta0: float, phi0: float, k: float,
                    eps_shift: float | None = None) -> Incidence:
@@ -185,10 +180,6 @@ class ArcSweepResult:
                 f"{val.imag:.17e},{flag}"
             )
         write_atomic(path, ("\n".join(lines) + "\n").encode())
-
-    @property
-    def all_ok(self) -> bool:
-        return all(f == "ok" for f in self.flags)
 
 
 class AnsatzEvaluator:
@@ -333,33 +324,3 @@ class AnsatzEvaluator:
         return ArcSweepResult(incidence=self.inc, phi=phi, thetas=thetas,
                               values=values, flags=flags, meta=meta)
 
-
-def radlow_fpp(alpha1, alpha2, inc: Incidence,
-               cfg: QuadratureConfig | None = None,
-               contour: ContourSpec | None = None) -> complex:
-    """Functional form of the (++) candidate for one-off evaluations."""
-    return AnsatzEvaluator(inc, contour=contour, cfg=cfg).fpp(alpha1, alpha2)
-
-
-def compatibility_residual(alpha1, alpha2, inc: Incidence,
-                           cfg: QuadratureConfig | None = None,
-                           contour: ContourSpec | None = None) -> complex:
-    """Functional form of the compatibility residual."""
-    ev = AnsatzEvaluator(inc, contour=contour, cfg=cfg)
-    return ev.compatibility_residual(alpha1, alpha2)
-
-
-def diffraction_coefficient(obs: Observation, inc: Incidence,
-                            cfg: QuadratureConfig | None = None,
-                            contour: ContourSpec | None = None) -> PointValue:
-    """Functional form of the diffraction coefficient."""
-    return AnsatzEvaluator(inc, contour=contour, cfg=cfg).diffraction(obs)
-
-
-def arc_sweep(inc: Incidence, phi: float, n_theta: int,
-              cfg: QuadratureConfig | None = None,
-              contour: ContourSpec | None = None,
-              workers: int = 1) -> ArcSweepResult:
-    """Functional form of the arc sweep; ``workers`` is ignored, as there."""
-    ev = AnsatzEvaluator(inc, contour=contour, cfg=cfg)
-    return ev.arc_sweep(phi, n_theta, workers=workers)

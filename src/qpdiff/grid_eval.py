@@ -4,26 +4,31 @@ A phase portrait of ``K_label(alpha1*, .)`` needs the factor at every
 pixel of an alpha2 window.  With alpha1 fixed, the expensive part of
 the integrand -- the log density ``diag_log(1 +- alpha1/kappa(k, z))``
 times ``A'(s)`` -- is the same for every pixel; only the Cauchy kernel
-``1/(z - alpha2)`` changes.  So the density is sampled once per mesh on
-a composite GK15 mesh (uniform across the window's parameter range and
-the indentation, a short geometric walk on each side, then one panel
-over each whole tail in the mapped coordinate of ``quadrature``, so
-nothing is cut off) and the per-pixel sums go to
-the kernel ``cauchy_pair_sums`` through ``_close_pair_sums``; the kernel
-sums the nodes near a pixel's lattice box directly and the far ones
-through the box's local expansion.  The rest of the formula comes from
-the ``whfactor`` helpers that the adaptive ``quarter_factor`` uses.
+``1/(z - alpha2)`` changes.  So the density is sampled once per mesh
+level on a composite GK15 mesh and the per-pixel sums go to the kernel
+``cauchy_pair_sums`` through ``_close_pair_sums``; the kernel sums the
+nodes near a pixel's lattice box directly and the far ones through the
+box's local expansion.  The rest of the formula comes from the
+``whfactor`` helpers that the adaptive ``quarter_factor`` uses.
 
-Meshes are taken coarse to fine: each pixel keeps the first mesh whose
-Kronrod and Gauss sums agree, and only the pixels still pending are
-summed on the next finer mesh.  On every mesh, each panel close to a
-pixel has its term replaced by interpolatory product quadrature of the
-sampled density (close evaluation, Helsing & Ojala 2008), so a pixel
-next to the contour settles as early as a far one.  The branch-crossing
-check always runs on the finest mesh.  Only pixels that fail the
-(relaxed) tolerance on the finest mesh, or come out non-finite, are
-computed by the adaptive rule, all in one batch, and pixels where even
-that fails are reported in the mask rather than raising.
+The coarsest mesh comes from ``quadrature._starting_mesh``, the builder
+of the adaptive rule's starting meshes: uniform across the window's
+parameter range and the indentation, a short geometric walk on each
+side, then one panel over each whole tail in the mapped coordinate, so
+nothing is cut off, plus the adaptive rule's breaks where |alpha1| > 4k.
+Each finer level bisects every panel of the one before, walk and tails
+included (``_levels``).  Levels are taken coarse to fine: each pixel
+keeps the first level whose Kronrod and Gauss sums agree, and only the
+pixels still pending are summed on the next.  On every level, each
+panel close to a pixel has its term replaced by interpolatory product
+quadrature of the sampled density (close evaluation, Helsing & Ojala
+2008), so a pixel next to the contour settles as early as a far one.
+The branch-crossing check always runs on the finest level's samples,
+the densest everywhere, even when every pixel settles on a coarser one.
+Only pixels that fail the (relaxed) tolerance on the finest level, or
+come out non-finite, are computed by the adaptive rule, all in one
+batch, and pixels where even that fails are reported in the mask rather
+than raising.
 """
 
 from __future__ import annotations
@@ -33,15 +38,16 @@ import numpy as np
 from ._cauchy_numpy import cauchy_pair_sums
 from .contour import ContourSpec, side_sign
 from .errors import QpdiffError
-from .quadrature import QuadratureConfig, _WG, _WK, _XK, _s_of_u
+from .quadrature import (QuadratureConfig, _WG, _WK, _XK, _s_of_u,
+                         _starting_mesh)
 from .specfun import half_factor
 from .whfactor import (_HALF_CH, FactorLabel, _check_log_track,
-                       _log_density, _quarter_value, _shifted_for,
-                       _split_on_error, quarter_factor)
+                       _hump_breaks, _log_density, _quarter_value,
+                       _shifted_for, _split_on_error, quarter_factor)
 
 
-#: the finest mesh spacing; the coarsest is ``_COARSEST`` times wider
-#: and the levels halve it down to ``_H_FINE``
+#: the finest mesh spacing; the coarsest is ``_COARSEST`` (a power of 2)
+#: times wider and each level halves it down to ``_H_FINE``
 _H_FINE = 0.05
 _COARSEST = 16
 #: shift of the integration contour off the base contour
@@ -53,34 +59,26 @@ _TOL_RELAX = 100.0
 _NEAR = 2.0
 
 
-def _grid_mesh(targets, k: float, h: float):
-    """Panel edges in the mapped coordinate ``u`` of ``quadrature._s_of_u``.
+def _levels(targets, alpha1: complex, k: float):
+    """The panel edges of every mesh level, coarsest first.
 
-    Spacing ``h`` across the targets' Re range and the indentation
-    ``[-(2 + k), 2 + k]``, so no panel bridges it when the window
-    excludes 0.  Each side then walks until an edge reaches twice the
-    largest ``|target|``, growing by 1.7 but by at most ``1.7^n (2 + k)``
-    at step n, so the panels next to a far window stay narrow.  From
-    ``S``, the farther walk end, one panel ``[S, 2S]`` maps each tail.
+    The coarsest is ``quadrature._starting_mesh`` over the targets' Re
+    range with spacing ``_COARSEST * _H_FINE``, reach twice the largest
+    ``|target|`` and the adaptive rule's breaks for a large ``|alpha1|``;
+    each further level bisects every panel of the one before, tails
+    included, down to spacing ``_H_FINE``.
     """
-    pad = 2.0 + k
-    lo = min(targets.real.min() - pad, -pad)
-    hi = max(targets.real.max() + pad, pad)
-    n_uniform = max(8, int(np.ceil((hi - lo) / h)))
-    edges = [np.linspace(lo, hi, n_uniform + 1)]
-    reach = 2.0 * np.abs(targets).max()
-    for sign, e in ((-1.0, -lo), (1.0, hi)):
-        walk = [e]
-        w = 1.7 * pad
-        while walk[-1] < reach:
-            walk.append(min(1.7 * walk[-1], walk[-1] + w))
-            w *= 1.7
-        edges.append(sign * np.array(walk))
-    big = max(abs(edges[1][-1]), edges[2][-1])
-    edges.append(big * np.array([-2.0, -1.0, 1.0, 2.0]))
-    # np.unique's result, without its first-call import of numpy.ma
-    edges = np.sort(np.concatenate(edges))
-    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    edges = _starting_mesh((targets.real.min(), targets.real.max()), k,
+                           _COARSEST * _H_FINE, 2.0 * np.abs(targets).max(),
+                           [_hump_breaks(alpha1, k)])[0]
+    levels = [edges[~np.isnan(edges)]]
+    for _ in range(_COARSEST.bit_length() - 1):
+        coarse = levels[-1]
+        fine = np.empty(2 * coarse.size - 1)
+        fine[::2] = coarse
+        fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+        levels.append(fine)
+    return levels
 
 
 def _sample_density(label: FactorLabel, alpha1: complex, k: float,
@@ -89,7 +87,7 @@ def _sample_density(label: FactorLabel, alpha1: complex, k: float,
 
     Returns ``(z, coef_hi, coef_lo)`` for ``cauchy_pair_sums`` and the
     log density at ``z``.  ``guard`` runs the branch-crossing check on
-    the samples; it is meaningful on the finest mesh only.
+    the samples; it runs on the finest level only.
     """
     lo = edges[:-1]
     hi = edges[1:]
@@ -155,13 +153,13 @@ def _close_pair_sums(nodes, density, ends, targets):
     """``cauchy_pair_sums`` with close evaluation of the near panels.
 
     ``nodes`` and ``density`` hold the GK15 nodes, rule coefficients and
-    density values of consecutive panels: first and last a mapped tail
-    panel, whose far end is at infinity and which is never close, and in
-    between the panels with end points ``ends``.  For every (target,
-    panel) pair of these whose panel coordinate ``u0 = (t - c)/h``
-    (``c``, ``h``: midpoint and half-difference of the panel's end
-    points) has ``|u0| < _NEAR``, the panel's terms in both sums are
-    replaced by ``_product_rule``.  The replaced terms are subtracted
+    density values of consecutive panels: first and last the mapped tail
+    panel whose far end is at infinity, which is never close, and in
+    between the panels with end points ``ends`` on the contour.  For
+    every (target, panel) pair of these whose panel coordinate
+    ``u0 = (t - c)/h`` (``c``, ``h``: midpoint and half-difference of the
+    panel's end points) has ``|u0| < _NEAR``, the panel's terms in both
+    sums are replaced by ``_product_rule``.  The replaced terms are subtracted
     from the kernel's sums, which costs digits only for a target within
     a small fraction of a node spacing of a node; grid targets keep at
     least the shift ``_EPS`` from the integration contour.
@@ -218,18 +216,15 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     redo = np.zeros(flat.shape, dtype=bool)
     shifted = _shifted_for(contour, label.side2, _EPS)
 
-    def mesh(h):
-        return _grid_mesh(flat, k, h)
-
     def pair_rule(edges, sampled, idx):
         """The Kronrod sums at ``flat[idx]`` and their error/tolerance ratios."""
-        i_hi, i_lo = _close_pair_sums(*sampled, shifted.point(edges[1:-1]),
-                                      flat[idx])
+        ends = shifted.point(_s_of_u(edges[1:-1], 0.5 * edges[-1])[0])
+        i_hi, i_lo = _close_pair_sums(*sampled, ends, flat[idx])
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i_hi))
         return i_hi, np.abs(i_hi - i_lo) / tol
 
     def integral(live):
-        fine_edges = mesh(_H_FINE)
+        *coarse, fine_edges = _levels(flat, alpha1, k)
         finest = _sample_density(label, alpha1, k, shifted, fine_edges,
                                  guard=True)
         result = np.full(flat.shape, np.nan, dtype=np.complex128)
@@ -237,15 +232,14 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
         # Coarse meshes hold to the plain tolerance: a pixel they reject
         # only moves on to the next finer mesh.  The relaxed one is for
         # the finest mesh, whose rejects take the adaptive rule.
-        scale = _COARSEST
-        while pending.size and scale > 1:
-            edges = mesh(scale * _H_FINE)
+        for edges in coarse:
+            if not pending.size:
+                break
             i_hi, ratio = pair_rule(edges, _sample_density(
                 label, alpha1, k, shifted, edges, guard=False), pending)
             good = ratio <= 1.0
             result[pending[good]] = i_hi[good]
             pending = pending[~good]
-            scale //= 2
         if pending.size:
             result[pending], ratio = pair_rule(fine_edges, finest, pending)
             redo[pending] = ratio > _TOL_RELAX

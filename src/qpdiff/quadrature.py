@@ -10,16 +10,16 @@ finite interval by ``s = sign(u) S^2 / (2S - |u|)``, ``ds/du = s^2/S^2``
 composite (G7, K15) pair rule on a panel mesh, refined by bisecting the
 panels carrying the largest error estimates, with all panels of a
 refinement round, for every integral of a batch, evaluated in one
-vectorised call.  One builder (``_batch_edges``) lays out the starting
-meshes of a whole batch with one sort.  The integrand runs in two
-stages: a node stage (the contour point and slope, and what the caller
-derives from them alone) once per distinct panel of integrals that
-share it, and a member stage once per integral.
+vectorised call.  One builder (``_starting_mesh``) lays out the
+starting meshes of both engines: a batch's rows here, with one sort, and
+the coarsest mesh of ``grid_eval``, whose finer levels bisect it.  The
+integrand runs in two stages: a node stage (the contour point and slope,
+and what the caller derives from them alone) once per distinct panel of
+integrals that share it, and a member stage once per integral.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +65,6 @@ class QuadratureConfig:
             raise DomainError("quadrature tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
-
-    def with_(self, **kw) -> "QuadratureConfig":
-        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -141,18 +138,33 @@ def _u_of_s(s, big: float):
                     np.sign(s) * (2.0 * big - big * big / np.maximum(mag, big)), s)
 
 
-def _batch_edges(scale: float, breaks):
-    """Starting meshes of a batch, row ``j`` for the integral with ``breaks[j]``.
+def _starting_mesh(span, scale: float, h: float, reach: float, breaks):
+    """The starting mesh of both engines, a row per break set of ``breaks``.
 
-    Rows are mapped coordinates with ``S = 4 scale`` (``_s_of_u``).  Each
-    joins the base mesh (fine through the indentation of feature size
-    ``scale``, one panel over each tail ``|s| > S``) to its breaks,
-    mapped; after one sort, repeated edges become NaN.
+    Edges are mapped coordinates ``u`` (``_s_of_u``): spacing at most
+    ``h`` across the parameter range ``span`` and the indentation
+    ``[-(2 + scale), 2 + scale]``; then a walk on each side until an edge
+    reaches ``reach``, growing by 1.7 but by at most ``1.7^n (2 + scale)``
+    at step n, so the panels next to a far span stay narrow; from ``S``,
+    the farther walk end, one panel ``[S, 2S]`` maps each tail.  Row
+    ``j`` joins these to ``breaks[j]`` (values of ``s``), mapped; after
+    one sort, repeated edges become NaN.
     """
-    pts = scale * np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0,
-                            3.0, 4.0, 8.0])
-    rows = _u_of_s(_padded(breaks), 4.0 * scale)
-    edges = np.hstack([np.tile(np.append(-pts[::-1], pts[1:]), (len(rows), 1)), rows])
+    pad = 2.0 + scale
+    lo = min(span[0] - pad, -pad)
+    hi = max(span[1] + pad, pad)
+    edges = [np.linspace(lo, hi, max(8, int(np.ceil((hi - lo) / h))) + 1)]
+    for sign, e in ((-1.0, -lo), (1.0, hi)):
+        walk = [e]
+        w = 1.7 * pad
+        while walk[-1] < reach:
+            walk.append(min(1.7 * walk[-1], walk[-1] + w))
+            w *= 1.7
+        edges.append(sign * np.array(walk))
+    big = max(-edges[1][-1], edges[2][-1])
+    edges.append(big * np.array([-2.0, -1.0, 1.0, 2.0]))
+    rows = _u_of_s(_padded(breaks), big)
+    edges = np.hstack([np.tile(np.concatenate(edges), (len(rows), 1)), rows])
     edges.sort(axis=1)
     edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
     return edges
@@ -241,9 +253,11 @@ def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
     """Integrate ``integrand(z) dz`` along a shifted contour, or many.
 
     The parametrised form ``integrand(A(s) + i offset) A'(s) ds``, with
-    ``s = s(u)`` the whole real line (``_s_of_u``, ``S = 4 scale``), is
-    fed to the adaptive engine over ``u``; ``inner_breaks`` are values of
-    ``s``.
+    ``s = s(u)`` the whole real line (``_s_of_u``), is fed to the
+    adaptive engine over ``u``.  Every integral starts on the mesh of
+    ``_starting_mesh`` with span 0, spacing ``scale / 4`` or
+    ``(2 + scale) / 7``, the wider, and reach ``4 scale``, whose tail
+    panel fixes ``S``, joined to its ``inner_breaks`` (values of ``s``).
 
     A batch passes a sequence of ``ShiftedContour``s of one base contour
     and a break set for each; ``integrand(z, owner)`` then also gets the
@@ -273,12 +287,17 @@ def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
         node, member = integrand
         rep = first[back] if first.size < m else None
 
+    # spacing scale / 4, but no finer than a seventh of the indentation's
+    # half-width 2 + scale, whose absolute margin is wide for a small scale
+    h = max(0.25 * scale, (2.0 + scale) / 7.0)
+    edges = _starting_mesh((0.0, 0.0), scale, h, 4.0 * scale, inner_breaks)
+    big = 0.5 * np.nanmax(edges)
+
     def nodes(u, j):
-        s, ds_du = _s_of_u(u, 4.0 * scale)
+        s, ds_du = _s_of_u(u, big)
         return node(contour_point(spec, s) + 1j * offset[j],
                     contour_derivative(spec, s) * ds_du, j)
 
-    value, err, n_evals, n_panels = _refine(
-        (nodes, member, rep), _batch_edges(scale, inner_breaks), cfg)
+    value, err, n_evals, n_panels = _refine((nodes, member, rep), edges, cfg)
     return QuadResult(value=value, error=err, n_evals=int(n_evals.sum()),
                       n_panels=int(n_panels.sum()))

@@ -115,6 +115,11 @@ def _pairs(alpha1, alpha2):
     return a1.ravel(), a2.ravel(), a1.shape
 
 
+def _hump_breaks(a1, k: float):
+    """Panel breaks (values of ``s``) for ``|a1| > 4k``, else none."""
+    return abs(a1) * _HUMP if abs(a1) > 4.0 * k else ()
+
+
 def _shifted_for(contour: ContourSpec, side2: int, eps: float) -> ShiftedContour:
     """The integration contour serving an alpha2 half-plane: opposite shift."""
     return ShiftedContour(contour, -eps if side2 > 0 else +eps)
@@ -369,8 +374,7 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
     def integrate(idx):
         shifted = [_shifted_for(contour, side2[j], default_shift(
             k, abs(gap2[j])) if eps is None else eps) for j in idx]
-        humps = [abs(a1[j]) * _HUMP if abs(a1[j]) > 4.0 * k else ()
-                 for j in idx]
+        humps = [_hump_breaks(a1[j], k) for j in idx]
         samples = []
 
         def node(z, j):

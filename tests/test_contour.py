@@ -209,7 +209,7 @@ class TestProjection:
 
     def test_distance_is_absolute_gap(self, contour3):
         z = ct.contour_point(contour3, 1.3) - 0.25j
-        assert ct.distance_to_contour(contour3, z) == pytest.approx(0.25, abs=1e-12)
+        assert abs(ct.contour_projection(contour3, z)[1]) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestSignScan:
@@ -342,7 +342,7 @@ class TestValidationGate:
 def test_default_shift_rule(contour3, k3):
     # far targets: capped at 0.05 k; near targets: distance/9, floored at 1e-3
     def shift(target):
-        return ct.default_shift(k3, ct.distance_to_contour(contour3, target))
+        return ct.default_shift(k3, abs(ct.contour_projection(contour3, target)[1]))
 
     far = shift(20.0 + 5.0j)
     assert far == pytest.approx(0.05 * k3)

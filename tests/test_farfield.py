@@ -44,7 +44,7 @@ class TestIncidence:
     def test_normal_incidence_degenerate(self):
         inc = ff.make_incidence(0.0, 0.0, 3.0)
         assert inc.a1 == 0 and inc.a2 == 0 and inc.a3 == 3.0
-        assert inc.is_degenerate
+        assert inc.xi0 == 0.0 and inc.eta0 == 0.0  # both poles at the origin
 
     def test_pythagoras_before_shift(self, rng):
         for _ in range(20):
@@ -114,13 +114,6 @@ class TestCandidate:
                   for d in (1e-2, 1e-3)]
         assert scaled[0] == pytest.approx(scaled[1], rel=0.05)
         assert scaled[1] > 0
-
-    def test_matches_functional_form(self, inc12):
-        val_a = ff.radlow_fpp(0.5 + 0.5j, 0.7 + 0.2j, inc12)
-        _integral_memo.clear()  # both forms integrate
-        ev = ff.AnsatzEvaluator(inc12)
-        val_b = ev.fpp(0.5 + 0.5j, 0.7 + 0.2j)
-        assert val_a == pytest.approx(val_b, rel=1e-12)
 
 
 class TestResidual:
@@ -227,7 +220,7 @@ class TestArcSweep:
 
     def test_oasis_arc_all_ok(self, ev12):
         res = ev12.arc_sweep(math.pi, 21)
-        assert res.all_ok
+        assert all(f == "ok" for f in res.flags)
         assert (np.max(np.abs(res.values.real))
                 / np.max(np.abs(res.values.imag))) < 1e-3
 
@@ -278,29 +271,6 @@ class TestShiftRobustness:
             va = ev_a.diffraction(obs).value
             vb = ev_b.diffraction(obs).value
             assert abs(va - vb) / abs(va) < 1e-6
-
-
-class TestFunctionalWrappers:
-    def test_diffraction_coefficient_function(self, inc12):
-        obs = ff.Observation(theta=0.6, phi=math.pi)
-        point = ff.diffraction_coefficient(obs, inc12)
-        _integral_memo.clear()  # both forms integrate
-        ev_val = ff.AnsatzEvaluator(inc12).diffraction(obs)
-        assert point.value == pytest.approx(ev_val.value, rel=1e-12)
-        assert point.flag == ev_val.flag
-
-    def test_arc_sweep_function(self, inc12):
-        res = ff.arc_sweep(inc12, 2.0, 5)
-        _integral_memo.clear()  # both forms integrate
-        ev_res = ff.AnsatzEvaluator(inc12).arc_sweep(2.0, 5)
-        assert np.allclose(res.values, ev_res.values, rtol=1e-12)
-
-    def test_compatibility_residual_function(self, inc12):
-        val = ff.compatibility_residual(0.5 + 0.8j, 1.0 + 0.5j, inc12)
-        _integral_memo.clear()  # both forms integrate
-        ev_val = ff.AnsatzEvaluator(inc12).compatibility_residual(
-            0.5 + 0.8j, 1.0 + 0.5j)
-        assert val == pytest.approx(ev_val, rel=1e-12)
 
 
 def test_threshold_flagged_pole_row_is_finite_and_large(inc12):

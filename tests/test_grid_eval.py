@@ -1,6 +1,7 @@
 """Grid evaluation of quarter factors: mesh levels, mesh extent, guards."""
 
 import collections
+import dataclasses
 import os
 import subprocess
 import sys
@@ -56,7 +57,7 @@ def test_gap_classes_settle_on_the_coarsest_mesh(monkeypatch, contour3, cfg,
         for i in members[::members.size // 4][:4]:
             ref = continue_factor(PP, alpha1, z[i], k3, contour3, cfg)
             assert abs(vals[i] - ref) / abs(ref) < 1e-7
-    coarsest = ge._grid_mesh(z, k3, ge._COARSEST * ge._H_FINE)
+    coarsest = ge._levels(z, alpha1, k3)[0]
     assert modal_nodes == [ge._XK.size * (coarsest.size - 1)] * 4
 
 
@@ -69,7 +70,7 @@ def test_finest_mesh_guarded_when_all_pixels_settle_coarse(monkeypatch, contour3
     targets = np.linspace(-6.0, 6.0, 9) + 5.0j
     vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
     assert ok.all()
-    fine_edges = ge._grid_mesh(targets, k3, ge._H_FINE)
+    fine_edges = ge._levels(targets, alpha1, k3)[-1]
     fine_nodes = ge._XK.size * (fine_edges.size - 1)
     assert tracks == [fine_nodes]
     assert summed and fine_nodes not in summed
@@ -108,45 +109,106 @@ def test_tall_window_needs_no_fallback(monkeypatch, contour3, cfg, k3, alpha1):
     vals, ok = ge.factor_field(PP, alpha1, targets, k3, contour3, cfg)
     assert ok.all()
     assert fallbacks == []
-    fine = cfg.with_(abs_tol=1e-15, rel_tol=1e-13)
+    fine = dataclasses.replace(cfg, abs_tol=1e-15, rel_tol=1e-13)
     ref = wf.quarter_factor(PP, alpha1, targets, k3, contour3, fine)
     assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-12
 
 
+def _window(contour, name, n=24):
+    """alpha1 and an n x n pixel window: far off the origin, small, far
+    out along the contour just above it."""
+    if name == "far":
+        x, y = np.linspace(20.0, 30.0, n), np.linspace(-3.0, 3.0, n)
+        return contour_point(contour, 10.0), x[None, :] + 1j * y[:, None]
+    if name == "small":
+        x, y = np.linspace(-1.0, 1.0, n), np.linspace(-0.3, 0.3, n)
+        return contour_point(contour, 30.0), x[None, :] + 1j * y[:, None]
+    return (contour_point(contour, 40.0),
+            contour_point(contour, np.linspace(30.0, 50.0, n))[None, :]
+            + 1j * np.linspace(0.1, 3.0, n)[:, None])
+
+
+@pytest.mark.parametrize("name", ["far", "small", "above"])
+def test_windows_settle_by_the_second_level(monkeypatch, contour3, cfg, k3,
+                                            name):
+    # every level bisects the whole mesh, the walk and tails too, so the
+    # density's far reaches are resolved as the window's part is; no
+    # pixel gets past the second level or falls back to the adaptive
+    # rule, and every one matches a tight adaptive reference
+    alpha1, targets = _window(contour3, name)
+    calls, fallbacks = [], []
+    _spy(monkeypatch, "quarter_factor_grid", lambda *args: calls.append([]))
+    _spy(monkeypatch, "cauchy_pair_sums",
+         lambda nodes, *rest: calls[-1].append(nodes.size))
+    _spy(monkeypatch, "quarter_factor", lambda *args: fallbacks.append(args[2]))
+    vals, ok = ge.factor_field(PP, alpha1, targets, k3, contour3, cfg)
+    assert ok.all() and fallbacks == []
+    assert calls and all(1 <= len(sizes) <= 2 for sizes in calls)
+    fine = dataclasses.replace(cfg, abs_tol=1e-15, rel_tol=1e-13)
+    ref = continue_factor(PP, alpha1, targets, k3, contour3, fine)
+    assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["far", "small", "above"])
+def test_each_level_bisects_the_one_before(contour3, k3, name):
+    # the coarsest level is the shared starting-mesh builder's, with the
+    # adaptive rule's hump breaks where |alpha1| > 4k; each further level
+    # keeps every edge and adds every panel's midpoint
+    alpha1, targets = _window(contour3, name)
+    flat = targets.ravel()
+    levels = ge._levels(flat, alpha1, k3)
+    assert len(levels) == ge._COARSEST.bit_length()
+    humps = abs(alpha1) * wf._HUMP if abs(alpha1) > 4 * k3 else ()
+    coarsest = ge._starting_mesh((flat.real.min(), flat.real.max()), k3,
+                                 ge._COARSEST * ge._H_FINE,
+                                 2.0 * np.abs(flat).max(), [humps])[0]
+    assert np.array_equal(levels[0], coarsest[~np.isnan(coarsest)])
+    for coarse, fine in zip(levels, levels[1:]):
+        assert fine.size == 2 * coarse.size - 1
+        assert np.array_equal(fine[::2], coarse)
+        assert np.all((coarse[:-1] < fine[1::2]) & (fine[1::2] < coarse[1:]))
+
+
 @pytest.mark.parametrize("re_lo, re_hi", [(22.0, 28.0), (-28.0, -25.0),
                                           (-6.0, 6.0), (5.0, 5.0)])
-def test_mesh_spans_window_and_indentation(k3, re_lo, re_hi):
-    # the whole line: the walks reach twice the largest |target|, and
-    # one mapped panel [S, 2S] covers each tail beyond S
+def test_mesh_spans_window_and_indentation(k3, alpha1, re_lo, re_hi):
+    # the whole line on every level: the walks reach twice the largest
+    # |target|, and mapped panels from S to 2S cover each tail beyond S;
+    # each level halves the spacing, down to _H_FINE on the finest
     pad = 2.0 + k3
-    h = 0.05
-    edges = ge._grid_mesh(np.array([re_lo, re_hi]), k3, h)
-    big = 0.5 * edges[-1]
-    assert edges[0] == -2.0 * big and -big in edges and big in edges
+    levels = ge._levels(np.array([re_lo, re_hi]), alpha1, k3)
+    assert len(levels) == 5
+    big = 0.5 * levels[0][-1]
     assert big >= 2.0 * max(abs(re_lo), abs(re_hi))
-    assert np.all(np.diff(edges) > 0)
-    walk = edges[(np.abs(edges) >= pad) & (np.abs(edges) <= big)]
-    assert np.all(np.abs(walk[1:] / walk[:-1]) <= 1.7 * (1 + 1e-12))
     lo, hi = min(re_lo - pad, -pad), max(re_hi + pad, pad)
-    uniform = edges[(edges >= lo) & (edges <= hi)]
-    assert uniform[0] == lo and uniform[-1] == hi
-    assert np.diff(uniform).max() <= h * (1 + 1e-12)
+    for n, edges in enumerate(levels):
+        assert edges[0] == -2.0 * big and edges[-1] == 2.0 * big
+        assert -big in edges and big in edges
+        assert np.all(np.diff(edges) > 0)
+        walk = edges[(np.abs(edges) >= pad) & (np.abs(edges) <= big)]
+        assert np.all(np.abs(walk[1:] / walk[:-1]) <= 1.7 * (1 + 1e-12))
+        uniform = edges[(edges >= lo) & (edges <= hi)]
+        assert uniform[0] == lo and uniform[-1] == hi
+        h = ge._COARSEST * ge._H_FINE / 2 ** n
+        assert np.diff(uniform).max() <= h * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("re_lo, re_hi", [(22.0, 28.0), (-28.0, -25.0),
                                           (-6.0, 6.0), (5.0, 5.0)])
-def test_mesh_equals_unique_of_its_edges(monkeypatch, k3, re_lo, re_hi):
+def test_mesh_equals_unique_of_its_edges(monkeypatch, k3, alpha1, re_lo,
+                                         re_hi):
     # the walks start on the uniform part's end points, so equal edges
     # are always there to drop
     seen = []
-    original = np.sort
+    original = np.hstack
 
-    def spy(a, *args, **kwargs):
-        seen.append(a.copy())
-        return original(a, *args, **kwargs)
+    def spy(arrays, *args, **kwargs):
+        joined = original(arrays, *args, **kwargs)
+        seen.append(joined.copy())
+        return joined
 
-    monkeypatch.setattr(np, "sort", spy)
-    edges = ge._grid_mesh(np.array([re_lo, re_hi]), k3, 0.05)
+    monkeypatch.setattr(np, "hstack", spy)
+    edges = ge._levels(np.array([re_lo, re_hi]), alpha1, k3)[0]
     monkeypatch.undo()
     assert len(seen) == 1 and seen[0].size > edges.size
     want = np.unique(seen[0])
@@ -217,7 +279,7 @@ def test_band_needs_no_fallback(monkeypatch, contour3, cfg, k3, tag):
     label = FactorLabel(tag)
     alpha1 = (0.8 + 0.9j) * label.sign1
     ends = np.array([-4.0, 4.0])
-    edges = ge._grid_mesh(contour_point(contour3, ends).real, k3, ge._H_FINE)
+    edges = ge._levels(contour_point(contour3, ends).real, alpha1, k3)[-1]
     inner = edges[np.abs(edges) < 3.5]
     s = np.concatenate([ends, inner[::23], inner[::23] + 0.3 * ge._H_FINE,
                         [-0.6, 0.0, 1.7]])

@@ -1,12 +1,14 @@
 """Adaptive GK engine: accuracy, budgets, the mapped coordinate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qpdiff.contour import ShiftedContour
 from qpdiff.errors import DomainError, QuadratureError
-from qpdiff.quadrature import (QuadratureConfig, _batch_edges, _refine,
-                               _s_of_u, _u_of_s, integrate_over_shifted)
+from qpdiff.quadrature import (QuadratureConfig, _refine, _s_of_u,
+                               _starting_mesh, _u_of_s, integrate_over_shifted)
 
 
 def _one(fvec, edges, cfg):
@@ -17,8 +19,11 @@ def _one(fvec, edges, cfg):
 
 
 def _mesh(scale, breaks=()):
-    """One integral's starting mesh: ``_batch_edges`` for a batch of one."""
-    edges = _batch_edges(scale, [breaks])[0]
+    """One adaptive integral's starting mesh, as ``integrate_over_shifted``
+    builds it for a batch of one."""
+    edges = _starting_mesh((0.0, 0.0), scale,
+                           max(0.25 * scale, (2.0 + scale) / 7.0),
+                           4.0 * scale, [breaks])[0]
     return edges[~np.isnan(edges)]
 
 
@@ -42,9 +47,11 @@ class TestConfig:
             QuadratureConfig(**kw)
 
     def test_with_override(self):
-        cfg = QuadratureConfig().with_(rel_tol=1e-12)
+        cfg = dataclasses.replace(QuadratureConfig(), rel_tol=1e-12)
         assert cfg.rel_tol == 1e-12
         assert cfg.abs_tol == 1e-10
+        with pytest.raises(DomainError):  # a replaced field is checked too
+            dataclasses.replace(cfg, abs_tol=0.0)
 
 
 class TestEngine:
@@ -155,15 +162,16 @@ class TestShiftedContourIntegrals:
 
 
 def test_default_edges_cover_truncation(k3):
-    # the mesh covers the whole line: -+8 k3 are the mapped -+infinity, and
+    # the mesh covers the whole line: -+2S are the mapped -+infinity, and
     # a break anywhere on the line is kept, mapped
     edges = _mesh(k3)
-    assert edges[0] == -8.0 * k3 and edges[-1] == 8.0 * k3
+    big = 0.5 * edges[-1]
+    assert edges[0] == -2.0 * big and big >= 4.0 * k3
     assert 0.0 in edges
     assert np.all(np.diff(edges) > 0)
     edges2 = _mesh(k3, [2.3, -55.0, 2e4])
     assert 2.3 in edges2
-    assert _u_of_s(-55.0, 4.0 * k3) in edges2 and _u_of_s(2e4, 4.0 * k3) in edges2
+    assert _u_of_s(-55.0, big) in edges2 and _u_of_s(2e4, big) in edges2
 
 
 def test_mapped_coordinate_round_trip():
@@ -191,14 +199,23 @@ def test_mapped_coordinate_round_trip():
 def test_starting_mesh_stops_at_s_max(scale, s_max):
     # s_max, where integrals were once cut off, is now an ordinary break:
     # it and 2 s_max are kept, and the mesh stops at the mapped infinity
-    big = 4.0 * scale
+    base = _mesh(scale)
+    big = 0.5 * base[-1]
     edges = _mesh(scale, [0.3 * s_max, 2 * s_max])
     assert edges[0] == -2.0 * big and edges[-1] == 2.0 * big
     assert np.all(np.diff(edges) > 0)
     assert np.isin(_u_of_s(np.array([0.3, 2.0]) * s_max, big), edges).all()
-    base = scale * np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5,
-                             2.0, 3.0, 4.0, 8.0])
-    assert np.array_equal(_mesh(scale), np.append(-base[:0:-1], base))
+    # the base mesh: uniform at spacing <= max(scale/4, pad/7) through
+    # the indentation +-pad, pad = 2 + scale, a walk growing by at most
+    # 1.7 out to S >= 4 scale, and one mapped panel [S, 2S] on each side
+    pad = 2.0 + scale
+    uniform = base[np.abs(base) <= pad]
+    assert uniform[0] == -pad and uniform[-1] == pad
+    assert np.diff(uniform).max() <= max(0.25 * scale, pad / 7) * (1 + 1e-12)
+    assert 8 <= uniform.size - 1 <= 15
+    walk = base[(base >= pad) & (base <= big)]
+    assert big >= 4.0 * scale and np.all(walk[1:] / walk[:-1] <= 1.7)
+    assert base[1] == -big and base[-2] == big
 
 
 def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
@@ -246,10 +263,11 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
         base = _mesh(scale)
         assert np.array_equal(owner, np.sort(owner))
         for j, b in enumerate(breaks):
-            want = np.unique(np.concatenate([base, _u_of_s(b, 4.0 * scale)]))
+            big = 0.5 * base[-1]
+            want = np.unique(np.concatenate([base, _u_of_s(b, big)]))
             assert np.array_equal(lo[owner == j], want[:-1])
             assert np.array_equal(hi[owner == j], want[1:])
-            humps += np.any(np.abs(b) > 4.0 * scale)
+            humps += np.any(np.abs(b) > big)
             repeats += (np.unique(b).size < b.size
-                        or np.isin(_u_of_s(b, 4.0 * scale), base).any())
+                        or np.isin(_u_of_s(b, big), base).any())
     assert len(batches) > 3 and humps and repeats

@@ -1,5 +1,6 @@
 """Cauchy machinery and quarter factors against closed-form oracles."""
 
+import dataclasses
 import sys
 import threading
 
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 
 from qpdiff import specfun as sf
 from qpdiff import whfactor as wf
-from qpdiff.contour import (ShiftedContour, contour_point, contour_projection,
-                            distance_to_contour)
+from qpdiff.contour import ShiftedContour, contour_point, contour_projection
 from qpdiff.errors import BranchCrossingError, DomainError, WindingError
 
 
@@ -259,8 +259,7 @@ class TestContinuation:
                       for _ in range(2))
             if abs(a1) ** 2 + abs(a2) ** 2 > box ** 2:
                 continue
-            if min(distance_to_contour(contour3, a1),
-                   distance_to_contour(contour3, a2)) < 0.1:
+            if np.abs(contour_projection(contour3, np.array([a1, a2]))[1]).min() < 0.1:
                 continue
             points.append((a1, a2))
         for a1, a2 in points:
@@ -338,7 +337,7 @@ class TestBatch:
         s1[7], d1[7] = 15.0, 0.5
         a1 = contour_point(contour, s1) + 1j * label.sign1 * d1
         a2 = contour_point(contour, s2) + 1j * label.side2 * d2
-        assert abs(a1[7]) > 4 * k and distance_to_contour(contour, a2[3]) < 0.01
+        assert abs(a1[7]) > 4 * k and abs(contour_projection(contour, a2[3])[1]) < 0.01
         return a1, a2
 
     @pytest.mark.parametrize("tag", ["pp", "pm", "mp", "mm"])
@@ -486,7 +485,7 @@ class TestIntegralMemo:
         point = [(0.8 + 0.9j, 1.0 + 1.2j)]
         self.batch_of(point, contour3, k3, cfg)
         variants = [
-            lambda: self.batch_of(point, contour3, k3, cfg.with_(rel_tol=1e-9)),
+            lambda: self.batch_of(point, contour3, k3, dataclasses.replace(cfg, rel_tol=1e-9)),
             lambda: self.batch_of(point, contour3, k3, cfg, eps=0.05),
             lambda: self.batch_of(point, contour3, 3.5, cfg),
             lambda: self.batch_of(point, default_contour(3.5), k3, cfg),

@@ -43,7 +43,8 @@ from .quadrature import (QuadratureConfig, _WG, _WK, _XK, _s_of_u,
 from .specfun import half_factor
 from .whfactor import (_HALF_CH, FactorLabel, _check_log_track,
                        _hump_breaks, _log_density, _quarter_value,
-                       _shifted_for, _split_on_error, quarter_factor)
+                       _shifted_for, _side_tol, _split_on_error,
+                       quarter_factor)
 
 
 #: the finest mesh spacing; the coarsest is ``_COARSEST`` (a power of 2)
@@ -269,7 +270,8 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     natural one there).  ``alpha1`` must lie in the label's natural
     alpha1 half-plane or on the contour.
     """
-    side1 = side_sign(contour, complex(alpha1))
+    tol = _side_tol(k)
+    side1 = side_sign(contour, complex(alpha1), tol)
     if side1 != 0 and side1 != label.side1:
         raise QpdiffError(
             f"alpha1 is outside the natural half-plane of K_{label.tag}; "
@@ -280,7 +282,7 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     values = np.empty(flat.shape, dtype=np.complex128)
     ok = np.ones(flat.shape, dtype=bool)
 
-    sides = side_sign(contour, flat)
+    sides = side_sign(contour, flat, tol)
 
     # points on the contour belong to both half-planes; take the natural one
     natural = (sides == label.side2) | (sides == 0)

@@ -22,8 +22,9 @@ from .farfield import AnsatzEvaluator, Observation, make_incidence
 from .portrait import PortraitSpec, render
 from .quadrature import QuadratureConfig
 from .specfun import big_k, diag_log, half_factor, kappa, sqrt_down
-from .whfactor import (ALL_LABELS, MP, PP, _integral_memo, cauchy_factorize,
-                       cauchy_split, continue_factor, quarter_factor)
+from .whfactor import (ALL_LABELS, MP, PP, _integral_memo, _projection_memo,
+                       cauchy_factorize, cauchy_split, continue_factor,
+                       quarter_factor)
 
 
 @dataclass
@@ -340,8 +341,8 @@ def check_diffraction(run=None) -> CheckResult:
 def check_performance(run=None) -> CheckResult:
     """400x400 quarter-factor portrait and one 101-point arc, timed.
 
-    Both are timed cold: the integral memo is cleared before each, so
-    neither reads integrals that earlier criteria left there.
+    Both are timed cold: the integral and projection memos are cleared
+    before each, so neither reads work that earlier criteria left there.
     """
     t0 = time.time()
     spec = default_contour(3.0)
@@ -350,12 +351,14 @@ def check_performance(run=None) -> CheckResult:
                          function="k_pp",
                          params=(("k", 3.0), ("alpha1", alpha1)))
     _integral_memo.clear()
+    _projection_memo.clear()
     t_p = time.time()
     buffer = render(pspec, contour=spec)
     portrait_s = time.time() - t_p
     black = int((buffer.sum(axis=2) == 0).sum())
 
     _integral_memo.clear()
+    _projection_memo.clear()
     t_a = time.time()
     inc = make_incidence(math.pi / 4, -3 * math.pi / 4, 3.0)
     AnsatzEvaluator(inc).arc_sweep(math.pi / 4, 101)

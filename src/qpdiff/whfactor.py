@@ -33,22 +33,30 @@ member stage (the log density) once per integral.  ``continue_factor``
 extends each quarter factor past its natural domain by dividing the
 explicit half-plane factors by the complementary quarter factor;
 ``_continued`` does so for a batch of points with one batch of integrals.
-Off both contours, the four labels at a point need one and the same
-integral; every quarter-factor integral is kept in a bounded
-process-wide memo (``_integral_memo``), so it is taken once.
+
+Two bounded process-wide memos keep work from being done twice.
+``_projection_memo`` holds ``s + i gap``, the contour projection of
+every alpha1 and alpha2 that ``quarter_factor`` and ``_continued``
+place (at most 4096 variables, under 0.7 MiB), so each variable is
+projected once; ``_integral_memo`` holds the quarter value
+``exp(coef I) / fourth_root_down(k +- a2)`` of every point that takes
+an integral (at most 2048, under 0.7 MiB), so each integral is taken
+once: off both contours, the four labels at a point need one and the
+same integral.  Both evict their oldest entries first and compare
+variables bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (ContourSpec, ShiftedContour, contour_point,
-                      contour_projection, default_shift, gap_side)
+from ._memo import Memo
+from .contour import (K_REF, SIDE_TOL, ContourSpec, ShiftedContour,
+                      contour_point, contour_projection, default_shift,
+                      gap_side)
 from .errors import (BranchCrossingError, ContinuationError, DomainError,
                      NonFiniteInputError, QpdiffError, WindingError)
 from .quadrature import QuadratureConfig, integrate_over_shifted
@@ -101,6 +109,12 @@ MM = FactorLabel("mm")
 ALL_LABELS = (PP, PM, MP, MM)
 
 _HALF_CH = {"p": "+", "m": "-"}
+
+
+def _side_tol(k: float) -> float:
+    """The on-contour band ``SIDE_TOL`` at wavenumber ``k``: it scales with
+    the contour, so a direction's side does not depend on k."""
+    return SIDE_TOL * (k / K_REF)
 
 
 def _side_ok(side, required):
@@ -309,43 +323,37 @@ def _quarter_value(side2, a1, a2, k: float, integral):
     return value
 
 
-class _IntegralMemo:
-    """Integral values by key: at most ``cap``, the oldest evicted first;
-    ``clear()``, ``hits`` and ``misses`` as an ``lru_cache`` has them.
-    The lock is not held while integrating."""
-
-    def __init__(self, cap: int):
-        self.cap, self.lock = cap, threading.Lock()
-        self.clear()
-
-    def clear(self):
-        with self.lock:
-            self.values, self.hits, self.misses = {}, 0, 0
-
-    def lookup(self, keys, integrate):
-        """The value of every key.  Each key it lacks is integrated once, by
-        ``integrate(positions in keys)``, and stored only after that call
-        has returned, its checks passed."""
-        with self.lock:
-            known = {key: self.values[key] for key in keys
-                     if key in self.values}
-            todo = {key: pos for pos, key in enumerate(keys)
-                    if key not in known}
-            self.hits += len(keys) - len(todo)
-            self.misses += len(todo)
-        if todo:
-            fresh = dict(zip(todo, integrate(np.fromiter(todo.values(), int))))
-            with self.lock:
-                self.values.update(fresh)
-                for old in list(itertools.islice(
-                        self.values, max(0, len(self.values) - self.cap))):
-                    del self.values[old]
-            known.update(fresh)
-        return np.array([known[key] for key in keys], dtype=np.complex128)
+#: ``s + i gap`` of every variable ``_projected`` places; 4096 of them
+#: take under 0.7 MiB
+_projection_memo = Memo(4096)
+#: every ``_quarter_batch`` value that takes an integral; 2048 of them
+#: take under 0.7 MiB
+_integral_memo = Memo(2048)
 
 
-#: every ``_quarter_batch`` integral; 2048 of them take under 0.7 MiB
-_integral_memo = _IntegralMemo(2048)
+def _projected(contour: ContourSpec, z):
+    """``contour_projection(contour, z)`` for a flat complex array ``z``.
+
+    Each distinct variable, compared bit for bit (-0.0 is not 0.0), is
+    projected once per process: ``_projection_memo`` keys it by
+    ``(contour, its 16 bytes)``.  The projection is element-wise, so a
+    stored ``(s, gap)`` is the one a fresh call returns, bit for bit.
+    """
+    raw = z.tobytes()
+    distinct = {}  # bytes of each distinct variable -> its position
+    inverse = [distinct.setdefault(raw[i:i + 16], len(distinct))
+               for i in range(0, len(raw), 16)]
+    points = np.frombuffer(b"".join(distinct), dtype=np.complex128)
+
+    def project(pos):
+        s, gap = contour_projection(contour, points[pos])
+        both = np.empty(pos.size, dtype=np.complex128)
+        both.real, both.imag = s, gap
+        return both
+
+    both = _projection_memo.lookup([(contour, bits) for bits in distinct],
+                                   project)[inverse]
+    return both.real, both.imag
 
 
 def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
@@ -357,19 +365,17 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
     parameter and gap.  Each point keeps its own shift, panel breaks and
     branch-crossing check; a point that raises raises for the batch.
     Points with one alpha2 and shift share the node stage, ``kappa(k, z)``.
-    ``_integral_memo`` keys each integral by ``(sign1, side2, a1, a2)``,
-    compared bit for bit (-0.0 is not 0.0), and ``(eps, k, contour,
-    cfg)``, which fix its shift, breaks and rule.  A stored value is the
-    one its first batch computed; a batch of another size can round it
-    differently in the last bit, since numpy's in-place temporaries
-    (arrays of 256 KiB and more) change ``contour_point``'s rounding.
+    ``_integral_memo`` holds the quarter value, ``exp(coef I) /
+    fourth_root_down(k +- a2)``, of every point that takes an integral
+    (``a1 != 0``), so a hit skips the prefactor and the ``exp`` as well;
+    points with ``a1 = 0`` are computed directly and not stored.  It keys
+    a value by ``(sign1, side2, a1, a2)``, compared bit for bit (-0.0 is
+    not 0.0), and ``(eps, k, contour, cfg)``, which fix its shift, breaks
+    and rule.  A stored value is the one its first batch computed.
     """
-    def integral(live):
-        idx = np.flatnonzero(live)
-        raw = np.column_stack([sign1, side2, a1, a2])[idx].tobytes()
-        ctx = (eps, k, contour, cfg)
-        keys = [(ctx, raw[i:i + 64]) for i in range(0, len(raw), 64)]
-        return _integral_memo.lookup(keys, lambda pos: integrate(idx[pos]))
+    def quarter(idx):
+        return _quarter_value(side2[idx], a1[idx], a2[idx], k,
+                              lambda live: integrate(idx[live]))
 
     def integrate(idx):
         shifted = [_shifted_for(contour, side2[j], default_shift(
@@ -398,7 +404,16 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
         _check_log_track(rotated[keep][order], owner[keep][order])
         return value
 
-    return _quarter_value(side2, a1, a2, k, integral)
+    value = np.empty(a2.size, dtype=np.complex128)
+    zero = a1 == 0
+    if zero.any():  # the log argument is 1: no integral, nothing stored
+        value[zero] = quarter(np.flatnonzero(zero))
+    idx = np.flatnonzero(~zero)
+    raw = np.column_stack([sign1, side2, a1, a2])[idx].tobytes()
+    ctx = (eps, k, contour, cfg)
+    keys = [(ctx, raw[i:i + 64]) for i in range(0, len(raw), 64)]
+    value[idx] = _integral_memo.lookup(keys, lambda pos: quarter(idx[pos]))
+    return value
 
 
 def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
@@ -410,10 +425,11 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
     callers needing other points go through ``continue_factor``.  The
     shift ``eps`` defaults to the guarded rule in
     ``contour.default_shift`` and is reduced automatically for targets
-    close to the contour.  Alpha2 is projected onto the contour once;
-    its gap feeds the domain check and the shift, its parameter the
-    panel breaks.  ``alpha1`` and ``alpha2`` broadcast: arrays are one
-    batch of the adaptive rule, a scalar call a batch of one.
+    close to the contour.  Alpha2 is projected onto the contour once per
+    process (``_projected``); its gap feeds the domain check and the
+    shift, its parameter the panel breaks.  ``alpha1`` and ``alpha2``
+    broadcast: arrays are one batch of the adaptive rule, a scalar call a
+    batch of one.
 
     Raises
     ------
@@ -427,8 +443,8 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
     if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
         raise NonFiniteInputError("spectral point contains NaN/Inf")
     m = a2.size
-    s, gap = contour_projection(contour, np.concatenate([a2, a1]))
-    sides = gap_side(gap)
+    s, gap = _projected(contour, np.concatenate([a2, a1]))
+    sides = gap_side(gap, _side_tol(k))
     for name, side, required in (("alpha1", sides[m:], label.side1),
                                  ("alpha2", sides[:m], label.side2)):
         if not np.all(_side_ok(side, required)):
@@ -548,18 +564,18 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
                cfg: QuadratureConfig):
     """``continue_factor`` for ``labels[j]`` at ``(a1[j], a2[j])``, every j.
 
-    One projection places both variables of every point.  Each point
-    needs one integral, of its label flipped in each variable on the
-    wrong side; all are one batch, taken after the branch constants and
-    half-factors.  Returns the values and routes (indices into
+    One ``_projected`` call places both variables of every point.  Each
+    point needs one integral, of its label flipped in each variable on
+    the wrong side; all are one batch, taken after the branch constants
+    and half-factors.  Returns the values and routes (indices into
     ``_ROUTES``).
     """
     m = len(labels)
     tags = np.array([lab.tag for lab in labels])
     sign1 = np.array([lab.sign1 for lab in labels])
     side2 = np.array([lab.side2 for lab in labels])
-    s, gap = contour_projection(contour, np.concatenate([a1, a2]))
-    sides = gap_side(gap)
+    s, gap = _projected(contour, np.concatenate([a1, a2]))
+    sides = gap_side(gap, _side_tol(k))
     off1 = ~_side_ok(sides[:m], sign1)
     off2 = ~_side_ok(sides[m:], side2)
     cst = np.ones(m, dtype=np.complex128)

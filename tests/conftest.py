@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qpdiff.contour import default_contour  # noqa: E402
 from qpdiff.quadrature import QuadratureConfig  # noqa: E402
-from qpdiff.whfactor import _integral_memo  # noqa: E402
+from qpdiff.whfactor import _integral_memo, _projection_memo  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def cold_integrals():
-    """Every test integrates its quarter factors itself: none is served
-    from integrals an earlier test left in the process-wide memo."""
+    """Every test integrates its quarter factors and projects their
+    variables itself: none is served from the integrals or projections
+    an earlier test left in the process-wide memos."""
     _integral_memo.clear()
+    _projection_memo.clear()

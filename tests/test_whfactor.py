@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qpdiff import specfun as sf
 from qpdiff import whfactor as wf
+from qpdiff._memo import Memo
 from qpdiff.contour import ShiftedContour, contour_point, contour_projection
 from qpdiff.errors import BranchCrossingError, DomainError, WindingError
 
@@ -532,33 +533,145 @@ class TestIntegralMemo:
         # more threads than cores, a short switch interval and a cap that
         # evicts in most lookups: every value is its key's, no lookup
         # raises and no count is lost
-        memo = wf._IntegralMemo(4)
+        memo = Memo(4)
         names = [("key", n) for n in range(8)]
-        errors = []
 
         def work(seed):
-            try:
-                for draw in np.random.default_rng(seed).integers(0, 8, (3000, 3)):
-                    keys = [names[n] for n in draw]
-                    values = memo.lookup(keys, lambda pos, keys=keys: np.array(
-                        [keys[p][1] for p in pos], dtype=np.complex128))
-                    assert np.array_equal(values, draw)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
+            for draw in np.random.default_rng(seed).integers(0, 8, (3000, 3)):
+                keys = [names[n] for n in draw]
+                values = memo.lookup(keys, lambda pos, keys=keys: np.array(
+                    [keys[p][1] for p in pos], dtype=np.complex128))
+                assert np.array_equal(values, draw)
 
-        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors and not any(t.is_alive() for t in threads)
+        _hammer(work)
         assert memo.hits + memo.misses == 4 * 3000 * 3
         assert len(memo.values) <= 4
+
+
+def _hammer(work, n=4):
+    """``work(seed)`` for seeds 0 .. n-1 on n threads at once, with a short
+    switch interval; asserts that each returned without raising."""
+    errors = []
+
+    def guarded(seed):
+        try:
+            work(seed)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(s,)) for s in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+
+
+class TestProjectionMemo:
+    """Each alpha1 and alpha2 is projected onto the contour once per process."""
+
+    memo = wf._projection_memo
+
+    def test_four_labels_at_a_point_project_once(self, monkeypatch, contour3,
+                                                 cfg, k3):
+        # the first label places both variables; the other three read them
+        # and the integral the first one took
+        a1, a2 = 0.8 + 0.9j, 1.0 - 1.2j
+        for label in wf.ALL_LABELS:  # the branch constants, measured apart
+            wf.continuation_constant(label, k3, contour3, cfg)
+        projected, integrals = [], []
+        project, integrate = wf.contour_projection, wf.integrate_over_shifted
+
+        def spy_projection(contour, z):
+            projected.append(np.size(z))
+            return project(contour, z)
+
+        def spy_integrals(integrand, shifted, *args, **kwargs):
+            integrals.append(len(shifted))
+            return integrate(integrand, shifted, *args, **kwargs)
+
+        monkeypatch.setattr(wf, "contour_projection", spy_projection)
+        monkeypatch.setattr(wf, "integrate_over_shifted", spy_integrals)
+        self.memo.clear()
+        wf._integral_memo.clear()
+        for label in wf.ALL_LABELS:
+            wf.continue_factor(label, a1, a2, k3, contour3, cfg)
+        assert projected == [2] and integrals == [1]
+        assert (self.memo.misses, self.memo.hits) == (2, 6)
+
+    def test_stored_projections_equal_fresh_ones(self, contour3, rng):
+        # random points, points on the contour and signed zeros, each twice:
+        # cold and warm, the (s, gap) of every one is a fresh call's, bit
+        # for bit, and each distinct bit pattern is projected once
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        z = np.concatenate([
+            rng.uniform(-30.0, 30.0, 500) + 1j * rng.uniform(-5.0, 5.0, 500),
+            contour_point(contour3, rng.uniform(-30.0, 30.0, 50)),
+            zeros, [1.5, complex(1.5, -0.0), complex(-1.5, 0.0)]])
+        z = np.concatenate([z, z[::-1]])
+        fresh = contour_projection(contour3, z)
+        for attempt in (1, 2):
+            got = wf._projected(contour3, z)
+            for part, want in zip(got, fresh):
+                assert part.tobytes() == want.tobytes()
+            assert self.memo.misses == len(self.memo.values) == z.size // 2
+        # the zeros' gaps differ in sign alone: a memo keyed by value
+        # would give two of them the other's
+        gaps = wf._projected(contour3, np.array(zeros))[1]
+        assert [np.signbit(g) for g in gaps] == [False, True, False, True]
+
+    def test_a_raising_projection_stores_nothing(self, contour3):
+        # a = -0.5, c = 1 is not Re-monotone: its projections raise
+        from qpdiff.contour import ContourSpec
+        from qpdiff.errors import ContourError
+        z = np.array([0.5 + 0.3j, -1.0 - 0.2j])
+        for attempt in (1, 2):
+            with pytest.raises(ContourError):
+                wf._projected(ContourSpec(a=-0.5, c=1.0), z)
+            assert not self.memo.values and self.memo.misses == 2 * attempt
+        wf._projected(contour3, z)
+        assert len(self.memo.values) == 2
+
+    def test_threads_share_the_projection_memo(self, monkeypatch, contour3):
+        # as test_threads_share_the_memo, through _projected: every (s, gap)
+        # is its variable's, no call raises and no count is lost
+        monkeypatch.setattr(self.memo, "cap", 4)
+        points = contour_point(contour3, np.linspace(-4.0, 4.0, 8)) + 0.5j
+        want = np.column_stack(contour_projection(contour3, points))
+        counted = []
+
+        def work(seed):
+            for draw in np.random.default_rng(seed).integers(0, 8, (500, 3)):
+                got = np.column_stack(wf._projected(contour3, points[draw]))
+                assert got.tobytes() == want[draw].tobytes()
+                counted.append(np.unique(draw).size)
+
+        _hammer(work)
+        assert self.memo.hits + self.memo.misses == sum(counted)
+        assert len(self.memo.values) <= 4
+
+    def test_repeated_values_equal_cleared_ones(self, contour3, cfg, k3):
+        # warm calls read both memos; after clearing them the same calls
+        # project and integrate again, to the same bits
+        points = [(0.8 + 0.9j, 1.0 - 1.2j), (0.5, -1.0),
+                  (contour_point(contour3, 1.0), 0.3 + 0.2j),
+                  (0.0, 1.0 + 0.5j), (-1.2 - 0.4j, complex(-0.0, 0.7))]
+
+        def values():
+            return np.array([wf.continue_factor(label, a1, a2, k3, contour3,
+                                                cfg)
+                             for a1, a2 in points for label in wf.ALL_LABELS])
+
+        cold = values()
+        assert values().tobytes() == cold.tobytes()
+        self.memo.clear()
+        wf._integral_memo.clear()
+        assert values().tobytes() == cold.tobytes()
 
 
 @pytest.mark.parametrize("k", [1.0, 3.0, 10.0])

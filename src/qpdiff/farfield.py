@@ -42,7 +42,8 @@ import numpy as np
 
 from ._atomic import write_atomic
 from .contour import ContourSpec, default_contour
-from .errors import DomainError, OnBranchCutError, QpdiffError
+from .errors import (DomainError, NonFiniteInputError, OnBranchCutError,
+                     QpdiffError)
 from .quadrature import QuadratureConfig
 from .whfactor import MM, MP, PM, PP, _continued, _pairs, _split_on_error
 
@@ -138,10 +139,15 @@ def g_pp(alpha1, alpha2, inc: Incidence):
     """Forcing term ``1 / ((alpha1 - a1)(alpha2 - a2))``.
 
     Exact rational value with simple poles at the shifted incidence
-    constants; evaluation at a pole raises, naming the entries there.
+    constants; evaluation at a pole or at NaN/Inf raises, naming the
+    entries there.
     """
     d1 = np.asarray(alpha1, dtype=np.complex128) - inc.a1
     d2 = np.asarray(alpha2, dtype=np.complex128) - inc.a2
+    bad = ~(np.isfinite(d1) & np.isfinite(d2))
+    if np.any(bad):
+        raise NonFiniteInputError("g_pp input contains NaN/Inf",
+                                  mask=np.ravel(bad))
     pole = (d1 == 0) | (d2 == 0)
     if np.any(pole):
         raise DomainError("g_pp evaluated at its pole", mask=np.ravel(pole))

@@ -92,24 +92,22 @@ def _fixed_point(params):
     raise DomainError("portrait function needs a frozen alpha1 or alpha2")
 
 
-def _fn_kernel(z, contour, cfg, params):
-    k = params["k"]
+def _nested_kappa(z, params):
+    """``kappa(kappa(k, alpha2), alpha1)`` with one variable frozen, the
+    other the pixels ``z``."""
+    k = np.complex128(params["k"])
     which, val = _fixed_point(params)
     if which == "alpha1":
-        inner = _kappa_raw(np.complex128(k), z)
-        return 1.0 / _kappa_raw(inner, np.complex128(val))
-    inner = _kappa_raw(np.complex128(k), np.complex128(val))
-    return 1.0 / _kappa_raw(inner, z)
+        return _kappa_raw(_kappa_raw(k, z), np.complex128(val))
+    return _kappa_raw(_kappa_raw(k, np.complex128(val)), z)
+
+
+def _fn_kernel(z, contour, cfg, params):
+    return 1.0 / _nested_kappa(z, params)
 
 
 def _fn_im_inv_k(z, contour, cfg, params):
-    k = params["k"]
-    which, val = _fixed_point(params)
-    if which == "alpha1":
-        inv = _kappa_raw(_kappa_raw(np.complex128(k), z), np.complex128(val))
-    else:
-        inv = _kappa_raw(_kappa_raw(np.complex128(k), np.complex128(val)), z)
-    return inv.imag + 0j
+    return _nested_kappa(z, params).imag + 0j
 
 
 def _make_quarter(label):

@@ -1,21 +1,25 @@
 """Adaptive Gauss-Kronrod quadrature along shifted inversion contours.
 
-The factor integrals all take the form ``int f(z) dz`` over a whole
-shifted contour ``A(s) +- i eps``, ``s`` running over the real line,
-with an integrand that decays like ``s^-2`` or faster.  The engine works
-on a mapped coordinate ``u`` in ``(-2S, 2S)`` (QUADPACK's QAGI idea):
-``s = u`` for ``|u| <= S``, and each tail ``S < |s| < oo`` maps onto one
-finite interval by ``s = sign(u) S^2 / (2S - |u|)``, ``ds/du = s^2/S^2``
-(``_s_of_u``), so no part of the contour is cut off.  On ``u`` runs a
-composite (G7, K15) pair rule on a panel mesh, refined by bisecting the
-panels carrying the largest error estimates, with all panels of a
-refinement round, for every integral of a batch, evaluated in one
-vectorised call.  One builder (``_starting_mesh``) lays out the
-starting meshes of both engines: a batch's rows here, with one sort, and
-the coarsest mesh of ``grid_eval``, whose finer levels bisect it.  The
-integrand runs in two stages: a node stage (the contour point and slope,
-and what the caller derives from them alone) once per distinct panel of
-integrals that share it, and a member stage once per integral.
+Every factor integral is a Cauchy integral ``int density(z) / (z - t) dz``
+over a whole shifted contour ``A(s) +- i eps``, ``s`` running over the
+real line, with an integrand that decays like ``s^-2`` or faster; the
+one entry point, ``integrate_over_shifted``, takes a batch of them, each
+with its own target ``t`` and shift (a single integral is a batch of
+one).  The engine works on a mapped coordinate ``u`` in ``(-2S, 2S)``
+(QUADPACK's QAGI idea): ``s = u`` for ``|u| <= S``, and each tail
+``S < |s| < oo`` maps onto one finite interval by
+``s = sign(u) S^2 / (2S - |u|)``, ``ds/du = s^2/S^2`` (``_s_of_u``), so
+no part of the contour is cut off.  On ``u`` runs a composite (G7, K15)
+pair rule on a panel mesh, refined by bisecting the panels carrying the
+largest error estimates, with all panels of a refinement round, for
+every integral of a batch, evaluated in one vectorised call.  One
+builder (``_starting_mesh``) lays out the starting meshes of both
+engines: a batch's rows here, with one sort, and the coarsest mesh of
+``grid_eval``, whose finer levels bisect it.  The integrand runs in two
+stages: a node stage (the contour point, what the caller derives from it
+alone, and the Cauchy factor) once per distinct panel of the integrals
+with one target and shift, and a member stage (the density) once per
+integral.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import ShiftedContour, contour_derivative, contour_point
+from .contour import contour_derivative, contour_point
 from .errors import DomainError, QuadratureError
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK values).
@@ -49,6 +53,8 @@ _WG[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
              0.129484966168870]
 
 _PANEL_CAP = 16384
+#: panel breaks around a target's projection, in shifts
+_WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,10 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value and error estimate (arrays for a batch), and the cost."""
+    """Values and error estimates, an entry per integral, and the cost."""
 
-    value: complex
-    error: float
+    value: np.ndarray
+    error: np.ndarray
     n_evals: int
     n_panels: int
 
@@ -114,8 +120,6 @@ def _panel_sums(fvec, lo, hi, owner):
 def _padded(rows):
     """Ragged 1-D rows as one ``(m, L)`` array, NaN past each row's end."""
     rows = [np.asarray(r, dtype=np.float64) for r in rows]
-    if any(r.ndim != 1 for r in rows):
-        raise DomainError("edges must be a strictly increasing 1-D array")
     sizes = np.array([r.size for r in rows])
     out = np.full((sizes.size, sizes.max()), np.nan)
     out[np.arange(out.shape[1]) < sizes[:, None]] = np.concatenate(rows)
@@ -173,15 +177,14 @@ def _starting_mesh(span, scale: float, h: float, reach: float, breaks):
 def _refine(fvec, edges, cfg: QuadratureConfig):
     """Adaptively refine composite GK15 rules for several integrals at once.
 
-    Integral ``j`` starts on the mesh ``edges[j]`` (a 2-D array's NaN
-    entries skipped); ``fvec(s, owner)`` maps parameters, and the integral
-    each serves, to integrand values, or ``fvec`` is a staged integrand
-    (``_panel_sums``).  Panels over their share of their
-    integral's tolerance ``max(abs_tol, rel_tol |I|)`` are bisected, one
-    ``fvec`` call a round for all unfinished integrals, until each summed
-    error estimate meets its tolerance.  An integral bisects exactly the
-    panels it would bisect alone.  Returns values, error estimates,
-    evaluation and panel counts, an entry per integral.
+    Integral ``j`` starts on the mesh ``edges[j]``, a row of a 2-D array
+    whose NaN entries are skipped; ``fvec`` is a staged integrand
+    (``_panel_sums``).  Panels over their share of their integral's
+    tolerance ``max(abs_tol, rel_tol |I|)`` are bisected, one
+    ``_panel_sums`` call a round for all unfinished integrals, until each
+    summed error estimate meets its tolerance.  An integral bisects
+    exactly the panels it would bisect alone.  Returns values, error
+    estimates, evaluation and panel counts, an entry per integral.
 
     Raises
     ------
@@ -190,9 +193,6 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
         budget is exhausted, or a panel width underflows (which
         indicates a genuinely singular integrand).
     """
-    if not isinstance(fvec, tuple):  # one stage, every integral alone
-        fvec = (fvec, lambda data, owner: data, None)
-    edges = edges if isinstance(edges, np.ndarray) else _padded(edges)
     m, kept = len(edges), ~np.isnan(edges)
     row, flat = np.nonzero(kept)[0], edges[kept]
     same = row[1:] == row[:-1]  # the panels of one integral stay in order
@@ -248,56 +248,49 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
             for old, new in zip((lo, hi, owner, vals, errs, depth), fresh))
 
 
-def integrate_over_shifted(integrand, shifted, cfg: QuadratureConfig,
-                           scale: float, inner_breaks=(), share=None) -> QuadResult:
-    """Integrate ``integrand(z) dz`` along a shifted contour, or many.
+def integrate_over_shifted(density, shifted, targets, s_star,
+                           cfg: QuadratureConfig, scale: float,
+                           extra_breaks) -> QuadResult:
+    """``int density(z, j) / (z - targets[j]) dz`` along ``shifted[j]``, every j.
 
-    The parametrised form ``integrand(A(s) + i offset) A'(s) ds``, with
-    ``s = s(u)`` the whole real line (``_s_of_u``), is fed to the
-    adaptive engine over ``u``.  Every integral starts on the mesh of
-    ``_starting_mesh`` with span 0, spacing ``scale / 4`` or
-    ``(2 + scale) / 7``, the wider, and reach ``4 scale``, whose tail
-    panel fixes ``S``, joined to its ``inner_breaks`` (values of ``s``).
-
-    A batch passes a sequence of ``ShiftedContour``s of one base contour
-    and a break set for each; ``integrand(z, owner)`` then also gets the
-    index of the integral each point serves, and the integrals are
-    refined together (``_refine``).  One ``ShiftedContour`` is a batch of
-    one.  ``n_evals`` and ``n_panels`` of the result are totals.
-
-    With ``share`` (a complex key per integral), ``integrand`` is a pair
-    of stages: ``node(z, dz, j)``, run once per distinct panel of the
-    integrals with ``j``'s key and shift (``dz = A'(s) ds/du``), returns
-    a tuple of arrays; ``member(data, owner)`` makes
-    ``integrand(z) A'(s) ds/du`` of it.
+    One batch of the adaptive rule (``_refine``) over ``u``; the shifted
+    contours share one base contour, ``targets`` is a complex array.
+    Integral ``j`` starts on the mesh of ``_starting_mesh`` with span 0,
+    spacing ``scale / 4`` or ``(2 + scale) / 7``, the wider, and reach
+    ``4 scale``, whose tail panel fixes ``S``, joined to the breaks
+    (values of ``s``) ``s_star[j]``, its target's projection parameter on
+    the base contour, ``s_star[j] +- |shift| _WIDTHS`` and
+    ``extra_breaks[j]``.  ``density = (node, member)``: ``node(z, j)``
+    returns a tuple of arrays, once per distinct panel of the integrals
+    with ``j``'s target and shift, to which ``A'(s) ds/du / (z - t)`` is
+    appended; ``member(data, owner)`` makes each integral's density of
+    it.  ``n_evals`` and ``n_panels`` of the result are totals.
     """
-    if isinstance(shifted, ShiftedContour):
-        res = integrate_over_shifted(lambda z, owner: integrand(z),
-                                     [shifted], cfg, scale, [inner_breaks])
-        return QuadResult(value=complex(res.value[0]),
-                          error=float(res.error[0]),
-                          n_evals=res.n_evals, n_panels=res.n_panels)
+    node, member = density
     spec = shifted[0].base
     m, offset = len(shifted), np.array([sh.offset for sh in shifted])
-    node, member, rep = (lambda z, dz, j: integrand(z, j) * dz,
-                         lambda data, owner: data, None)
-    if share is not None:
-        first, back = _distinct(np.lexsort((offset, share.imag, share.real)),
-                                share, offset)  # integrals of one node stage
-        node, member = integrand
-        rep = first[back] if first.size < m else None
+    first, back = _distinct(np.lexsort((offset, targets.imag, targets.real)),
+                            targets, offset)  # integrals of one node stage
+    rep = first[back] if first.size < m else None
+    breaks = [np.concatenate([[s], s + widths, s - widths, extra])
+              for s, widths, extra in zip(
+                  s_star, (abs(o) * _WIDTHS for o in offset), extra_breaks)]
 
     # spacing scale / 4, but no finer than a seventh of the indentation's
     # half-width 2 + scale, whose absolute margin is wide for a small scale
     h = max(0.25 * scale, (2.0 + scale) / 7.0)
-    edges = _starting_mesh((0.0, 0.0), scale, h, 4.0 * scale, inner_breaks)
+    edges = _starting_mesh((0.0, 0.0), scale, h, 4.0 * scale, breaks)
     big = 0.5 * np.nanmax(edges)
 
     def nodes(u, j):
         s, ds_du = _s_of_u(u, big)
-        return node(contour_point(spec, s) + 1j * offset[j],
-                    contour_derivative(spec, s) * ds_du, j)
+        z = contour_point(spec, s) + 1j * offset[j]
+        return node(z, j) + (contour_derivative(spec, s) * ds_du
+                             / (z - targets[j]),)
 
-    value, err, n_evals, n_panels = _refine((nodes, member, rep), edges, cfg)
+    def members(data, owner):
+        return member(data[:-1], owner) * data[-1]
+
+    value, err, n_evals, n_panels = _refine((nodes, members, rep), edges, cfg)
     return QuadResult(value=value, error=err, n_evals=int(n_evals.sum()),
                       n_panels=int(n_panels.sum()))

@@ -22,17 +22,18 @@ assumed.
 
 The pieces of this formula are private helpers here, shared by the
 adaptive ``quarter_factor`` and the many-target ``grid_eval``.  One
-routine, ``_cauchy_integral``, computes every Cauchy integral: the
-quarter factors and the sum-split of a function analytic on a strip
-around the contour (``cauchy_split``; ``cauchy_factorize`` is ``exp`` of
-the split of ``log g``).  It takes a batch of integrals, each with its
-own target, shift and panel breaks, refined in lockstep; a scalar call
-is a batch of one.  Its node stage (``kappa(k, z)``, the Cauchy kernel)
-runs once per node shared by integrals of one target and shift, its
-member stage (the log density) once per integral.  ``continue_factor``
-extends each quarter factor past its natural domain by dividing the
-explicit half-plane factors by the complementary quarter factor;
-``_continued`` does so for a batch of points with one batch of integrals.
+routine, ``quadrature.integrate_over_shifted``, computes every Cauchy
+integral: the quarter factors and the sum-split of a function analytic
+on a strip around the contour (``cauchy_split``; ``cauchy_factorize`` is
+``exp`` of the split of ``log g``).  It takes a batch of integrals, each
+with its own target, shift and panel breaks, refined in lockstep; a
+scalar call is a batch of one.  The node stage given here
+(``kappa(k, z)``) runs once per node shared by integrals of one target
+and shift, the member stage (the log density) once per integral.
+``continue_factor`` extends each quarter factor past its natural domain
+by dividing the explicit half-plane factors by the complementary quarter
+factor; ``_continued`` does so for a batch of points with one batch of
+integrals.
 
 Two bounded process-wide memos keep work from being done twice.
 ``_projection_memo`` holds ``s + i gap``, the contour projection of
@@ -63,8 +64,6 @@ from .quadrature import QuadratureConfig, integrate_over_shifted
 from .specfun import (_ROT_BACK, _diag_log_rotated, _kappa_raw,
                       fourth_root_down, half_factor)
 
-#: panel breaks around a target's projection, in shifts
-_WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
 #: panel breaks for |alpha1| > 4k, in |alpha1|: the log term stays
 #: O(log) out to |z| ~ |alpha1|
 _HUMP = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
@@ -164,33 +163,6 @@ def _split_guard(contour: ShiftedContour, target: complex) -> float:
     return s_star
 
 
-def _cauchy_integral(density, targets, s_star, shifted, cfg: QuadratureConfig,
-                     scale: float, extra_breaks):
-    """``int density(z, j) / (z - targets[j]) dz`` along ``shifted[j]``, every j.
-
-    One batch of the adaptive rule.  The panel edges of integral ``j``
-    cluster around ``s_star[j]``, its target's projection parameter on
-    the base contour, at multiples of its shift; ``extra_breaks[j]``
-    adds further edges.  ``density = (node(z, j), member(data, owner))``
-    is staged as in ``integrate_over_shifted``; the node stage, shared by
-    the integrals with one target and shift, adds ``A'(s) / (z - t)``.
-    """
-    node, member = density
-
-    def nodes(z, dz, j):
-        return node(z, j) + (dz / (z - targets[j]),)
-
-    def members(data, owner):
-        return member(data[:-1], owner) * data[-1]
-
-    breaks = [np.concatenate([[s], s + widths, s - widths, extra])
-              for s, widths, extra in zip(
-                  s_star, (abs(sh.offset) * _WIDTHS for sh in shifted),
-                  extra_breaks)]
-    return integrate_over_shifted((nodes, members), shifted, cfg, scale,
-                                  inner_breaks=breaks, share=targets).value
-
-
 def cauchy_split(f, target, side: str, contour: ShiftedContour,
                  cfg: QuadratureConfig, scale: float = 3.0) -> complex:
     """One half of the additive split of a strip-analytic function.
@@ -217,8 +189,8 @@ def cauchy_split(f, target, side: str, contour: ShiftedContour,
     s_star = _split_guard(contour, target)
     density = (lambda z, j: (np.asarray(f(z), dtype=np.complex128),),
                lambda data, owner: data[0])
-    return coef * _cauchy_integral(density, np.array([target]), [s_star],
-                                   [contour], cfg, scale, [()])[0]
+    return coef * integrate_over_shifted(density, [contour], np.array([target]),
+                                         [s_star], cfg, scale, [()]).value[0]
 
 
 def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
@@ -393,8 +365,8 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
             samples.append((owner, re, rotated))
             return log_w
 
-        value = _cauchy_integral((node, member), a2[idx], s2[idx], shifted,
-                                 cfg, k, humps)
+        value = integrate_over_shifted((node, member), shifted, a2[idx],
+                                       s2[idx], cfg, k, humps).value
         owner, re, rotated = (np.concatenate(part) for part in zip(*samples))
         # only a track with a sample left of the imaginary axis can cross
         crossable = np.zeros(idx.size, dtype=bool)

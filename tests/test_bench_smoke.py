@@ -39,3 +39,8 @@ def test_traced_quick_round_is_correct(workload):
     assert line["problems"] == [], (line["problems"], proc.stderr)
     assert line["failed"] == 0
     assert line["layers"]
+    if workload != "kpp_portrait":  # its pixels take Cauchy sums, no integral
+        # the quadrature hook wraps whfactor.integrate_over_shifted by name
+        # and reads its QuadResult: a renamed entry point reads blank here
+        for name in ("integrals", "evals", "panels"):
+            assert line["layers"].get(f"quadrature.{name}", 0) > 0, name

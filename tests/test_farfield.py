@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from qpdiff import farfield as ff
 from qpdiff.contour import ContourSpec
-from qpdiff.errors import ContourError, DomainError, QuadratureError
+from qpdiff.errors import (ContourError, DomainError, NonFiniteInputError,
+                           QuadratureError)
 from qpdiff.quadrature import QuadratureConfig
 from qpdiff.whfactor import _integral_memo
 
@@ -104,6 +106,21 @@ class TestForcingTerm:
     def test_pole_rejected(self, inc12):
         with pytest.raises(DomainError):
             ff.g_pp(inc12.a1, 0.3, inc12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.3, np.nan)])
+    def test_non_finite_rejected(self, inc12, ev12, bad):
+        # raised before the division: no NaN out, no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a1, a2 in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(NonFiniteInputError):
+                    ff.g_pp(a1, a2, inc12)
+            with pytest.raises(NonFiniteInputError) as err:
+                ff.g_pp(np.array([1.0, bad, 2.0]), 0.5, inc12)
+            assert list(err.value.mask) == [False, True, False]
+            with pytest.raises(NonFiniteInputError):
+                ev12.fpp(bad, 1.0)
 
 
 class TestCandidate:

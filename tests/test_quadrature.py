@@ -7,15 +7,29 @@ import pytest
 
 from qpdiff.contour import ShiftedContour
 from qpdiff.errors import DomainError, QuadratureError
-from qpdiff.quadrature import (QuadratureConfig, _refine, _s_of_u,
-                               _starting_mesh, _u_of_s, integrate_over_shifted)
+from qpdiff.quadrature import (_WIDTHS, QuadratureConfig, _padded, _refine,
+                               _s_of_u, _starting_mesh, _u_of_s,
+                               integrate_over_shifted)
+
+
+def _staged(f):
+    """``f(s, owner)`` as a staged integrand with no shared node stage."""
+    return f, lambda data, owner: data, None
 
 
 def _one(fvec, edges, cfg):
     """``_refine`` for one integral of ``fvec(s)`` on the mesh ``edges``."""
-    value, error, n_evals, n_panels = _refine(lambda s, owner: fvec(s),
-                                              [edges], cfg)
+    value, error, n_evals, n_panels = _refine(
+        _staged(lambda s, owner: fvec(s)), edges[None, :], cfg)
     return complex(value[0]), float(error[0]), int(n_evals[0]), int(n_panels[0])
+
+
+def _cauchy(density, shifted, targets, s_star, cfg, scale, extra_breaks):
+    """``integrate_over_shifted`` of a plain ``density(z, j)``."""
+    return integrate_over_shifted(
+        (lambda z, j: (density(z, j),), lambda data, owner: data[0]),
+        shifted, np.asarray(targets, dtype=np.complex128), s_star, cfg,
+        scale, extra_breaks)
 
 
 def _mesh(scale, breaks=()):
@@ -101,10 +115,11 @@ class TestEngine:
         edges = [np.array([-50.0, -1.0, 1.0, 50.0]), np.array([-9.0, 9.0]),
                  np.linspace(-20.0, 20.0, 7), np.array([-1.0, 0.5, 3.0]),
                  np.array([-2.0, 2.0])]
-        values, errors, n_evals, n_panels = _refine(f, edges, cfg)
+        values, errors, n_evals, n_panels = _refine(_staged(f), _padded(edges),
+                                                    cfg)
         for j, mesh in enumerate(edges):
-            one = _refine(lambda s, owner: f(s, np.full(s.shape, j)), [mesh],
-                          cfg)
+            one = _refine(_staged(lambda s, owner: f(s, np.full(s.shape, j))),
+                          mesh[None, :], cfg)
             assert (n_evals[j], n_panels[j]) == (one[2][0], one[3][0])
             assert abs(values[j] - one[0][0]) <= 1e-13 * abs(one[0][0])
             assert abs(errors[j] - one[1][0]) <= 1e-13 * abs(one[1][0])
@@ -114,47 +129,48 @@ class TestShiftedContourIntegrals:
     def test_cauchy_residue_value(self, contour3, cfg):
         # int 1/(z^2+9) dz along the real-ish contour equals pi/3 (arctan
         # limits), independent of indentation; its s^-2 tails are
-        # integrated whole, not cut off
-        shifted = ShiftedContour(contour3, -0.2)
-        res = integrate_over_shifted(lambda z: 1.0 / (z * z + 9.0),
-                                     shifted, cfg, 3.0)
-        assert abs(res.value - np.pi / 3) < 1e-12
-        assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+        # integrated whole, not cut off.  The density (z - t)/(z^2 + 9)
+        # cancels the Cauchy factor of the target t.
+        shifted, t = ShiftedContour(contour3, -0.2), 0.5j
+        res = _cauchy(lambda z, j: (z - t) / (z * z + 9.0), [shifted], [t],
+                      [0.0], cfg, 3.0, [()])
+        value, error = complex(res.value[0]), float(res.error[0])
+        assert abs(value - np.pi / 3) < 1e-12
+        assert error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
     def test_pair_cancellation_for_odd_kernel(self, contour3, cfg):
         # Cauchy-type integrand: closing below leaves the residue at -4i
         shifted = ShiftedContour(contour3, -0.2)
-        res = integrate_over_shifted(
-            lambda z: (1.0 / (z - 0.5j)) * (1.0 / (z * z + 16.0)),
-            shifted, cfg, 3.0)
-        assert abs(res.value - 2j * np.pi / 36.0) < 1e-12
+        res = _cauchy(lambda z, j: 1.0 / (z * z + 16.0), [shifted], [0.5j],
+                      [0.0], cfg, 3.0, [()])
+        assert abs(res.value[0] - 2j * np.pi / 36.0) < 1e-12
 
     def test_shared_node_stage(self, contour3, cfg):
-        # integrals 0 and 2 share their key and shift, 1 only the key, 3
-        # only the shift; 2 also has a break of its own.  The shared node
-        # stage changes neither a value nor the refinement.
+        # integrals 0 and 2 share their target and shift, 1 only the
+        # target, 3 only the shift; 2 also has a break of its own.  The
+        # shared node stage changes neither a value nor the refinement.
         offset = np.array([-0.2, 0.2, -0.2, -0.2])
-        share = np.array([0.5j, 0.5j, 0.5j, 1.0 + 0.5j])
+        targets = np.array([0.5j, 0.5j, 0.5j, 1.0 + 0.5j])
         shifted = [ShiftedContour(contour3, o) for o in offset]
         breaks = [[], [], [0.3], []]
         weight = np.array([1.0, 2.0, -3.0, 0.5j])
         nodes, seen = [], []
 
-        def node(z, dz, j):
+        def node(z, j):
             nodes.append(z.size)
             seen.append(set(j))
-            return (dz / ((z - share[j]) * (z * z + 16.0)),)
+            return (1.0 / (z * z + 16.0),)
 
         def member(data, owner):
             return weight[owner] * data[0]
 
-        res = integrate_over_shifted((node, member), shifted, cfg, 3.0,
-                                     breaks, share)
-        alone = [integrate_over_shifted(
-            lambda z, t=t, c=c: c / ((z - t) * (z * z + 16.0)), sh, cfg, 3.0,
-            b) for sh, t, c, b in zip(shifted, share, weight, breaks)]
+        res = integrate_over_shifted((node, member), shifted, targets,
+                                     np.zeros(4), cfg, 3.0, breaks)
+        alone = [_cauchy(lambda z, j, c=c: c / (z * z + 16.0), [sh], [t],
+                         [0.0], cfg, 3.0, [b])
+                 for sh, t, c, b in zip(shifted, targets, weight, breaks)]
         for value, one in zip(res.value, alone):
-            assert abs(value - one.value) <= 1e-14 * abs(one.value)
+            assert abs(value - one.value[0]) <= 1e-14 * abs(one.value[0])
         assert res.n_evals == sum(one.n_evals for one in alone)
         assert res.n_panels == sum(one.n_panels for one in alone)
         assert sum(nodes) < 0.8 * res.n_evals
@@ -229,11 +245,14 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     batches, pending = [], []
     original, panel_sums = wh.integrate_over_shifted, quad._panel_sums
 
-    def spy(integrand, shifted, cfg_, scale, inner_breaks=(), share=None):
-        batches.append((scale,
-                        [np.asarray(b, dtype=np.float64) for b in inner_breaks]))
+    def spy(density, shifted, targets, s_star, cfg_, scale, extra_breaks):
+        batches.append((scale, [np.concatenate(
+            [[s], s + abs(sh.offset) * _WIDTHS, s - abs(sh.offset) * _WIDTHS,
+             np.asarray(b, dtype=np.float64)])
+            for s, sh, b in zip(s_star, shifted, extra_breaks)]))
         pending.append(len(batches) - 1)
-        return original(integrand, shifted, cfg_, scale, inner_breaks, share)
+        return original(density, shifted, targets, s_star, cfg_, scale,
+                        extra_breaks)
 
     def first_panels(fvec, lo, hi, owner):
         if pending:  # the first call of a batch sees its starting panels
@@ -254,8 +273,9 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
                       k3, contour3, cfg)
     shifted = ShiftedContour(contour3, -0.2)
     wh.integrate_over_shifted(
-        lambda z, owner: 1.0 / (z * z + 9.0), [shifted, shifted], cfg, k3,
-        inner_breaks=[[0.5, 0.5, k3, -k3 / 8, 2e4, -1e4, -2e4], []])
+        (lambda z, j: (1.0 / (z * z + 9.0),), lambda data, owner: data[0]),
+        [shifted, shifted], np.array([0.5j, 2.0j]), [0.5, 2.0], cfg, k3,
+        [[0.5, k3, -k3 / 8, 2e4, -1e4, -2e4], []])
     assert not pending
 
     humps = repeats = 0

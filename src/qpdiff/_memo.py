@@ -14,16 +14,23 @@ import numpy as np
 
 class Memo:
     """Complex values by key: at most ``cap``, the oldest evicted first;
-    ``clear()``, ``hits`` and ``misses`` as an ``lru_cache`` has them.
-    The lock is not held while computing."""
+    ``clear()``, ``hits`` and ``misses`` as an ``lru_cache`` has them.  The
+    lock is not held while computing.  Keys start with ``token(context)``."""
 
     def __init__(self, cap: int):
-        self.cap, self.lock = cap, threading.Lock()
+        self.cap, self.lock, self.tokens = cap, threading.Lock(), itertools.count()
         self.clear()
 
     def clear(self):
         with self.lock:
-            self.values, self.hits, self.misses = {}, 0, 0
+            self.values, self.contexts, self.hits, self.misses = {}, {}, 0, 0
+
+    def token(self, context):
+        """An int never given to another context; at most ``cap`` kept."""
+        with self.lock:
+            if len(self.contexts) >= self.cap:
+                self.contexts.clear()
+            return self.contexts.setdefault(context, next(self.tokens))
 
     def lookup(self, keys, compute):
         """The value of every key.  Each key it lacks is computed once, by

@@ -235,12 +235,12 @@ def _solve_projection(spec: ContourSpec, x):
 def contour_projection(spec: ContourSpec, z):
     """Projection ``s*`` and signed gap of ``z``, for a scalar or an array.
 
-    ``s*`` solves ``Re A(s*) = Re z`` by the safeguarded Newton
-    iteration of ``_solve_projection`` on the contour's cached sign
-    bracket; the gap ``Im z - Im A(s*)`` is positive above the contour
-    and is what every side and distance test reads.  Returns
-    ``(s*, gap)``, floats for a scalar ``z`` and arrays of its shape
-    otherwise.
+    ``s*`` solves ``Re A(s*) = Re z`` once per distinct ``Re z`` (bit for
+    bit) by the safeguarded Newton iteration of ``_solve_projection`` on
+    the contour's cached sign bracket; the gap ``Im z - Im A(s*)`` is
+    positive above the contour and is what every side and distance test
+    reads.  Returns ``(s*, gap)``, floats for a scalar ``z`` and arrays of
+    its shape otherwise.
 
     Raises
     ------
@@ -253,11 +253,12 @@ def contour_projection(spec: ContourSpec, z):
     z = np.asarray(z)
     if not np.all(np.isfinite(z)):
         raise NonFiniteInputError("projected point contains NaN/Inf")
-    x = np.real(z).astype(np.float64).ravel()
-    blocks = [_solve_projection(spec, x[i:i + _BLOCK])
-              for i in range(0, max(x.size, 1), _BLOCK)]
-    s = np.concatenate([b[0] for b in blocks])
-    pts = np.concatenate([b[1] for b in blocks])
+    bits, back = np.unique(np.real(z).astype(np.float64).view(np.int64),
+                           return_inverse=True)
+    x = bits.view(np.float64)
+    s, pts = (np.concatenate(part)[back.ravel()] for part in zip(*(
+        _solve_projection(spec, x[i:i + _BLOCK])
+        for i in range(0, max(x.size, 1), _BLOCK))))
     if z.ndim == 0:
         return float(s[0]), float(np.imag(z) - pts[0].imag)
     return s.reshape(z.shape), np.imag(z) - pts.imag.reshape(z.shape)

@@ -41,7 +41,7 @@ from .errors import QpdiffError
 from .quadrature import (QuadratureConfig, _WG, _WK, _XK, _s_of_u,
                          _starting_mesh)
 from .specfun import half_factor
-from .whfactor import (_HALF_CH, FactorLabel, _check_log_track,
+from .whfactor import (FactorLabel, _check_log_track,
                        _hump_breaks, _log_density, _quarter_value,
                        _shifted_for, _side_tol, _split_on_error,
                        quarter_factor)
@@ -296,7 +296,7 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     if natural.any():
         values[natural] = grid(label, natural)
     if other.any():
-        values[other] = (half_factor(_HALF_CH[label.tag[0]] + "o", alpha1,
-                                     flat[other], k)
+        values[other] = (half_factor("+o" if label.sign1 > 0 else "-o",
+                                     alpha1, flat[other], k)
                          / grid(label.flip2(), other))
     return values.reshape(targets.shape), ok.reshape(targets.shape)

@@ -24,6 +24,7 @@ integral.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,17 @@ def _starting_mesh(span, scale: float, h: float, reach: float, breaks):
     ``j`` joins these to ``breaks[j]`` (values of ``s``), mapped; after
     one sort, repeated edges become NaN.
     """
+    base, big = _base_edges(tuple(span), scale, h, reach)
+    rows = _u_of_s(_padded(breaks), big)
+    edges = np.hstack([np.tile(base, (len(rows), 1)), rows])
+    edges.sort(axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
+    return edges
+
+
+@functools.lru_cache(maxsize=64)
+def _base_edges(span, scale: float, h: float, reach: float):
+    """The edges ``_starting_mesh`` joins to the breaks (shared), and ``S``."""
     pad = 2.0 + scale
     lo = min(span[0] - pad, -pad)
     hi = max(span[1] + pad, pad)
@@ -167,11 +179,7 @@ def _starting_mesh(span, scale: float, h: float, reach: float, breaks):
         edges.append(sign * np.array(walk))
     big = max(-edges[1][-1], edges[2][-1])
     edges.append(big * np.array([-2.0, -1.0, 1.0, 2.0]))
-    rows = _u_of_s(_padded(breaks), big)
-    edges = np.hstack([np.tile(np.concatenate(edges), (len(rows), 1)), rows])
-    edges.sort(axis=1)
-    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
-    return edges
+    return np.concatenate(edges), big
 
 
 def _refine(fvec, edges, cfg: QuadratureConfig):
@@ -207,7 +215,7 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
 
     while True:
         # the panels of one integral are consecutive: group g is ids[g]
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        starts = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
         ids, count = owner[starts], np.diff(starts, append=owner.size)
         total = np.add.reduceat(vals, starts)
         err_total = np.add.reduceat(errs, starts)

@@ -150,7 +150,7 @@ def _check_composition_cuts(*sqrt_args):
     naming the entries on a cut over the arguments' broadcast shape."""
     on_cut = False
     for w in sqrt_args:
-        on_cut = on_cut | ((np.real(w) == 0.0) & (np.imag(w) < 0.0))
+        on_cut = on_cut | ((w.real == 0.0) & (w.imag < 0.0))
     if np.any(on_cut):
         raise OnBranchCutError(
             "evaluation lies exactly on a branch cut; offset the point",
@@ -216,8 +216,7 @@ def half_factor(tag, alpha1, alpha2, k):
     (``1/sqrt_down(kappa(k, a1) -+ a2)``); they serve the analytic
     continuation of the quarter factors in the alpha1 plane.  Their
     product squares to ``big_k**2`` but may differ from ``big_k`` itself
-    by a sign on parts of C^2.
-    """
+    by a sign on parts of C^2.  A checked wrapper of ``_half_factor_raw``."""
     scalar = _is_scalar(alpha1, alpha2)
     a1 = _as_complex(alpha1, "alpha1")
     a2 = _as_complex(alpha2, "alpha2")
@@ -225,14 +224,20 @@ def half_factor(tag, alpha1, alpha2, k):
     if tag not in HALF_FACTOR_TAGS:
         raise DomainError(f"unknown half-factor tag {tag!r}; expected one of "
                           f"{HALF_FACTOR_TAGS}")
-    inner_var, outer_var = (a2, a1) if tag[1] == "o" else (a1, a2)
+    inner, outer = (a2, a1) if tag[1] == "o" else (a1, a2)
     sign = -1.0 if "-" in tag else +1.0
-    arg = _kappa_raw(k, inner_var) + sign * outer_var
-    _check_composition_cuts(k - inner_var, k + inner_var, arg)
-    if np.any(arg == 0):
+    return _maybe_scalar(_half_factor_raw(k, inner, outer, sign), scalar)
+
+
+def _half_factor_raw(k, inner, outer, sign):
+    """``1/sqrt_down(kappa(k, inner) + sign * outer)`` (signs +-1.0) over checked
+    arrays; ``OnBranchCutError`` names the entries on a cut or branch point."""
+    arg = _kappa_raw(k, inner) + sign * outer
+    _check_composition_cuts(k - inner, k + inner, arg)
+    if (arg == 0).any():
         raise OnBranchCutError("half-factor branch point hit exactly",
                                mask=np.ravel(arg == 0))
-    return _maybe_scalar(1.0 / _sqrt_down_raw(arg), scalar)
+    return 1.0 / _sqrt_down_raw(arg)
 
 
 def fourth_root_down(z):

@@ -32,8 +32,8 @@ scalar call is a batch of one.  The node stage given here
 and shift, the member stage (the log density) once per integral.
 ``continue_factor`` extends each quarter factor past its natural domain
 by dividing the explicit half-plane factors by the complementary quarter
-factor; ``_continued`` does so for a batch of points with one batch of
-integrals.
+factor; ``_continued`` does so for a batch of points with one pass of
+explicit half-factors and one batch of integrals.
 
 Two bounded process-wide memos keep work from being done twice.
 ``_projection_memo`` holds ``s + i gap``, the contour projection of
@@ -43,8 +43,8 @@ projected once; ``_integral_memo`` holds the quarter value
 ``exp(coef I) / fourth_root_down(k +- a2)`` of every point that takes
 an integral (at most 2048, under 0.7 MiB), so each integral is taken
 once: off both contours, the four labels at a point need one and the
-same integral.  Both evict their oldest entries first and compare
-variables bit for bit.
+same integral.  Both evict their oldest entries first, compare
+variables bit for bit and hash a batch's contour (and rule) once.
 """
 
 from __future__ import annotations
@@ -59,10 +59,11 @@ from .contour import (K_REF, SIDE_TOL, ContourSpec, ShiftedContour,
                       contour_point, contour_projection, default_shift,
                       gap_side)
 from .errors import (BranchCrossingError, ContinuationError, DomainError,
-                     NonFiniteInputError, QpdiffError, WindingError)
+                     NonFiniteInputError, OnBranchCutError, QpdiffError,
+                     WindingError)
 from .quadrature import QuadratureConfig, integrate_over_shifted
-from .specfun import (_ROT_BACK, _diag_log_rotated, _kappa_raw,
-                      fourth_root_down, half_factor)
+from .specfun import (_ROT_BACK, _diag_log_rotated, _half_factor_raw,
+                      _kappa_raw, _sqrt_down_raw)
 
 #: panel breaks for |alpha1| > 4k, in |alpha1|: the log term stays
 #: O(log) out to |z| ~ |alpha1|
@@ -106,8 +107,6 @@ PM = FactorLabel("pm")
 MP = FactorLabel("mp")
 MM = FactorLabel("mm")
 ALL_LABELS = (PP, PM, MP, MM)
-
-_HALF_CH = {"p": "+", "m": "-"}
 
 
 def _side_tol(k: float) -> float:
@@ -284,8 +283,8 @@ def _quarter_value(side2, a1, a2, k: float, integral):
     and the integral vanishes exactly.  ``side2`` is the label's alpha2
     half-plane; it and ``a1`` broadcast against ``a2``.
     """
-    side2, a1, a2 = np.broadcast_arrays(side2, a1, a2)
-    pref = fourth_root_down(np.where(side2 > 0, k + a2, k - a2))
+    side2, a1, a2 = np.broadcast_arrays(side2, a1, a2)  # checked upstream
+    pref = _sqrt_down_raw(_sqrt_down_raw(np.where(side2 > 0, k + a2, k - a2)))
     value = np.reciprocal(pref)  # rounds as Python's 1.0 / pref does
     live = a1 != 0
     if live.any():
@@ -308,8 +307,8 @@ def _projected(contour: ContourSpec, z):
 
     Each distinct variable, compared bit for bit (-0.0 is not 0.0), is
     projected once per process: ``_projection_memo`` keys it by
-    ``(contour, its 16 bytes)``.  The projection is element-wise, so a
-    stored ``(s, gap)`` is the one a fresh call returns, bit for bit.
+    ``(contour's token, its 16 bytes)``.  The projection is element-wise,
+    so a stored ``(s, gap)`` is the one a fresh call returns, bit for bit.
     """
     raw = z.tobytes()
     distinct = {}  # bytes of each distinct variable -> its position
@@ -323,8 +322,8 @@ def _projected(contour: ContourSpec, z):
         both.real, both.imag = s, gap
         return both
 
-    both = _projection_memo.lookup([(contour, bits) for bits in distinct],
-                                   project)[inverse]
+    token = _projection_memo.token(contour)
+    both = _projection_memo.lookup([(token, b) for b in distinct], project)[inverse]
     return both.real, both.imag
 
 
@@ -342,8 +341,8 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
     (``a1 != 0``), so a hit skips the prefactor and the ``exp`` as well;
     points with ``a1 = 0`` are computed directly and not stored.  It keys
     a value by ``(sign1, side2, a1, a2)``, compared bit for bit (-0.0 is
-    not 0.0), and ``(eps, k, contour, cfg)``, which fix its shift, breaks
-    and rule.  A stored value is the one its first batch computed.
+    not 0.0), and the token of ``(eps, k, contour, cfg)``, which fix its
+    shift, breaks and rule.  A stored value is its first batch's.
     """
     def quarter(idx):
         return _quarter_value(side2[idx], a1[idx], a2[idx], k,
@@ -382,8 +381,8 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
         value[zero] = quarter(np.flatnonzero(zero))
     idx = np.flatnonzero(~zero)
     raw = np.column_stack([sign1, side2, a1, a2])[idx].tobytes()
-    ctx = (eps, k, contour, cfg)
-    keys = [(ctx, raw[i:i + 64]) for i in range(0, len(raw), 64)]
+    token = _integral_memo.token((eps, k, contour, cfg))
+    keys = [(token, raw[i:i + 64]) for i in range(0, len(raw), 64)]
     value[idx] = _integral_memo.lookup(keys, lambda pos: quarter(idx[pos]))
     return value
 
@@ -466,8 +465,8 @@ def _measured_constant(label, k, contour, cfg):
                                 np.full(2 * n, label.side2), np.tile(a1, 2),
                                 np.tile(a2, 2), np.tile(s2, 2),
                                 np.tile(gap2, 2), k, contour, cfg)
-        ratios = values[:n] * values[n:] / half_factor(
-            "o" + _HALF_CH[label.tag[1]], a1, a2, k)
+        ratios = values[:n] * values[n:] / _half_factor_raw(
+            np.complex128(k), a1, a2, float(label.side2))
         c = ratios.mean()
         if np.max(np.abs(ratios - c)) > 2e-4 or abs(abs(c) - 1.0) > 2e-4:
             raise ContinuationError(
@@ -509,58 +508,46 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
     """
     a1, a2, shape = _pairs(alpha1, alpha2)
     values, routes = _continued([label] * a1.size, a1, a2, k, contour, cfg)
-    value, route = values.reshape(shape), np.array(_ROUTES)[routes].reshape(shape)
-    if not shape:
-        value, route = complex(value), str(route)
+    value, route = (complex(values[0]), _ROUTES[routes[0]]) if not shape else (
+        values.reshape(shape), np.array(_ROUTES)[routes].reshape(shape))
     return (value, route) if with_route else value
-
-
-def _half_factors(tags, need, a1, a2, k: float):
-    """``half_factor(tags[j], a1[j], a2[j], k)`` where ``need``, else 1;
-    an error's ``mask`` names its entries among all j."""
-    out = np.ones(a1.size, dtype=np.complex128)
-    for tag in dict.fromkeys(tags[need]):
-        part = need & (tags == tag)
-        try:
-            out[part] = half_factor(str(tag), a1[part], a2[part], k)
-        except QpdiffError as exc:
-            if exc.mask is not None:
-                named = np.zeros_like(part)
-                named[part] = exc.mask
-                exc.mask = named
-            raise
-    return out
 
 
 def _continued(labels, a1, a2, k: float, contour: ContourSpec,
                cfg: QuadratureConfig):
     """``continue_factor`` for ``labels[j]`` at ``(a1[j], a2[j])``, every j.
 
-    One ``_projected`` call places both variables of every point.  Each
-    point needs one integral, of its label flipped in each variable on
-    the wrong side; all are one batch, taken after the branch constants
-    and half-factors.  Returns the values and routes (indices into
-    ``_ROUTES``).
+    One ``_projected`` call places both variables of every point; after
+    the branch constants, one ``_half_factor_raw`` pass takes the swapped
+    ``o+-`` and the own ``+-o`` half-factors of every point.  Each point
+    needs one integral, of its label flipped in each variable on the
+    wrong side; all are one batch.  Returns the values and routes
+    (indices into ``_ROUTES``).
     """
     m = len(labels)
-    tags = np.array([lab.tag for lab in labels])
-    sign1 = np.array([lab.sign1 for lab in labels])
-    side2 = np.array([lab.side2 for lab in labels])
-    s, gap = _projected(contour, np.concatenate([a1, a2]))
-    sides = gap_side(gap, _side_tol(k))
-    off1 = ~_side_ok(sides[:m], sign1)
-    off2 = ~_side_ok(sides[m:], side2)
+    code = np.array([ALL_LABELS.index(lab) for lab in labels], dtype=int)
+    sign1, side2 = 1 - 2 * (code >> 1), 1 - 2 * (code & 1)
+    s, gap = _projected(contour, z := np.concatenate([a1, a2]))
+    off = ~_side_ok(gap_side(gap, _side_tol(k)), np.concatenate([sign1, side2]))
+    off1, off2 = off[:m], off[m:]
     cst = np.ones(m, dtype=np.complex128)
-    for lab in dict.fromkeys(labels[j] for j in np.flatnonzero(off1)):
-        cst[tags == lab.tag] = continuation_constant(lab, k, contour, cfg)
+    for c in dict.fromkeys(code[off1].tolist()):
+        cst[code == c] = continuation_constant(ALL_LABELS[c], k, contour, cfg)
     # the label whose integral a point needs: flipped where off its side
     q_sign1, q_side2 = np.where(off1, -sign1, sign1), np.where(off2, -side2, side2)
-    swapped = _half_factors(np.where(side2 > 0, "o+", "o-"), off1, a1, a2, k)
-    own_half = _half_factors(np.where(q_sign1 > 0, "+o", "-o"), off2, a1, a2, k)
+    half = np.ones(2 * m, dtype=np.complex128)
+    if off.any():  # halves no point needs are taken at (0, 0): none fails
+        try:
+            half = _half_factor_raw(np.complex128(k), np.where(off, z, 0),
+                                    np.where(off, np.roll(z, m), 0),
+                                    np.concatenate([side2, q_sign1]).astype(float))
+        except OnBranchCutError as exc:
+            exc.mask = exc.mask[:m] | exc.mask[m:]
+            raise
     value = _quarter_batch(q_sign1, q_side2, a1, a2, s[m:], gap[m:], k,
                            contour, cfg)
-    value[off2] = own_half[off2] / value[off2]
-    value[off1] = cst[off1] * swapped[off1] / value[off1]
+    value[off2] = half[m:][off2] / value[off2]
+    value[off1] = cst[off1] * half[:m][off1] / value[off1]
     return value, 2 * off1 + off2
 
 

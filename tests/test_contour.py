@@ -212,6 +212,42 @@ class TestProjection:
         assert abs(ct.contour_projection(contour3, z)[1]) == pytest.approx(0.25, abs=1e-12)
 
 
+class TestProjectionByRealPart:
+    """One Newton solve per distinct real part, compared bit for bit."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        sizes, solve = [], ct._solve_projection
+
+        def counted(spec, x):
+            sizes.append(x.size)
+            return solve(spec, x)
+
+        monkeypatch.setattr(ct, "_solve_projection", counted)
+        return sizes
+
+    def test_grid_equals_each_point_alone(self, monkeypatch, contour3):
+        axis = np.linspace(-6.0, 6.0, 60)
+        z = axis[None, :] + 1j * axis[::-1, None]
+        sizes = self.spy(monkeypatch)
+        s, gap = ct.contour_projection(contour3, z)
+        assert sizes == [60] and s.shape == gap.shape == (60, 60)
+        for i, j in np.ndindex(z.shape):
+            alone = ct.contour_projection(contour3, complex(z[i, j]))
+            assert np.float64(s[i, j]).tobytes() == np.float64(alone[0]).tobytes()
+            assert np.float64(gap[i, j]).tobytes() == np.float64(alone[1]).tobytes()
+
+    def test_signed_zeros_are_solved_apart(self, monkeypatch, contour3):
+        sizes = self.spy(monkeypatch)
+        z = np.array([complex(0.0, 1.0), complex(-0.0, 1.0), -1j, 1.0])
+        s, gap = ct.contour_projection(contour3, z)
+        assert sizes == [3]
+        for j in range(z.size):
+            alone = ct.contour_projection(contour3, z[j:j + 1])
+            assert (s[j], gap[j]) == (alone[0][0], alone[1][0])
+            assert np.signbit(s[j]) == np.signbit(alone[0][0])
+
+
 class TestSignScan:
     def test_reference_constants_pass(self, contour3, k3):
         scan = ct.sign_compatibility_scan(contour3, contour3, k3, 200)

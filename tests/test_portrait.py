@@ -170,6 +170,31 @@ class TestQuarterFactorField:
             assert abs(v - ref) / abs(ref) < 1e-5
 
 
+def test_kpp_portrait_bytes_do_not_depend_on_projection_sharing(
+        monkeypatch, tmp_path, contour3):
+    # the README's k_pp job at 200^2: projecting each distinct real part
+    # once writes the bytes that projecting every pixel writes
+    import qpdiff.contour as ct
+
+    def every_pixel(spec, z):
+        z = np.asarray(z)
+        x = np.real(z).astype(np.float64).ravel()
+        s, pts = (np.concatenate(part) for part in zip(*(
+            ct._solve_projection(spec, x[i:i + 4096])
+            for i in range(0, x.size, 4096))))
+        return s.reshape(z.shape), np.imag(z) - pts.imag.reshape(z.shape)
+
+    spec = pt.PortraitSpec(window=(-6, 6, -6, 6), resolution=(200, 200),
+                           function="k_pp",
+                           params=(("k", 3.0),
+                                   ("alpha1", contour_point(contour3, 10.0))))
+    shared, alone = tmp_path / "shared.ppm", tmp_path / "alone.ppm"
+    pt.write_image(pt.render(spec, contour=contour3), str(shared))
+    monkeypatch.setattr(ct, "contour_projection", every_pixel)
+    pt.write_image(pt.render(spec, contour=contour3), str(alone))
+    assert shared.read_bytes() == alone.read_bytes()
+
+
 class TestKernelRegistry:
     def test_alpha1_plane_slice_matches_specfun(self, contour3, k3):
         import qpdiff.specfun as sf

@@ -284,6 +284,64 @@ class TestHalfFactors:
             sf.half_factor("xx", 0.0, 0.0, 3.0)
 
 
+class TestHalfFactorPass:
+    """``_half_factor_raw``, the one implementation of all four tags."""
+
+    @staticmethod
+    def parts(tag, a1, a2):
+        inner, outer = (a2, a1) if tag[1] == "o" else (a1, a2)
+        return inner, outer, -1.0 if "-" in tag else +1.0
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(24)
+        return tuple(rng.normal(size=200) * 2 + 1j * rng.normal(size=200) * 2
+                     for _ in range(2))
+
+    @pytest.mark.parametrize("tag", sf.HALF_FACTOR_TAGS)
+    def test_equals_half_factor_bit_for_bit(self, tag, k3):
+        a1, a2 = self.points()
+        inner, outer, sign = self.parts(tag, a1, a2)
+        got = sf._half_factor_raw(np.complex128(k3), inner, outer, sign)
+        assert got.tobytes() == sf.half_factor(tag, a1, a2, k3).tobytes()
+        # the public primitives, composed term for term
+        want = 1.0 / sf.sqrt_down(sf.kappa(k3, inner) + sign * outer)
+        assert got.tobytes() == want.tobytes()
+        # a scalar call is the helper on 0-d arrays
+        for j in range(0, 200, 25):
+            one = sf._half_factor_raw(np.asarray(k3, dtype=complex),
+                                      np.asarray(inner[j]),
+                                      np.asarray(outer[j]), sign)
+            scalar = sf.half_factor(tag, complex(a1[j]), complex(a2[j]), k3)
+            assert isinstance(scalar, complex)
+            assert np.complex128(one).tobytes() == np.complex128(scalar).tobytes()
+
+    def test_one_pass_over_all_tags_equals_each_tag(self, k3):
+        # the form _continued uses: tags stacked, a sign per entry
+        a1, a2 = self.points()
+        parts = [self.parts(tag, a1, a2) for tag in sf.HALF_FACTOR_TAGS]
+        inner, outer = (np.concatenate(p) for p in list(zip(*parts))[:2])
+        sign = np.repeat([p[2] for p in parts], a1.size)
+        stacked = sf._half_factor_raw(np.complex128(k3), inner, outer, sign)
+        assert stacked.tobytes() == np.concatenate(
+            [sf.half_factor(tag, a1, a2, k3)
+             for tag in sf.HALF_FACTOR_TAGS]).tobytes()
+
+    @pytest.mark.parametrize("tag, a1, a2, named", [
+        # k - alpha2 = -2i puts the inner kappa exactly on its cut
+        ("-o", [0.5, 0.5, 1.0], [1.0, 3.0 + 2.0j, 0.2], [False, True, False]),
+        # kappa(3, 3) - 0 = 0: the "o-" branch point
+        ("o-", [1.0, 0.2, 3.0], [0.0, 0.0, 0.0], [False, False, True])])
+    def test_checks_name_the_entries_half_factor_names(self, k3, tag, a1, a2,
+                                                       named):
+        a1, a2 = np.array(a1, dtype=complex), np.array(a2, dtype=complex)
+        with pytest.raises(OnBranchCutError) as public:
+            sf.half_factor(tag, a1, a2, k3)
+        with pytest.raises(OnBranchCutError) as raw:
+            sf._half_factor_raw(np.complex128(k3), *self.parts(tag, a1, a2))
+        assert public.value.mask.tolist() == raw.value.mask.tolist() == named
+
+
 def test_fourth_root_is_double_sqrt_composition(rng):
     z = rng.normal(size=50) + 1j * rng.normal(size=50)
     assert np.allclose(sf.fourth_root_down(z),

@@ -548,6 +548,46 @@ class TestIntegralMemo:
         assert len(memo.values) <= 4
 
 
+class TestMemoContexts:
+    """A lookup hashes its context once: ``token`` maps it to an int."""
+
+    def test_equal_contexts_share_one_entry(self, cfg):
+        from qpdiff.contour import default_contour
+        memo = Memo(8)
+        first = memo.token((None, 3.0, default_contour(3.0), cfg))
+        again = memo.token((None, 3.0, default_contour(3.0),
+                            dataclasses.replace(cfg)))
+        assert first == again and len(memo.contexts) == 1
+        memo.clear()
+        assert not memo.contexts and not memo.values
+        # a token is never given again, so a value stored under one
+        # before the clear cannot answer another context after it
+        assert memo.token(("other",)) != first
+
+    def test_alternating_contexts_keep_one_entry_each(self):
+        from qpdiff.contour import default_contour
+        memo = Memo(16)
+        contexts = [default_contour(k) for k in (1.0, 2.0, 3.0)]
+        for n in range(1000):
+            keys = [(memo.token(contexts[n % 3]), b"z")]
+            value = memo.lookup(keys, lambda pos, n=n: np.full(pos.size, n % 3))
+            assert value[0] == n % 3
+        assert len(memo.contexts) <= 3 and len(memo.values) == 3
+        assert (memo.misses, memo.hits) == (3, 997)
+
+    def test_context_table_is_bounded(self):
+        memo = Memo(4)
+        tokens = [memo.token(("context", n)) for n in range(10)]
+        assert len(set(tokens)) == 10 and len(memo.contexts) <= 4
+
+    def test_library_memos_hold_one_context_each(self, contour3, cfg, k3):
+        for label in wf.ALL_LABELS:
+            wf.continue_factor(label, 0.8 + 0.9j, 1.0 - 1.2j, k3, contour3,
+                               cfg)
+        assert len(wf._projection_memo.contexts) == 1
+        assert len(wf._integral_memo.contexts) == 1
+
+
 def _hammer(work, n=4):
     """``work(seed)`` for seeds 0 .. n-1 on n threads at once, with a short
     switch interval; asserts that each returned without raising."""
@@ -767,12 +807,65 @@ class TestSplitOnError:
         assert all(isinstance(got[i], DomainError) for i in (2, 5))
 
 
-def test_half_factor_mask_names_entries_of_the_batch():
-    # "o-" branch point: kappa(3, alpha1) - alpha2 = 0 at (3, 0); the
-    # "o-" call sees entries 0, 2, 3 and names its second one
+def test_half_factor_mask_names_entries_of_the_batch(contour3, cfg, k3):
+    # "o-" branch point: kappa(3, alpha1) - alpha2 = 0 at (3, 0).  K_mm
+    # off in alpha1 takes the swapped "o-" at entries 0, 2, 3; K_mp off
+    # in alpha2 takes its own "-o" at entry 1; one pass names entry 2
     from qpdiff.errors import OnBranchCutError
-    tags = np.array(["o-", "-o", "o-", "o-"])
-    a1 = np.array([1.0, 0.5, 3.0, 0.2], dtype=complex)
+    labels = [wf.MM, wf.MP, wf.MM, wf.MM]
+    a1 = np.array([1.0, 0.5 - 1j, 3.0, 0.2])
+    a2 = np.array([0.0, -1j, 0.0, 0.0])
     with pytest.raises(OnBranchCutError) as info:
-        wf._half_factors(tags, np.ones(4, bool), a1, np.zeros(4, complex), 3.0)
+        wf._continued(labels, a1, a2, k3, contour3, cfg)
     assert info.value.mask.tolist() == [False, False, True, False]
+
+
+def test_either_failing_half_names_a_point_that_needs_both(contour3, cfg,
+                                                           k3):
+    # off in both variables a point takes the swapped and its own half:
+    # K_pp at entry 0 hits its swapped "o+" branch point, K_mp at entry 1
+    # its own "+o" one; entry 2 (K_mm, swapped "o-") is fine
+    from qpdiff.errors import OnBranchCutError
+    # kappa of arrays: numpy's scalar arithmetic rounds otherwise
+    kap = sf.kappa(k3, np.array([1.0 - 2j, -3.55 - 2.9j]))
+    a1 = np.array([1.0 - 2j, -kap[1], 1.0])
+    a2 = np.array([-kap[0], -3.55 - 2.9j, 0.0])
+    sides = wf.gap_side(contour_projection(contour3, np.concatenate(
+        [a1, a2]))[1], wf._side_tol(k3))
+    assert sides.tolist() == [-1, 1, 1, -1, -1, 0]  # both off at 0 and 1
+    with pytest.raises(OnBranchCutError) as info:
+        wf._continued([wf.PP, wf.MP, wf.MM], a1, a2, k3, contour3, cfg)
+    assert info.value.mask.tolist() == [True, True, False]
+
+
+def test_warm_continuation_takes_one_half_factor_pass(monkeypatch, contour3,
+                                                      cfg, k3):
+    # each route, warm: at most one _half_factor_raw call, no half_factor
+    a1, a2 = 0.8 + 0.9j, 1.0 - 1.2j
+    for label in wf.ALL_LABELS:
+        wf.continue_factor(label, a1, a2, k3, contour3, cfg)
+    passes, raw = [], wf._half_factor_raw
+
+    def spy(k, inner, outer, sign):
+        passes.append(inner.size)
+        return raw(k, inner, outer, sign)
+
+    def refuse(*args):
+        raise AssertionError("half_factor called")
+
+    monkeypatch.setattr(wf, "_half_factor_raw", spy)
+    monkeypatch.setattr(sf, "half_factor", refuse)
+    routes = []
+    for label in wf.ALL_LABELS:
+        passes.clear()
+        routes.append(wf.continue_factor(label, a1, a2, k3, contour3, cfg,
+                                         with_route=True)[1])
+        assert len(passes) <= 1 and sum(passes) <= 2
+    assert sorted(routes) == sorted(wf._ROUTES)
+
+
+def test_empty_batch_continues_to_empty_arrays(contour3, cfg, k3):
+    empty = np.array([], dtype=complex)
+    values, routes = wf.continue_factor(wf.PP, empty, empty, k3, contour3,
+                                        cfg, with_route=True)
+    assert values.shape == routes.shape == (0,)

@@ -342,14 +342,30 @@ def loci_clearance(spec: ContourSpec, loci_spec: ContourSpec, k: float,
 
     This is the quantitative form of the visual validity argument: the
     factorisation integrals are safe as long as the margin is positive.
-    The distances are taken 100 contour samples at a time, so the
-    ``n x 2n`` matrix is never held whole.
+    Both sample sets are cut into blocks of 100, and block pairs are
+    visited in order of their bounding boxes' distance ``hypot(dx, dy)``;
+    a pair is computed only while that bound is at most the best distance
+    so far.  This is the dense minimum bit for bit: float subtraction is
+    monotone, so ``dx`` and ``dy`` never exceed a computed ``|Re(p - l)|``
+    and ``|Im(p - l)|`` within the pair, ``hypot`` (which ``abs`` uses) is
+    monotone, and the same elementwise ``abs(p - l)`` values are compared.
     """
     s = np.linspace(-s_range, s_range, n)
     pts = contour_point(spec, s)
     loci = branch_loci(loci_spec, k, n, s_range)
-    return float(min(np.abs(pts[i:i + 100, None] - loci).min()
-                     for i in range(0, n, 100)))
+    # [lo, hi] per block of 100: Re pts, Im pts, Re loci, Im loci
+    box = [[f.reduceat(x, np.arange(0, x.size, 100)) for f in (np.minimum, np.maximum)]
+           for z in (pts, loci) for x in (z.real, z.imag)]
+    bound = np.hypot(*(np.maximum(np.maximum(lo - p_hi[:, None], p_lo[:, None] - hi), 0)
+                       for (p_lo, p_hi), (lo, hi) in zip(box[:2], box[2:])))
+    best = np.inf
+    order = np.unravel_index(np.argsort(bound, axis=None), bound.shape)
+    for i, j in zip(*order):
+        if bound[i, j] > best:
+            break
+        best = min(best, np.abs(pts[100 * i:100 * i + 100, None]
+                                - loci[100 * j:100 * j + 100]).min())
+    return float(best)
 
 
 @dataclass(frozen=True)

@@ -139,17 +139,23 @@ REGISTRY = {
 }
 
 
+#: per hue sextant, the level each of r, g, b takes: 0, 1, f or 1 - f
+_WHEEL = np.array([[1, 2, 0], [3, 1, 0], [0, 1, 2], [0, 3, 1], [2, 0, 1], [1, 0, 3]])
+
+
 def _hsv_wheel_rgb(hue):
-    """HSV (h, 1, 1) -> RGB bytes, vectorised."""
+    """HSV (h, 1, 1) -> RGB bytes for a 1-D array of hues, vectorised:
+    one gather from the bytes of the four levels each pixel can take."""
     h6 = (hue % 1.0) * 6.0
-    i = np.floor(h6).astype(np.int64) % 6
-    f = h6 - np.floor(h6)
-    q = 1.0 - f
-    r = np.choose(i, [1.0, q, 0.0, 0.0, f, 1.0])
-    g = np.choose(i, [f, 1.0, 1.0, q, 0.0, 0.0])
-    b = np.choose(i, [0.0, 0.0, f, 1.0, 1.0, q])
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
+    sextant = np.floor(h6)
+    f = h6 - sextant
+    n = f.size
+    levels = np.zeros((4, n), dtype=np.uint8)  # rows 0, 1, f, 1 - f
+    levels[1] = 255
+    levels[2] = np.round(f * 255.0)
+    levels[3] = np.round((1.0 - f) * 255.0)
+    return levels.ravel()[_WHEEL[sextant.astype(np.int64) % 6] * n
+                          + np.arange(n)[:, None]]
 
 
 def render(spec: PortraitSpec, contour: ContourSpec | None = None,

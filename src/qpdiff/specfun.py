@@ -28,7 +28,8 @@ the limit of a single branch.
 
 All functions are pure and reentrant, accept scalars or numpy arrays,
 and raise ``NonFiniteInputError`` on NaN/Inf input rather than
-propagating it.
+propagating it.  A scalar is computed as an array of one entry, so it
+rounds bit for bit as the same entry of an array call.
 """
 
 from __future__ import annotations
@@ -42,19 +43,27 @@ _ROT_BACK = np.exp(-0.25j * np.pi)  # e^{-i pi/4}, the diag_log rotation
 
 
 def _as_complex(z, name="z"):
-    """Coerce to a complex array, rejecting non-finite entries."""
+    """Coerce to a complex array of at least one dimension, rejecting
+    non-finite entries.  At least 1-D: on 0-d operands numpy computes
+    with scalars, whose complex arithmetic rounds unlike its array loop,
+    and a scalar must round as an array entry does."""
     arr = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInputError(f"{name} contains NaN/Inf")
-    return arr
+    return arr.reshape(1) if arr.ndim == 0 else arr
 
 
-def _maybe_scalar(result, scalar):
-    return complex(result) if scalar else result
+def _as_pair(alpha1, alpha2, k):
+    """The checked arrays of a two-variable call, broadcast to one shape."""
+    return np.broadcast_arrays(_as_complex(alpha1, "alpha1"),
+                               _as_complex(alpha2, "alpha2"), _as_complex(k, "k"))
 
 
-def _is_scalar(*originals):
-    return all(np.ndim(v) == 0 and not isinstance(v, np.ndarray) for v in originals)
+def _shaped(result, *originals):
+    """A complex for scalar inputs, else ``result`` in their broadcast shape."""
+    if all(np.ndim(v) == 0 and not isinstance(v, np.ndarray) for v in originals):
+        return complex(result[0])
+    return result.reshape(np.broadcast_shapes(*map(np.shape, originals)))
 
 
 def sqrt_down(z):
@@ -64,8 +73,7 @@ def sqrt_down(z):
     root, so it agrees with the real square root on the positive real
     axis and satisfies ``sqrt_down(z)**2 == z`` everywhere.
     """
-    scalar = _is_scalar(z)
-    return _maybe_scalar(_sqrt_down_raw(_as_complex(z)), scalar)
+    return _shaped(_sqrt_down_raw(_as_complex(z)), z)
 
 
 def diag_log(z):
@@ -76,13 +84,10 @@ def diag_log(z):
     the negative real axis.  ``log |w|`` is ``log1p((x-1)(x+1) + y^2) / 2``
     where ``||w| - 1| < 1/2`` and ``log(hypot(x, y))`` elsewhere.
     """
-    scalar = _is_scalar(z)
-    z = _as_complex(z)
-    if np.any(z == 0):
+    w = _as_complex(z)
+    if np.any(w == 0):
         raise DomainError("diag_log is undefined at z = 0")
-    # 1-D: a scalar rounds as an entry
-    out = _diag_log_rotated(np.multiply(_ROT_BACK, z.reshape(-1)))
-    return _maybe_scalar(out.reshape(z.shape), scalar)
+    return _shaped(_diag_log_rotated(np.multiply(_ROT_BACK, w.reshape(-1))), z)
 
 
 def _diag_log_rotated(w):
@@ -121,7 +126,12 @@ def _sqrt_down_raw(w):
 
 def _kappa_raw(kk, z):
     """kappa without the admissibility check; used inside compositions."""
-    return _sqrt_down_raw(kk - z) * _sqrt_down_raw(kk + z)
+    return _kappa_of(kk - z, kk + z)
+
+
+def _kappa_of(minus, plus):
+    """kappa from its root arguments ``kk - z`` and ``kk + z``."""
+    return _sqrt_down_raw(minus) * _sqrt_down_raw(plus)
 
 
 def kappa(kk, z):
@@ -137,21 +147,18 @@ def kappa(kk, z):
     DomainError
         If ``kk`` lies outside the admissible quadrant.
     """
-    scalar = _is_scalar(kk, z)
-    kk = _as_complex(kk, "kk")
-    z = _as_complex(z)
-    if np.any(kk.imag < 0.0) or np.any(kk.real <= 0.0):
+    kk_arr = _as_complex(kk, "kk")
+    if np.any(kk_arr.imag < 0.0) or np.any(kk_arr.real <= 0.0):
         raise DomainError("kappa requires Im(kk) >= 0 and Re(kk) > 0")
-    return _maybe_scalar(_kappa_raw(kk, z), scalar)
+    return _shaped(_kappa_raw(kk_arr, _as_complex(z)), kk, z)
 
 
 def _check_composition_cuts(*sqrt_args):
-    """Signal evaluation exactly on an inner sqrt_down cut (Re 0, Im < 0),
-    naming the entries on a cut over the arguments' broadcast shape."""
-    on_cut = False
-    for w in sqrt_args:
-        on_cut = on_cut | ((w.real == 0.0) & (w.imag < 0.0))
-    if np.any(on_cut):
+    """Signal evaluation exactly on an inner sqrt_down cut (Re 0, Im < 0)
+    of arguments of one shape, naming the entries on a cut."""
+    w = np.array(sqrt_args)
+    on_cut = ((w.real == 0.0) & (w.imag < 0.0)).any(axis=0)
+    if on_cut.any():
         raise OnBranchCutError(
             "evaluation lies exactly on a branch cut; offset the point",
             mask=np.ravel(on_cut))
@@ -172,16 +179,10 @@ def big_k(alpha1, alpha2, k):
         If the point lies exactly on a branch cut of the composition,
         or exactly on a branch point.
     """
-    scalar = _is_scalar(alpha1, alpha2)
-    a1 = _as_complex(alpha1, "alpha1")
-    a2 = _as_complex(alpha2, "alpha2")
-    k = _as_complex(k, "k")
-    inner = _kappa_raw(k, a2)
-    _check_composition_cuts(k - a2, k + a2, inner - a1, inner + a1)
-    denom = _kappa_raw(inner, a1)
+    denom = _nested_kappa(*_as_pair(alpha1, alpha2, k))
     if np.any(denom == 0):
         raise OnBranchCutError("kernel branch point hit exactly")
-    return _maybe_scalar(1.0 / denom, scalar)
+    return _shaped(1.0 / denom, alpha1, alpha2, k)
 
 
 def gamma_fn(alpha1, alpha2, k):
@@ -191,13 +192,18 @@ def gamma_fn(alpha1, alpha2, k):
     reciprocal of the kernel is evaluated directly as the nested kappa
     composition rather than by dividing twice.
     """
-    scalar = _is_scalar(alpha1, alpha2)
-    a1 = _as_complex(alpha1, "alpha1")
-    a2 = _as_complex(alpha2, "alpha2")
-    k = _as_complex(k, "k")
-    inner = _kappa_raw(k, a2)
-    _check_composition_cuts(k - a2, k + a2, inner - a1, inner + a1)
-    return _maybe_scalar(-1j * _kappa_raw(inner, a1), scalar)
+    return _shaped(-1j * _nested_kappa(*_as_pair(alpha1, alpha2, k)),
+                   alpha1, alpha2, k)
+
+
+def _nested_kappa(a1, a2, k):
+    """``kappa(kappa(k, a2), a1)`` over checked arrays of one shape, after
+    the composition cut check; each root argument is formed once."""
+    roots = (k - a2, k + a2)
+    inner = _kappa_of(*roots)
+    roots += (inner - a1, inner + a1)
+    _check_composition_cuts(*roots)
+    return _kappa_of(*roots[2:])
 
 
 # Half-plane factor tags: first character is the alpha1 subscript, second
@@ -217,23 +223,23 @@ def half_factor(tag, alpha1, alpha2, k):
     continuation of the quarter factors in the alpha1 plane.  Their
     product squares to ``big_k**2`` but may differ from ``big_k`` itself
     by a sign on parts of C^2.  A checked wrapper of ``_half_factor_raw``."""
-    scalar = _is_scalar(alpha1, alpha2)
-    a1 = _as_complex(alpha1, "alpha1")
-    a2 = _as_complex(alpha2, "alpha2")
-    k = _as_complex(k, "k")
+    a1, a2, kk = _as_pair(alpha1, alpha2, k)
     if tag not in HALF_FACTOR_TAGS:
         raise DomainError(f"unknown half-factor tag {tag!r}; expected one of "
                           f"{HALF_FACTOR_TAGS}")
     inner, outer = (a2, a1) if tag[1] == "o" else (a1, a2)
     sign = -1.0 if "-" in tag else +1.0
-    return _maybe_scalar(_half_factor_raw(k, inner, outer, sign), scalar)
+    return _shaped(_half_factor_raw(kk, inner, outer, sign), alpha1, alpha2, k)
 
 
 def _half_factor_raw(k, inner, outer, sign):
     """``1/sqrt_down(kappa(k, inner) + sign * outer)`` (signs +-1.0) over checked
-    arrays; ``OnBranchCutError`` names the entries on a cut or branch point."""
-    arg = _kappa_raw(k, inner) + sign * outer
-    _check_composition_cuts(k - inner, k + inner, arg)
+    ``inner`` and ``outer`` of one shape; ``OnBranchCutError`` names the entries
+    on a cut or branch point.  ``k -+ inner`` is formed once, for kappa and
+    the check."""
+    roots = (k - inner, k + inner)
+    arg = _kappa_of(*roots) + sign * outer
+    _check_composition_cuts(*roots, arg)
     if (arg == 0).any():
         raise OnBranchCutError("half-factor branch point hit exactly",
                                mask=np.ravel(arg == 0))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,47 @@ class TestBranchLoci:
         loci = ct.branch_loci(contour3, k3, n, s_range)
         dense = np.abs(pts[:, None] - loci[None, :]).min()
         assert ct.loci_clearance(contour3, contour3, k3, n, s_range) == dense
+
+    @staticmethod
+    def every_distance(spec, loci_spec, k, n, s_range):
+        # the dense minimum, 100 contour samples at a time
+        pts = ct.contour_point(spec, np.linspace(-s_range, s_range, n))
+        loci = ct.branch_loci(loci_spec, k, n, s_range)
+        return min(np.abs(pts[i:i + 100, None] - loci).min()
+                   for i in range(0, n, 100))
+
+    @pytest.mark.parametrize("k", [0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("n", [2, 99, 100, 101, 250, 1500])
+    @pytest.mark.parametrize("reach", [10.0, 2.0])  # s_range per unit k
+    def test_pruned_clearance_is_the_dense_minimum_bitwise(self, k, n, reach):
+        spec = ct.default_contour(k)
+        want = self.every_distance(spec, spec, k, n, reach * k)
+        got = ct.loci_clearance(spec, spec, k, n, reach * k)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("spec, loci_spec", [
+        (ct.ContourSpec(a=-ct.A_REF, c=ct.C_REF), ct.default_contour(3.0)),
+        (ct.ContourSpec(a=-ct.A_REF, c=ct.C_REF),) * 2,
+        (ct.default_contour(3.0), ct.ContourSpec(a=2 * ct.A_REF, c=ct.C_REF / 3))],
+        ids=["failing", "failing-own-loci", "other-loci"])
+    @pytest.mark.parametrize("n", [99, 1500])
+    def test_clearance_of_other_constants_is_the_dense_minimum(self, spec,
+                                                              loci_spec, n):
+        want = self.every_distance(spec, loci_spec, 3.0, n, 30.0)
+        got = ct.loci_clearance(spec, loci_spec, 3.0, n)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_clearance_peak_memory(self):
+        # the 1500 x 3000 distances held at once take 7.1 MiB at the peak
+        contour = ct.default_contour(3.0)
+        ct.loci_clearance(contour, contour, 3.0, n=2)  # imports and caches
+        tracemalloc.start()
+        try:
+            ct.loci_clearance(contour, contour, 3.0, n=1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 ** 20 < 1.5
 
     def test_gate_keeps_peak_memory_small(self):
         # the gate runs before every job, so its peak is every job's floor;

@@ -59,6 +59,33 @@ class TestPhaseColoring:
         assert tuple(img[16, 32]) == tuple(pt._hsv_wheel_rgb(np.array([0.5]))[0])
         assert tuple(img[0, 16]) == tuple(pt._hsv_wheel_rgb(np.array([0.75]))[0])
 
+    def test_wheel_bytes_equal_the_six_way_formula(self):
+        # the former colouring, one np.choose per channel over the six
+        # sextants, kept as the reference
+        def six_way(hue):
+            h6 = (hue % 1.0) * 6.0
+            i = np.floor(h6).astype(np.int64) % 6
+            f = h6 - np.floor(h6)
+            q = 1.0 - f
+            r = np.choose(i, [1.0, q, 0.0, 0.0, f, 1.0])
+            g = np.choose(i, [f, 1.0, 1.0, q, 0.0, 0.0])
+            b = np.choose(i, [0.0, 0.0, f, 1.0, 1.0, q])
+            rgb = np.stack([r, g, b], axis=-1)
+            return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
+
+        # every sextant edge j/6 with its neighbours one ulp either side,
+        # 0 and 1 - ulp, the byte-rounding edges (m + 1/2)/255 of f, and
+        # uniform hues: 100,000 and more
+        edges = np.concatenate([np.arange(7) / 6.0,
+                                (np.arange(6)[:, None]
+                                 + (np.arange(255) + 0.5) / 255.0).ravel() / 6.0])
+        hue = np.concatenate([edges, np.nextafter(edges, -1.0),
+                              np.nextafter(edges, 2.0), [0.0, 1.0 - 2.0 ** -53],
+                              np.random.default_rng(7).uniform(0.0, 1.0, 100_000)])
+        got = pt._hsv_wheel_rgb(hue)
+        assert got.dtype == np.uint8 and got.shape == (hue.size, 3)
+        assert got.tobytes() == six_way(hue).tobytes()
+
     def test_failure_pixels_black(self):
         def broken(z, contour, cfg, params):
             vals = z.astype(np.complex128).copy()

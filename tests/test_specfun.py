@@ -307,14 +307,11 @@ class TestHalfFactorPass:
         # the public primitives, composed term for term
         want = 1.0 / sf.sqrt_down(sf.kappa(k3, inner) + sign * outer)
         assert got.tobytes() == want.tobytes()
-        # a scalar call is the helper on 0-d arrays
+        # a scalar call is a batch of one: it equals the array entry
         for j in range(0, 200, 25):
-            one = sf._half_factor_raw(np.asarray(k3, dtype=complex),
-                                      np.asarray(inner[j]),
-                                      np.asarray(outer[j]), sign)
             scalar = sf.half_factor(tag, complex(a1[j]), complex(a2[j]), k3)
             assert isinstance(scalar, complex)
-            assert np.complex128(one).tobytes() == np.complex128(scalar).tobytes()
+            assert np.complex128(scalar).tobytes() == got[j].tobytes()
 
     def test_one_pass_over_all_tags_equals_each_tag(self, k3):
         # the form _continued uses: tags stacked, a sign per entry
@@ -352,3 +349,31 @@ def test_half_factor_on_cut_signalled():
     # k - alpha2 = -2i puts the inner kappa argument exactly on its cut
     with pytest.raises(OnBranchCutError):
         sf.half_factor("-o", 0.5, 3.0 + 2.0j, 3.0)
+
+
+_ENTRYWISE = {
+    "sqrt_down": lambda a, b: sf.sqrt_down(a),
+    "kappa": lambda a, b: sf.kappa(3.0, a),
+    "big_k": lambda a, b: sf.big_k(a, b, 3.0),
+    "gamma_fn": lambda a, b: sf.gamma_fn(a, b, 3.0),
+    "fourth_root_down": lambda a, b: sf.fourth_root_down(a),
+    **{f"half_factor[{tag}]": (lambda a, b, tag=tag: sf.half_factor(tag, a, b, 3.0))
+       for tag in sf.HALF_FACTOR_TAGS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRYWISE))
+def test_scalar_call_is_a_batch_of_one(name):
+    # numpy's scalar arithmetic rounds complex products unlike its array
+    # loop; a scalar call must still equal the array entry bit for bit
+    fn = _ENTRYWISE[name]
+    rng = np.random.default_rng(2525)
+    a, b = (rng.uniform(-6, 6, 500) + 1j * rng.uniform(-6, 6, 500)
+            for _ in range(2))
+    arr = fn(a, b)
+    one = [fn(complex(x), complex(y)) for x, y in zip(a, b)]
+    assert all(type(v) is complex for v in one)
+    assert np.array(one).tobytes() == arr.tobytes()
+    # 0-d arrays stay 0-d, and other shapes are kept
+    assert np.shape(fn(np.asarray(a[0]), np.asarray(b[0]))) == ()
+    assert fn(a.reshape(20, 25), b.reshape(20, 25)).tobytes() == arr.tobytes()

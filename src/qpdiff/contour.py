@@ -66,40 +66,39 @@ class ShiftedContour:
     def point(self, s):
         return contour_point(self.base, s) + 1j * self.offset
 
-    def derivative(self, s):
-        return contour_derivative(self.base, s)
+
+def _point_and_derivative(spec: ContourSpec, s):
+    """``A(s)`` and ``A'(s)`` at a finite float array ``s``; ``s^4`` (the complex
+    power's value) and ``s^4 + c`` are formed once.  Each factor of a product
+    with a complex constant is named: numpy computes ``a * tmp`` in place as
+    ``tmp * a`` for a temporary of 256 KiB or more, which rounds differently."""
+    s4 = np.square(s * s)
+    q = s4 + spec.c
+    aq = spec.a * q
+    if not aq.all():
+        raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
+    q2 = q ** 2
+    return s + s / aq, 1.0 + (spec.c - 3.0 * s4) / (spec.a * q2)
 
 
 def contour_point(spec: ContourSpec, s):
     """Contour point ``A(s) = s + s / (a (s^4 + c))``."""
-    s = np.asarray(s, dtype=np.float64)
-    if not np.isfinite(s).all():
-        raise NonFiniteInputError("contour parameter contains NaN/Inf")
-    # s^4 as the complex power gives.  Every factor of a product with a
-    # complex constant is named: numpy computes ``a * temporary`` in
-    # place as ``temporary * a`` once the temporary holds 256 KiB, which
-    # rounds differently, so a point would move in the last bit with the
-    # size of its batch
-    q = np.square(s * s) + spec.c
-    denom = spec.a * q
-    if (denom == 0).any():
-        raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
-    out = s + s / denom
-    return complex(out) if out.ndim == 0 else out
+    return _at(spec, s, 0)
 
 
 def contour_derivative(spec: ContourSpec, s):
     """Closed-form ``dA/ds = 1 + (c - 3 s^4) / (a (s^4 + c)^2)``."""
+    return _at(spec, s, 1)
+
+
+def _at(spec: ContourSpec, s, which: int):
+    """Entry ``which`` of ``_point_and_derivative``; a scalar is a batch of one."""
     s = np.asarray(s, dtype=np.float64)
     if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
-    s4 = np.square(s * s)
-    q2 = (s4 + spec.c) ** 2  # named, as in contour_point
-    denom = spec.a * q2
-    if (denom == 0).any():
-        raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
-    out = 1.0 + (spec.c - 3.0 * s4) / denom
-    return complex(out) if out.ndim == 0 else out
+    # 1-D: numpy's scalar arithmetic rounds unlike its array loop
+    out = _point_and_derivative(spec, s.reshape(-1))[which]
+    return complex(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 def scaled_constants(k: float, k_ref: float = K_REF,
@@ -167,14 +166,13 @@ def _geometry(spec: ContourSpec):
 
 def _bracket(spec: ContourSpec, x, pad: float):
     """``(lo, hi)`` with ``Re A(lo) < x < Re A(hi)``, widened by doubling."""
-    pad = np.full(x.shape, pad)
     for _ in range(8):
         lo, hi = x - pad, x + pad
-        f = contour_point(spec, np.concatenate([lo, hi])).real
-        bad = ~((f[:x.size] < x) & (x < f[x.size:]))
-        if not bad.any():
+        f = _point_and_derivative(spec, np.concatenate([lo, hi]))[0].real
+        ok = (f[:x.size] < x) & (x < f[x.size:])
+        if ok.all():
             return lo, hi
-        pad = np.where(bad, 2.0 * pad, pad)
+        pad = np.where(ok, pad, 2.0 * pad)
     raise ContourError("projection bracket not found; invalid contour")
 
 
@@ -198,16 +196,7 @@ def _solve_projection(spec: ContourSpec, x):
     s_out = np.empty(x.shape)
     pts = np.empty(x.shape, dtype=np.complex128)
     for _ in range(_NEWTON_MAXIT):
-        # contour_point and contour_derivative, term for term, s^4 formed
-        # once and every factor of a product with a constant named
-        s4 = np.square(s * s)
-        q = s4 + spec.c
-        aq = spec.a * q
-        if (aq == 0).any():
-            raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
-        p = s + s / aq
-        q2 = q ** 2
-        d = 1.0 + (spec.c - 3.0 * s4) / (spec.a * q2)
+        p, d = _point_and_derivative(spec, s)
         f = p.real - x
         below = f < 0.0
         lo = np.where(below, s, lo)
@@ -216,11 +205,11 @@ def _solve_projection(spec: ContourSpec, x):
         new = s - step
         bisect = ((new < lo) | (new > hi) | ~(d.real > 0.0)
                   | (np.abs(step) > 0.5 * np.abs(last)))
-        if bisect.any():
+        if np.count_nonzero(bisect):
             new = np.where(bisect, 0.5 * (lo + hi), new)
         last = new - s
         done = np.abs(last) < tol
-        if done.any():
+        if np.count_nonzero(done):
             s_out[idx[done]] = new[done]
             pts[idx[done]] = (p + d * last)[done]
             keep = ~done
@@ -251,7 +240,7 @@ def contour_projection(spec: ContourSpec, z):
         is found, or the iteration does not converge.
     """
     z = np.asarray(z)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NonFiniteInputError("projected point contains NaN/Inf")
     bits, back = np.unique(np.real(z).astype(np.float64).view(np.int64),
                            return_inverse=True)
@@ -266,7 +255,7 @@ def contour_projection(spec: ContourSpec, z):
 
 def gap_side(gap, tol: float = SIDE_TOL):
     """Side sign of a signed gap: +1 above, 0 on (``|gap| <= tol``), -1 below."""
-    side = np.sign(gap).astype(np.int8) * (np.abs(gap) > tol)
+    side = np.greater(gap, tol).astype(np.int8) - np.less(gap, -tol)
     return int(side) if np.ndim(side) == 0 else side
 
 
@@ -435,4 +424,4 @@ def default_shift(k: float, distance: float, floor: float = 1e-3) -> float:
     ``contour_projection`` returns), so that the target stays at least
     ten shifts away from the shifted contour; clamped below at ``floor``.
     """
-    return float(max(floor, min(0.05 * k, distance / 9.0)))
+    return np.maximum(floor, np.minimum(0.05 * k, np.divide(distance, 9.0)))

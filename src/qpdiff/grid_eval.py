@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._cauchy_numpy import cauchy_pair_sums
-from .contour import ContourSpec, side_sign
+from .contour import ContourSpec, _point_and_derivative, side_sign
 from .errors import QpdiffError
 from .quadrature import (QuadratureConfig, _WG, _WK, _XK, _s_of_u,
                          _starting_mesh)
@@ -71,7 +71,7 @@ def _levels(targets, alpha1: complex, k: float):
     """
     edges = _starting_mesh((targets.real.min(), targets.real.max()), k,
                            _COARSEST * _H_FINE, 2.0 * np.abs(targets).max(),
-                           [_hump_breaks(alpha1, k)])[0]
+                           _hump_breaks(np.array([alpha1]), k))[0]
     levels = [edges[~np.isnan(edges)]]
     for _ in range(_COARSEST.bit_length() - 1):
         coarse = levels[-1]
@@ -96,11 +96,12 @@ def _sample_density(label: FactorLabel, alpha1: complex, k: float,
     half = 0.5 * (hi - lo)
     s, ds_du = _s_of_u((mid[:, None] + half[:, None] * _XK[None, :]).ravel(),
                        0.5 * edges[-1])
-    z = shifted.point(s)
-    rotated, log_w = _log_density(label.sign1, alpha1, k, z)
+    point, slope = _point_and_derivative(shifted.base, s)
+    z = point + 1j * shifted.offset
+    rotated, log_w = _log_density(label.sign1 * alpha1, k, z)
     if guard:
         _check_log_track(rotated)  # s is already sorted per panel row-major
-    base = log_w * (shifted.derivative(s) * ds_du)
+    base = log_w * (slope * ds_du)
     hw = np.repeat(half, _XK.size)
     coef_hi = base * hw * np.tile(_WK, mid.size)
     coef_lo = base * hw * np.tile(_WG, mid.size)
@@ -246,7 +247,8 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
             redo[pending] = ratio > _TOL_RELAX
         return result
 
-    values = _quarter_value(label.side2, alpha1, flat, k, integral)
+    values = _quarter_value(np.broadcast_to(label.side2, flat.shape),
+                            np.broadcast_to(alpha1, flat.shape), flat, k, integral)
 
     redo |= ~np.isfinite(values)
     for part, got in _split_on_error(

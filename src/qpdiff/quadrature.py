@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import contour_derivative, contour_point
+from .contour import _point_and_derivative
 from .errors import DomainError, QuadratureError
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK values).
@@ -107,19 +107,21 @@ def _panel_sums(fvec, lo, hi, owner):
     key = owner if rep is None else rep[owner]
     first, back = (slice(None),) * 2 if rep is None else _distinct(
         np.argsort(key + 1j * mid, kind="stable"), key, lo, hi)
-    x = mid[first, None] + half[first, None] * _XK[None, :]
-    data = node(x.ravel(), np.repeat(key[first], _XK.size))
+    x = mid[first, None] + half[first, None] * _XK
+    at = np.repeat(owner, _XK.size)
+    data = node(x.ravel(), at if rep is None else np.repeat(key[first], _XK.size))
     if rep is not None:
         data = tuple(d.reshape(x.shape)[back].ravel() for d in data)
-    y = np.asarray(member(data, np.repeat(owner, _XK.size)),
-                   dtype=np.complex128).reshape(lo.size, _XK.size)
-    i_k = (y * _WK[None, :]).sum(axis=1) * half
-    i_g = (y * _WG[None, :]).sum(axis=1) * half
+    y = np.asarray(member(data, at), dtype=np.complex128).reshape(lo.size, _XK.size)
+    i_k = np.add.reduce(y * _WK, axis=1) * half
+    i_g = np.add.reduce(y * _WG, axis=1) * half
     return i_k, np.abs(i_k - i_g)
 
 
 def _padded(rows):
-    """Ragged 1-D rows as one ``(m, L)`` array, NaN past each row's end."""
+    """Ragged 1-D rows (or a 2-D array) as one NaN-padded ``(m, L)`` array."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows
     rows = [np.asarray(r, dtype=np.float64) for r in rows]
     sizes = np.array([r.size for r in rows])
     out = np.full((sizes.size, sizes.max()), np.nan)
@@ -132,7 +134,7 @@ def _s_of_u(u, big: float):
     far = np.abs(u) > big
     # a node of a panel bisected to a few ulps may round onto -+2 big
     gap = np.maximum(2.0 * big - np.abs(u), 0.5 * np.spacing(2.0 * big))
-    s = np.where(far, np.sign(u) * big * big / gap, u)
+    s = np.where(far, np.copysign(big * big, u) / gap, u)
     return s, np.where(far, np.square(s / big), 1.0)
 
 
@@ -152,12 +154,12 @@ def _starting_mesh(span, scale: float, h: float, reach: float, breaks):
     reaches ``reach``, growing by 1.7 but by at most ``1.7^n (2 + scale)``
     at step n, so the panels next to a far span stay narrow; from ``S``,
     the farther walk end, one panel ``[S, 2S]`` maps each tail.  Row
-    ``j`` joins these to ``breaks[j]`` (values of ``s``), mapped; after
-    one sort, repeated edges become NaN.
+    ``j`` joins these to ``breaks[j]`` (values of ``s``, ragged or
+    NaN-padded), mapped; after one sort, repeated edges become NaN.
     """
     base, big = _base_edges(tuple(span), scale, h, reach)
     rows = _u_of_s(_padded(breaks), big)
-    edges = np.hstack([np.tile(base, (len(rows), 1)), rows])
+    edges = np.hstack([base[None, :].repeat(len(rows), axis=0), rows])
     edges.sort(axis=1)
     edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
     return edges
@@ -205,24 +207,25 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
     row, flat = np.nonzero(kept)[0], edges[kept]
     same = row[1:] == row[:-1]  # the panels of one integral stay in order
     lo, hi, owner = flat[:-1][same], flat[1:][same], row[1:][same]
-    if np.any(hi <= lo) or not np.bincount(owner, minlength=m).all():
+    count = np.bincount(owner, minlength=m)
+    if (hi <= lo).any() or not count.all():
         raise DomainError("edges must be a strictly increasing 1-D array")
     depth = np.zeros(lo.size, dtype=np.int64)
     vals, errs = _panel_sums(fvec, lo, hi, owner)
-    n_evals = _XK.size * np.bincount(owner, minlength=m)
+    n_evals = _XK.size * count
     value, error = np.empty(m, dtype=np.complex128), np.empty(m)
     n_panels = np.empty(m, dtype=np.int64)
+    ids = np.arange(m)  # the unfinished integrals: group g is ids[g]
 
     while True:
-        # the panels of one integral are consecutive: group g is ids[g]
-        starts = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
-        ids, count = owner[starts], np.diff(starts, append=owner.size)
+        # the count[g] panels of group g are consecutive, from starts[g]
+        starts = count.cumsum() - count
         total = np.add.reduceat(vals, starts)
         err_total = np.add.reduceat(errs, starts)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         done = err_total <= tol
-        value[ids[done]], error[ids[done]] = total[done], err_total[done]
-        n_panels[ids[done]] = count[done]
+        # stored every round: an integral's last store is its final one
+        value[ids], error[ids], n_panels[ids] = total, err_total, count
         if done.all():
             return value, error, n_evals, n_panels
         group = np.repeat(np.arange(ids.size), count)
@@ -237,22 +240,23 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
                 f"subdivision limit {cfg.max_subdivisions} reached (error "
                 f"estimate {err_total[deep[0]]:.3e} vs tolerance {tol[deep[0]]:.3e})"
             )
-        if np.any(count + np.bincount(group[split], minlength=ids.size)
-                  > _PANEL_CAP):
+        halves = np.bincount(group[split], minlength=ids.size)
+        if (count + halves > _PANEL_CAP).any():
             raise QuadratureError("panel budget exhausted; integrand too hard")
-        if np.any(hi[split] - lo[split] < 1e-14 * (1.0 + np.abs(lo[split]))):
+        if (hi[split] - lo[split] < 1e-14 * (1.0 + np.abs(lo[split]))).any():
             raise QuadratureError("panel width underflow: singular integrand")
 
         mid = 0.5 * (lo[split] + hi[split])
-        fresh = (np.append(lo[split], mid), np.append(mid, hi[split]),
-                 np.tile(owner[split], 2))
-        fresh += _panel_sums(fvec, *fresh) + (np.tile(depth[split] + 1, 2),)
-        np.add.at(n_evals, fresh[2], _XK.size)
+        fresh = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
+                 np.concatenate([owner[split]] * 2))
+        fresh += _panel_sums(fvec, *fresh) + (np.concatenate([depth[split] + 1] * 2),)
+        n_evals[ids] += 2 * _XK.size * halves
+        count, ids = (count + halves)[~done], ids[~done]
         # each integral's kept panels, then its left and right halves
         keep = ~split & ~done[group]
-        order = np.argsort(np.append(owner[keep], fresh[2]), kind="stable")
+        order = np.argsort(np.concatenate([owner[keep], fresh[2]]), kind="stable")
         lo, hi, owner, vals, errs, depth = (
-            np.append(old[keep], new)[order]
+            np.concatenate([old[keep], new])[order]
             for old, new in zip((lo, hi, owner, vals, errs, depth), fresh))
 
 
@@ -277,24 +281,24 @@ def integrate_over_shifted(density, shifted, targets, s_star,
     node, member = density
     spec = shifted[0].base
     m, offset = len(shifted), np.array([sh.offset for sh in shifted])
-    first, back = _distinct(np.lexsort((offset, targets.imag, targets.real)),
-                            targets, offset)  # integrals of one node stage
-    rep = first[back] if first.size < m else None
-    breaks = [np.concatenate([[s], s + widths, s - widths, extra])
-              for s, widths, extra in zip(
-                  s_star, (abs(o) * _WIDTHS for o in offset), extra_breaks)]
+    first, back = (_distinct(np.lexsort((offset, targets.imag, targets.real)),
+                             targets, offset) if m > 1 else ([0], None))
+    rep = first[back] if len(first) < m else None  # integrals of one node stage
+    s = np.asarray(s_star, dtype=np.float64)[:, None]
+    width = np.abs(offset)[:, None] * _WIDTHS
+    breaks = np.hstack([s, s + width, s - width, _padded(extra_breaks)])
 
     # spacing scale / 4, but no finer than a seventh of the indentation's
     # half-width 2 + scale, whose absolute margin is wide for a small scale
     h = max(0.25 * scale, (2.0 + scale) / 7.0)
-    edges = _starting_mesh((0.0, 0.0), scale, h, 4.0 * scale, breaks)
-    big = 0.5 * np.nanmax(edges)
+    mesh = ((0.0, 0.0), scale, h, 4.0 * scale)
+    edges, big = _starting_mesh(*mesh, breaks), _base_edges(*mesh)[1]
 
     def nodes(u, j):
         s, ds_du = _s_of_u(u, big)
-        z = contour_point(spec, s) + 1j * offset[j]
-        return node(z, j) + (contour_derivative(spec, s) * ds_du
-                             / (z - targets[j]),)
+        point, slope = _point_and_derivative(spec, s)
+        z = point + (1j * offset)[j]
+        return node(z, j) + (slope * ds_du / (z - targets[j]),)
 
     def members(data, owner):
         return member(data[:-1], owner) * data[-1]

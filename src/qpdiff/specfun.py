@@ -111,17 +111,16 @@ def _sqrt_down_raw(w):
     """sqrt_down on pre-validated complex arrays (no input checks).
 
     ``-i w`` is built from the parts of ``w``: real part ``Im w``,
-    imaginary part ``-Re w + 0.0``, whose ``+ 0.0`` puts a value on the
-    principal cut on its ``arg -> pi`` side; the root is taken in place.
+    imaginary part ``0.0 - Re w`` (``-Re w + 0.0``), whose ``+0.0`` for a
+    zero puts a value on the principal cut on its ``arg -> pi`` side.
     The rotation is an explicit ``np.multiply``: numpy's scalar ``*``
     rounds differently from its array loop, and a scalar must round as
     an array entry does.
     """
-    t = np.empty(np.shape(w), dtype=np.complex128)
+    t = np.empty(w.shape, dtype=np.complex128)
     t.real = w.imag
-    np.negative(w.real, out=t.imag)
-    t.imag += 0.0
-    return np.multiply(_ROT_QUARTER, np.sqrt(t, out=t))
+    np.subtract(0.0, w.real, t.imag)
+    return np.multiply(_ROT_QUARTER, np.sqrt(t))
 
 
 def _kappa_raw(kk, z):
@@ -157,11 +156,11 @@ def _check_composition_cuts(*sqrt_args):
     """Signal evaluation exactly on an inner sqrt_down cut (Re 0, Im < 0)
     of arguments of one shape, naming the entries on a cut."""
     w = np.array(sqrt_args)
-    on_cut = ((w.real == 0.0) & (w.imag < 0.0)).any(axis=0)
+    on_cut = (w.real == 0.0) & (w.imag < 0.0)
     if on_cut.any():
         raise OnBranchCutError(
             "evaluation lies exactly on a branch cut; offset the point",
-            mask=np.ravel(on_cut))
+            mask=np.ravel(on_cut.any(axis=0)))
 
 
 def big_k(alpha1, alpha2, k):

@@ -107,6 +107,7 @@ PM = FactorLabel("pm")
 MP = FactorLabel("mp")
 MM = FactorLabel("mm")
 ALL_LABELS = (PP, PM, MP, MM)
+_SIDES = np.array([[lab.sign1, lab.side2] for lab in ALL_LABELS])  # by index
 
 
 def _side_tol(k: float) -> float:
@@ -115,21 +116,24 @@ def _side_tol(k: float) -> float:
     return SIDE_TOL * (k / K_REF)
 
 
-def _side_ok(side, required):
-    """Side signs (+1 above, 0 on, -1 below) inside required half-planes."""
-    return (side == 0) | (side == required)
+def _side_off(side, required):
+    """Side signs (+1 above, 0 on, -1 below) off required half-planes."""
+    return side * required < 0
 
 
 def _pairs(alpha1, alpha2):
     """Both variables as flat complex arrays, and their broadcast shape."""
-    a1, a2 = np.broadcast_arrays(np.asarray(alpha1, dtype=np.complex128),
-                                 np.asarray(alpha2, dtype=np.complex128))
+    a1, a2 = (np.asarray(a, dtype=np.complex128) for a in (alpha1, alpha2))
+    a1, a2 = (a1, a2) if a1.shape == a2.shape else np.broadcast_arrays(a1, a2)
     return a1.ravel(), a2.ravel(), a1.shape
 
 
 def _hump_breaks(a1, k: float):
-    """Panel breaks (values of ``s``) for ``|a1| > 4k``, else none."""
-    return abs(a1) * _HUMP if abs(a1) > 4.0 * k else ()
+    """Breaks (values of ``s``) for ``|a1| > 4k``, a row per entry of ``a1``."""
+    mag = np.hypot(a1.real, a1.imag)  # numpy's complex abs rounds unlike abs()
+    wide = mag > 4.0 * k
+    return (np.where(wide[:, None], mag[:, None] * _HUMP, np.nan) if wide.any()
+            else np.empty((a1.size, 0)))
 
 
 def _shifted_for(contour: ContourSpec, side2: int, eps: float) -> ShiftedContour:
@@ -229,18 +233,18 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
 # quarter factors
 # --------------------------------------------------------------------------
 
-def _log_density(sign1, a1, k: float, z, kap=None):
+def _log_density(scaled, k: float, z, kap=None):
     """The rotated log argument ``exp(-i pi/4) w`` and ``diag_log(w)``.
 
-    ``w = 1 +- a1/kappa(k, z)``; ``sign1`` is the label's alpha1 sign; it
-    and ``a1`` may be arrays matching ``z``.  A node stage passes
+    ``w = 1 + scaled/kappa(k, z)``, ``scaled = +-a1`` signed by the label's
+    alpha1 sign; it may be an array matching ``z``.  A node stage passes
     ``kap = kappa(k, z)`` instead of ``z``.  Each sample is validated
     once, here: raises ``BranchCrossingError`` where ``w`` vanishes, the
     factor's integral does not exist there.  The rotated samples are
     what ``_check_log_track`` reads.
     """
     kap = _kappa_raw(np.complex128(k), z) if kap is None else kap
-    w = 1.0 + sign1 * a1 / kap
+    w = 1.0 + scaled / kap
     if np.any(np.abs(w) < 1e-12):
         raise BranchCrossingError(
             "log argument vanished on the integration contour"
@@ -281,9 +285,8 @@ def _quarter_value(side2, a1, a2, k: float, integral):
     ``integral(live)`` returns ``I``, the Cauchy integral of the log
     density, where ``a1 != 0``; where ``a1 = 0`` the log argument is 1
     and the integral vanishes exactly.  ``side2`` is the label's alpha2
-    half-plane; it and ``a1`` broadcast against ``a2``.
+    half-plane; ``side2``, ``a1`` and ``a2`` are arrays of one shape.
     """
-    side2, a1, a2 = np.broadcast_arrays(side2, a1, a2)  # checked upstream
     pref = _sqrt_down_raw(_sqrt_down_raw(np.where(side2 > 0, k + a2, k - a2)))
     value = np.reciprocal(pref)  # rounds as Python's 1.0 / pref does
     live = a1 != 0
@@ -349,38 +352,39 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
                               lambda live: integrate(idx[live]))
 
     def integrate(idx):
-        shifted = [_shifted_for(contour, side2[j], default_shift(
-            k, abs(gap2[j])) if eps is None else eps) for j in idx]
-        humps = [_hump_breaks(a1[j], k) for j in idx]
+        shift = (default_shift(k, np.abs(gap2[idx])) if eps is None
+                 else [eps] * idx.size)
+        shifted = [_shifted_for(contour, *c) for c in zip(side2[idx].tolist(), shift)]
+        scaled, humps = sign1[idx] * a1[idx], _hump_breaks(a1[idx], k)
         samples = []
+        # only a track with a sample left of the imaginary axis can cross
+        crossable = np.zeros(idx.size, dtype=bool)
 
         def node(z, j):
             return z.real, _kappa_raw(np.complex128(k), z)
 
         def member(data, owner):
             re, kap = data
-            j = idx[owner]
-            rotated, log_w = _log_density(sign1[j], a1[j], k, None, kap=kap)
+            rotated, log_w = _log_density(scaled[owner], k, None, kap=kap)
             samples.append((owner, re, rotated))
+            crossable[owner[rotated.real < 0.0]] = True
             return log_w
 
         value = integrate_over_shifted((node, member), shifted, a2[idx],
                                        s2[idx], cfg, k, humps).value
-        owner, re, rotated = (np.concatenate(part) for part in zip(*samples))
-        # only a track with a sample left of the imaginary axis can cross
-        crossable = np.zeros(idx.size, dtype=bool)
-        crossable[owner[rotated.real < 0.0]] = True
-        keep = crossable[owner]
-        order = _track_order(owner[keep], re[keep])
-        _check_log_track(rotated[keep][order], owner[keep][order])
+        if crossable.any():
+            owner, re, rotated = (np.concatenate(part) for part in zip(*samples))
+            keep = crossable[owner]
+            order = _track_order(owner[keep], re[keep])
+            _check_log_track(rotated[keep][order], owner[keep][order])
         return value
 
     value = np.empty(a2.size, dtype=np.complex128)
     zero = a1 == 0
     if zero.any():  # the log argument is 1: no integral, nothing stored
-        value[zero] = quarter(np.flatnonzero(zero))
-    idx = np.flatnonzero(~zero)
-    raw = np.column_stack([sign1, side2, a1, a2])[idx].tobytes()
+        value[zero] = quarter(zero.nonzero()[0])
+    idx = (~zero).nonzero()[0]
+    raw = np.array([sign1, side2, a1, a2]).T[idx].tobytes()
     token = _integral_memo.token((eps, k, contour, cfg))
     keys = [(token, raw[i:i + 64]) for i in range(0, len(raw), 64)]
     value[idx] = _integral_memo.lookup(keys, lambda pos: quarter(idx[pos]))
@@ -418,7 +422,7 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
     sides = gap_side(gap, _side_tol(k))
     for name, side, required in (("alpha1", sides[m:], label.side1),
                                  ("alpha2", sides[:m], label.side2)):
-        if not np.all(_side_ok(side, required)):
+        if _side_off(side, required).any():
             raise DomainError(f"{name} outside the natural domain of "
                               f"K_{label.tag}; use continue_factor")
     values = _quarter_batch(np.full(m, label.sign1), np.full(m, label.side2),
@@ -430,14 +434,15 @@ def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
                           cfg: QuadratureConfig) -> complex:
     """Branch constant of the alpha1-plane continuation, measured once.
 
-    The swapped half-plane factors give ``K_label = C * K_o? / K_comp``
-    with ``comp`` the alpha1-flipped label.  With the default contours
-    ``C = 1`` (within 2.5e-12 for all labels at k = 1, 3 and 10), but
-    ``C`` is still measured on an overlap set (alpha1 on the contour,
-    alpha2 inside its half-plane; 24 integrals in one batch) and checked
-    to be constant and unimodular: that check catches a user-supplied
-    contour that puts the factors on other branches.  A measurement
-    that fails is not repeated: its error is raised again.
+    The swapped half-plane factors give ``K_label = C * K_o? / K_comp`` with
+    ``comp`` the alpha1-flipped label.  With the default contours ``C = 1``
+    (within 2.5e-12 for all labels at k = 1, 3 and 10), but ``C`` is still
+    measured on an overlap set (alpha1 on the contour, alpha2 inside its
+    half-plane; 24 integrals in one batch) and checked to be constant and
+    unimodular: that check catches a user-supplied contour that puts the
+    factors on other branches.  ``mp`` and ``mm`` take the integrals of
+    ``pp`` and ``pm`` from the integral memo: the four take 48, not 96.  A
+    failed measurement is not repeated: its error is raised again.
 
     Raises
     ------
@@ -526,25 +531,26 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
     """
     m = len(labels)
     code = np.array([ALL_LABELS.index(lab) for lab in labels], dtype=int)
-    sign1, side2 = 1 - 2 * (code >> 1), 1 - 2 * (code & 1)
+    required = _SIDES[code].T.ravel()  # every sign1, then every side2
     s, gap = _projected(contour, z := np.concatenate([a1, a2]))
-    off = ~_side_ok(gap_side(gap, _side_tol(k)), np.concatenate([sign1, side2]))
+    off = _side_off(gap_side(gap, _side_tol(k)), required)
     off1, off2 = off[:m], off[m:]
+    # the label whose integral a point needs: flipped where off its side
+    need = np.where(off, -required, required)
     cst = np.ones(m, dtype=np.complex128)
     for c in dict.fromkeys(code[off1].tolist()):
         cst[code == c] = continuation_constant(ALL_LABELS[c], k, contour, cfg)
-    # the label whose integral a point needs: flipped where off its side
-    q_sign1, q_side2 = np.where(off1, -sign1, sign1), np.where(off2, -side2, side2)
     half = np.ones(2 * m, dtype=np.complex128)
     if off.any():  # halves no point needs are taken at (0, 0): none fails
         try:
-            half = _half_factor_raw(np.complex128(k), np.where(off, z, 0),
-                                    np.where(off, np.roll(z, m), 0),
-                                    np.concatenate([side2, q_sign1]).astype(float))
+            half = _half_factor_raw(
+                np.complex128(k), np.where(off, z, 0),
+                np.where(off, np.concatenate([a2, a1]), 0),
+                np.concatenate([required[m:], need[:m]], dtype=float))
         except OnBranchCutError as exc:
             exc.mask = exc.mask[:m] | exc.mask[m:]
             raise
-    value = _quarter_batch(q_sign1, q_side2, a1, a2, s[m:], gap[m:], k,
+    value = _quarter_batch(need[:m], need[m:], a1, a2, s[m:], gap[m:], k,
                            contour, cfg)
     value[off2] = half[m:][off2] / value[off2]
     value[off1] = cst[off1] * half[:m][off1] / value[off1]

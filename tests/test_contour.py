@@ -41,19 +41,16 @@ class TestParametrisation:
 
     @pytest.mark.parametrize("k", [3.0, 30.0])
     def test_real_fourth_power_is_bit_identical_to_complex_power(self, k, rng):
-        # A(s) and A'(s) with s^4 taken as the complex power of s
+        # A(s) and A'(s) with s^4 taken as the complex power of s; a
+        # scalar's reference is its entry of the array call
         spec = ct.default_contour(k)
 
         def point(s):
-            s = np.asarray(s, dtype=np.float64)
-            out = s + s / (spec.a * (s.astype(np.complex128) ** 4 + spec.c))
-            return complex(out) if out.ndim == 0 else out
+            return s + s / (spec.a * (s.astype(np.complex128) ** 4 + spec.c))
 
         def derivative(s):
-            s = np.asarray(s, dtype=np.float64)
             s4 = s.astype(np.complex128) ** 4
-            out = 1.0 + (spec.c - 3.0 * s4) / (spec.a * (s4 + spec.c) ** 2)
-            return complex(out) if out.ndim == 0 else out
+            return 1.0 + (spec.c - 3.0 * s4) / (spec.a * (s4 + spec.c) ** 2)
 
         s = np.concatenate([rng.uniform(-1e6, 1e6, 2000),
                             rng.choice([-1.0, 1.0], 2000) * 10 ** rng.uniform(-8, 6, 2000),
@@ -63,10 +60,21 @@ class TestParametrisation:
             return np.asarray(v, dtype=np.complex128).tobytes()
 
         for mine, ref in ((ct.contour_point, point), (ct.contour_derivative, derivative)):
-            assert bits(mine(spec, s)) == bits(ref(s))
-            for v in s[::40]:
+            whole = ref(s)
+            assert bits(mine(spec, s)) == bits(whole)
+            for v, entry in zip(s[::40], whole[::40]):
                 for arg in (float(v), np.float64(v), np.array(v)):
-                    assert bits(mine(spec, arg)) == bits(ref(arg))
+                    assert bits(mine(spec, arg)) == bits(entry)
+
+    def test_scalar_is_a_batch_of_one(self, contour3, rng):
+        # a scalar parameter rounds as its entry of an array call does,
+        # not as numpy's scalar arithmetic would
+        s = rng.uniform(-300.0, 300.0, 500)
+        for f in (ct.contour_point, ct.contour_derivative):
+            whole = f(contour3, s)
+            assert all(isinstance(f(contour3, v), complex) for v in s[:5])
+            assert np.array([f(contour3, float(v)) for v in s]).tobytes() \
+                == whole.tobytes()
 
     def test_batches_of_any_size_round_alike(self, contour3, rng):
         # numpy computes a product with a temporary of 256 KiB or more in

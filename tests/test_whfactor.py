@@ -181,7 +181,7 @@ class TestQuarterFactor:
         # kappa(k, 0) = k, so w = 1 - k/k = 0 exactly at z = 0; the grid
         # path and the scalar path share this guard
         with pytest.raises(BranchCrossingError):
-            wf._log_density(wf.PP.sign1, -k3, k3, np.array([0.0j, 1.0 + 1.0j]))
+            wf._log_density(wf.PP.sign1 * -k3, k3, np.array([0.0j, 1.0 + 1.0j]))
 
     def test_out_of_domain_rejected(self, contour3, cfg, k3):
         # alpha2 = -1.2 lies below the contour: not PP territory
@@ -350,7 +350,7 @@ class TestBatch:
         wf._integral_memo.clear()  # the pairs alone integrate again
         for j in range(a2.size):
             one = wf.quarter_factor(label, a1[j], a2[j], k3, contour3, cfg)
-            assert abs(batch[j] - one) <= 1e-13 * abs(one)
+            assert batch[j] == one
 
     def test_shared_nodes_match_batches_of_one(self, monkeypatch, contour3,
                                                cfg, k3):
@@ -394,7 +394,7 @@ class TestBatch:
             one = wf._quarter_batch(sign1[part], side2[part], a1[part],
                                     a2[part], s2[part], gap2[part], k3,
                                     contour3, cfg)
-            assert abs(batch[j] - one[0]) <= 1e-14 * abs(one[0])
+            assert batch[j] == one[0]
         alone = np.array([r[2:] for r in refined])[:, :, 0]
         assert np.array_equal(alone[:, 0], n_evals)
         assert np.array_equal(alone[:, 1], n_panels)
@@ -418,7 +418,7 @@ class TestBatch:
             one, route = wf.continue_factor(label, a1[j], a2[j], k3, contour3,
                                             cfg, with_route=True)
             assert route == wf._ROUTES[routes[j]]
-            assert abs(values[j] - one) <= 1e-13 * abs(one)
+            assert values[j] == one
 
 
 class TestIntegralMemo:
@@ -720,6 +720,25 @@ def test_continuation_constant_is_one(cfg, k):
     for label in wf.ALL_LABELS:
         c = wf.continuation_constant(label, k, default_contour(k), cfg)
         assert abs(c.real - 1.0) < 1e-10 and abs(c.imag) < 1e-10
+
+
+def test_four_continuation_constants_take_48_integrals(monkeypatch, contour3,
+                                                       cfg, k3):
+    # pp and pm take 24 overlap integrals each; mp and mm need the same
+    # label pairs at the same points and take theirs from the integral
+    # memo, so a memo context that failed to match would double the count
+    counts = []
+    original = wf.integrate_over_shifted
+
+    def spy(density, shifted, *args):
+        counts.append(len(shifted))
+        return original(density, shifted, *args)
+
+    monkeypatch.setattr(wf, "integrate_over_shifted", spy)
+    wf._measured_constant.cache_clear()
+    for label in wf.ALL_LABELS:
+        wf.continuation_constant(label, k3, contour3, cfg)
+    assert counts == [24, 24]
 
 
 def test_failed_continuation_constant_is_measured_once(monkeypatch, contour3,

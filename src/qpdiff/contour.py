@@ -67,16 +67,18 @@ class ShiftedContour:
         return contour_point(self.base, s) + 1j * self.offset
 
 
-def _point_and_derivative(spec: ContourSpec, s):
-    """``A(s)`` and ``A'(s)`` at a finite float array ``s``; ``s^4`` (the complex
-    power's value) and ``s^4 + c`` are formed once.  Each factor of a product
-    with a complex constant is named: numpy computes ``a * tmp`` in place as
-    ``tmp * a`` for a temporary of 256 KiB or more, which rounds differently."""
+def _point_and_derivative(spec: ContourSpec, s, derivative: bool = True):
+    """``A(s)`` and ``A'(s)`` (None unless ``derivative``) at a finite float array
+    ``s``; ``s^4`` (the complex power's value) and ``s^4 + c`` are formed once.
+    Factors of a product with a complex constant are named: from a 256 KiB
+    temporary up, numpy computes ``a * tmp`` in place as ``tmp * a``, rounding differently."""
     s4 = np.square(s * s)
     q = s4 + spec.c
     aq = spec.a * q
     if not aq.all():
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
+    if not derivative:
+        return s + s / aq, None
     q2 = q ** 2
     return s + s / aq, 1.0 + (spec.c - 3.0 * s4) / (spec.a * q2)
 
@@ -97,7 +99,7 @@ def _at(spec: ContourSpec, s, which: int):
     if not np.isfinite(s).all():
         raise NonFiniteInputError("contour parameter contains NaN/Inf")
     # 1-D: numpy's scalar arithmetic rounds unlike its array loop
-    out = _point_and_derivative(spec, s.reshape(-1))[which]
+    out = _point_and_derivative(spec, s.reshape(-1), which == 1)[which]
     return complex(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -168,7 +170,7 @@ def _bracket(spec: ContourSpec, x, pad: float):
     """``(lo, hi)`` with ``Re A(lo) < x < Re A(hi)``, widened by doubling."""
     for _ in range(8):
         lo, hi = x - pad, x + pad
-        f = _point_and_derivative(spec, np.concatenate([lo, hi]))[0].real
+        f = _point_and_derivative(spec, np.concatenate([lo, hi]), False)[0].real
         ok = (f[:x.size] < x) & (x < f[x.size:])
         if ok.all():
             return lo, hi

@@ -6,29 +6,27 @@ the integrand -- the log density ``diag_log(1 +- alpha1/kappa(k, z))``
 times ``A'(s)`` -- is the same for every pixel; only the Cauchy kernel
 ``1/(z - alpha2)`` changes.  So the density is sampled once per mesh
 level on a composite GK15 mesh and the per-pixel sums go to the kernel
-``cauchy_pair_sums`` through ``_close_pair_sums``; the kernel sums the
-nodes near a pixel's lattice box directly and the far ones through the
-box's local expansion.  The rest of the formula comes from the
-``whfactor`` helpers that the adaptive ``quarter_factor`` uses.
+``cauchy_pair_sums``, which sums the nodes near a pixel's lattice box
+directly and the far ones through the box's local expansion.  The rest
+of the formula comes from the ``whfactor`` helpers that the adaptive
+``quarter_factor`` uses.
 
-The coarsest mesh comes from ``quadrature._starting_mesh``, the builder
-of the adaptive rule's starting meshes: uniform across the window's
-parameter range and the indentation, a short geometric walk on each
-side, then one panel over each whole tail in the mapped coordinate, so
-nothing is cut off, plus the adaptive rule's breaks where |alpha1| > 4k.
-Each finer level bisects every panel of the one before, walk and tails
-included (``_levels``).  Levels are taken coarse to fine: each pixel
-keeps the first level whose Kronrod and Gauss sums agree, and only the
-pixels still pending are summed on the next.  On every level, each
-panel close to a pixel has its term replaced by interpolatory product
-quadrature of the sampled density (close evaluation, Helsing & Ojala
-2008), so a pixel next to the contour settles as early as a far one.
-The branch-crossing check always runs on the finest level's samples,
-the densest everywhere, even when every pixel settles on a coarser one.
-Only pixels that fail the (relaxed) tolerance on the finest level, or
-come out non-finite, are computed by the adaptive rule, all in one
-batch, and pixels where even that fails are reported in the mask rather
-than raising.
+The coarsest mesh is ``quadrature._starting_mesh``'s, as for the
+adaptive rule (tails mapped, nothing cut off, the breaks where
+|alpha1| > 4k); each finer level bisects every panel of the one before
+(``_levels``).  Each pixel keeps the first level, coarse to fine, whose
+Kronrod and Gauss sums agree.  On every level the terms of each panel
+close to a pixel are replaced by interpolatory product quadrature of
+the sampled density (close evaluation, Helsing & Ojala 2008), so a
+pixel next to the contour settles as early as a far one: an exact
+prefilter finds the near (pixel, panel) pairs, and ``(15, pairs)``
+blocks, one column a pair, carry the product rule and the replaced
+kernel terms (``_close_pair_sums``).  The branch-crossing check always
+runs on the finest level's samples, the densest everywhere.  Only
+pixels that fail the (relaxed) tolerance on the finest level, or come
+out non-finite, are computed by the adaptive rule, all in one batch,
+and pixels where even that fails are reported in the mask rather than
+raising.
 """
 
 from __future__ import annotations
@@ -58,6 +56,9 @@ _TOL_RELAX = 100.0
 #: a target's panel term is replaced by product quadrature when its
 #: panel coordinate ``u0 = (t - c) / h`` has ``|u0| < _NEAR``
 _NEAR = 2.0
+#: close-evaluation pairs per block: a (15, _PAIRS) complex array is under
+#: 128 KiB (glibc's mmap threshold), so blocks reuse cached heap memory
+_PAIRS = 512
 
 
 def _levels(targets, alpha1: complex, k: float):
@@ -122,33 +123,47 @@ def _product_rule(u, density, panel, u0):
               between the panel and its chord [-1, 1],
         p_{j+1} = u0 p_j + (1 - (-1)^{j+1}) / (j + 1).
 
-    The Kronrod value interpolates at all 15 nodes, the Gauss value at
-    the 7 Gauss nodes.  Returns ``(kronrod, gauss)``, one entry a pair.
+    p_0 comes from real parts on the same principal branch: half the log of
+    ``|1 - u0|^2 / |-1 - u0|^2`` and two ``arctan2`` of ``+-1 - u0``'s parts as
+    complex subtraction forms them.  The p_j fill ``(15, _PAIRS)`` blocks, a
+    column per pair, and ``einsum`` adds a column row by row, so a pair's values
+    depend on its panel and ``u0`` alone.  The Kronrod value interpolates at all
+    15 nodes, the Gauss value at the 7 Gauss nodes.  Returns ``(kronrod, gauss)``.
     """
-    powers = np.arange(_XK.size)
+    def monomial_fit(x, y):  # row j: every panel's coefficient of u^j
+        powers = np.repeat(x[..., None], x.shape[-1], axis=-1)
+        powers[..., 0] = 1.0  # then x^j by repeated products
+        return np.linalg.solve(np.multiply.accumulate(powers, axis=-1),
+                               y[..., None])[..., 0].T
 
-    def monomial_fit(x, y):
-        return np.linalg.solve(x[..., None] ** powers[:x.shape[-1]],
-                               y[..., None])[..., 0]
-
-    gauss = slice(1, None, 2)
-    fit_k = monomial_fit(u, density)[panel]
-    fit_g = monomial_fit(u[:, gauss], density[:, gauss])[panel]
-    # the panel's height over its chord, a polynomial in Re u read at
-    # Re u0: a target strictly between the two is enclosed by them, and
-    # the chord's logarithm is one residue off
-    rise = np.zeros(u0.shape)
-    for coef in monomial_fit(u.real, u.imag)[panel].T[::-1]:
-        rise = rise * u0.real + coef
-    above = u0.imag > 0  # on the chord itself p_0 is the value from below
-    between = (np.abs(u0.real) < 1.0) & np.where(
-        rise > 0, above & (u0.imag < rise), ~above & (u0.imag > rise))
-    p = np.empty((u0.size, _XK.size), dtype=np.complex128)
-    p[:, 0] = np.log(1.0 - u0) - np.log(-1.0 - u0)
-    p[between, 0] -= 2j * np.pi * np.sign(rise[between])
-    for j in range(1, _XK.size):
-        p[:, j] = u0 * p[:, j - 1] + (1 - (-1) ** j) / j
-    return (fit_k * p).sum(axis=1), (fit_g * p[:, :fit_g.shape[1]]).sum(axis=1)
+    x, y = u0.real, u0.imag
+    # the panel's height over its chord, a polynomial in Re u read at Re u0,
+    # at most the sum of its |coefficients|: a target strictly between the
+    # two is enclosed by them, and the chord's logarithm is one residue off
+    chord = monomial_fit(u.real, u.imag)
+    low = np.flatnonzero((np.abs(x) < 1.0)
+                         & (np.abs(y) < 2.0 * np.abs(chord).sum(axis=0)[panel]))
+    rise = np.zeros(low.size)
+    for coef in chord[::-1, panel[low]]:
+        rise = rise * x[low] + coef
+    above = y[low] > 0  # on the chord itself p_0 is the value from below
+    between = np.where(rise > 0, above & (y[low] < rise), ~above & (y[low] > rise))
+    right, left, down = 1.0 - x, -1.0 - x, 0.0 - y
+    arg = np.arctan2(down, right) - np.arctan2(down, left)
+    arg[low[between]] -= 2.0 * np.pi * np.sign(rise[between])
+    p0 = 0.5 * np.log((right**2 + down**2) / (left**2 + down**2)) + 1j * arg
+    fits = monomial_fit(u, density), monomial_fit(u[:, 1::2], density[:, 1::2])
+    sums = np.empty((2, u0.size), dtype=np.complex128)
+    for cols in (slice(i, i + _PAIRS) for i in range(0, u0.size, _PAIRS)):
+        p = np.empty((_XK.size, u0[cols].size), dtype=np.complex128)
+        p[0] = p0[cols]
+        for j in range(1, _XK.size):
+            np.multiply(u0[cols], p[j - 1], out=p[j])
+            p[j] += (1 - (-1) ** j) / j
+        for out, fit in zip(sums, fits):
+            out[cols] = np.einsum("jn,jn->n", np.take(fit, panel[cols], axis=1),
+                                  p[:fit.shape[0]])
+    return sums
 
 
 def _close_pair_sums(nodes, density, ends, targets):
@@ -161,39 +176,42 @@ def _close_pair_sums(nodes, density, ends, targets):
     every (target, panel) pair of these whose panel coordinate
     ``u0 = (t - c)/h`` (``c``, ``h``: midpoint and half-difference of the
     panel's end points) has ``|u0| < _NEAR``, the panel's terms in both
-    sums are replaced by ``_product_rule``.  The replaced terms are subtracted
-    from the kernel's sums, which costs digits only for a target within
-    a small fraction of a node spacing of a node; grid targets keep at
-    least the shift ``_EPS`` from the integration contour.
+    sums are replaced by ``_product_rule``.  Only candidates (``|Re(t - c)|
+    < _NEAR |h|``, on sorted Re t) with ``|Im(t - c)| < 1.01 _NEAR |h|``,
+    a margin far beyond rounding, are divided and tested, so the near set
+    and every ``u0`` are exact.  The replaced terms are subtracted from the
+    kernel's sums in ``(15, _PAIRS)`` blocks, which costs digits only for
+    a target within a small fraction of a node spacing of a node; grid
+    targets keep at least the shift ``_EPS`` from the integration contour.
     """
     i_hi, i_lo = cauchy_pair_sums(*nodes, targets)
     z, coef_hi, coef_lo, density = (np.reshape(a, (-1, _XK.size))[1:-1]
                                     for a in nodes + (density,))
     c = 0.5 * (ends[1:] + ends[:-1])
     h = 0.5 * (ends[1:] - ends[:-1])
-    # candidate pairs have |Re(t - c)| < _NEAR |h|, found on sorted Re t
-    order = np.argsort(targets.real)
+    order = np.argsort(targets.real, kind="stable")
     re_sorted = targets.real[order]
     reach = _NEAR * np.abs(h)
     first = np.searchsorted(re_sorted, c.real - reach, side="right")
     count = np.searchsorted(re_sorted, c.real + reach, side="left") - first
     panel = np.repeat(np.arange(c.size), count)
-    rank = np.arange(panel.size) - np.repeat(np.cumsum(count) - count, count)
-    target = order[np.repeat(first, count) + rank]
+    at = order[np.arange(panel.size) + np.repeat(first - count.cumsum() + count, count)]
+    keep = np.flatnonzero(np.abs(targets.imag[at] - c.imag[panel]) < 1.01 * reach[panel])
+    target, panel = at[keep], panel[keep]
     u0 = (targets[target] - c[panel]) / h[panel]
-    near = np.abs(u0) < _NEAR
-    if not near.any():
-        return i_hi, i_lo
-    used, panel = np.unique(panel[near], return_inverse=True)
-    target, u0 = target[near], u0[near]
-    z = z[used]
-    close_hi, close_lo = _product_rule(
-        (z - c[used, None]) / h[used, None], density[used], panel, u0)
-    kernel = 1.0 / (z[panel] - targets[target, None])
-    np.add.at(i_hi, target,
-              close_hi - (coef_hi[used][panel] * kernel).sum(axis=1))
-    np.add.at(i_lo, target,
-              close_lo - (coef_lo[used][panel] * kernel).sum(axis=1))
+    near = np.flatnonzero(np.abs(u0) < _NEAR)
+    target, panel, u0 = target[near], panel[near], u0[near]
+    used = np.flatnonzero(np.bincount(panel, minlength=c.size))
+    panel = np.searchsorted(used, panel)
+    z, coefs = z[used], (coef_hi[used].T, coef_lo[used].T)
+    close = _product_rule((z - c[used, None]) / h[used, None], density[used], panel, u0)
+    for cols in (slice(i, i + _PAIRS) for i in range(0, u0.size, _PAIRS)):
+        kernel = 1.0 / (np.take(z.T, panel[cols], axis=1) - targets[target[cols]])
+        for sums, coef, rows in zip(close, coefs, (slice(None), slice(1, None, 2))):
+            sums[cols] -= np.einsum("jn,jn->n", np.take(coef[rows], panel[cols], axis=1),
+                                    kernel[rows])
+    np.add.at(i_hi, target, close[0])
+    np.add.at(i_lo, target, close[1])
     return i_hi, i_lo
 
 

@@ -76,6 +76,16 @@ class TestParametrisation:
             assert np.array([f(contour3, float(v)) for v in s]).tobytes() \
                 == whole.tobytes()
 
+    def test_point_is_the_point_of_point_and_derivative(self, contour3, rng):
+        # contour_point skips A'(s) but keeps the shared s^4, s^4 + c and
+        # a (s^4 + c) arithmetic: its points are the pair's, bit for bit
+        s = rng.uniform(-300.0, 300.0, 500)
+        pair = ct._point_and_derivative(contour3, s)[0]
+        assert ct.contour_point(contour3, s).tobytes() == pair.tobytes()
+        assert np.array([ct.contour_point(contour3, float(v)) for v in s]).tobytes() \
+            == np.array([ct._point_and_derivative(contour3, np.array([v]))[0][0]
+                         for v in s]).tobytes()
+
     def test_batches_of_any_size_round_alike(self, contour3, rng):
         # numpy computes a product with a temporary of 256 KiB or more in
         # place, with its operands swapped; no entry may feel that

@@ -272,6 +272,112 @@ def test_product_rule_on_curved_panel():
         assert abs(g_val - ref) < 1e-12 * abs(ref)
 
 
+#: (midpoint, half-difference, bend) of three parabolic panels
+_PANELS = [(0.2 + 0.1j, 0.05 * np.exp(0.3j), 0.3),
+           (-1.0 + 0.4j, 0.04 * np.exp(-0.5j), -0.2),
+           (0.7 - 0.6j, 0.02 * np.exp(1.2j), 0.1)]
+
+
+def _on_panel(n, x):
+    c0, half, bend = _PANELS[n]
+    return c0 + half * (x + 1j * bend * (1 - x * x))
+
+
+def _panel_rows():
+    """``u`` and ``density`` rows of the three panels, for ``_product_rule``."""
+    z = np.array([_on_panel(n, ge._XK) for n in range(len(_PANELS))])
+    c0, half = (np.array([p[i] for p in _PANELS])[:, None] for i in (0, 1))
+    return (z - c0) / half, np.exp(z) / (z - 3.0)
+
+
+def test_product_rule_on_three_curved_panels():
+    # the mpmath check of one curved panel, on three panels whose pairs
+    # come interleaved in one call: targets from 1e-10 to 2 half-widths
+    # off each panel on both sides, and one between panel and chord
+    mp = pytest.importorskip("mpmath")
+    cases = []
+    for n, (c0, half, bend) in enumerate(_PANELS):
+        cases.append((n, 0.0, c0 + 0.5j * bend * half))
+        for x in (-0.7, 0.95):
+            normal = 1j * half * (1 - 2j * bend * x)
+            normal /= abs(normal)
+            cases += [(n, x, _on_panel(n, x) + side * normal * d * abs(half))
+                      for d in (1e-10, 0.5, 2.0) for side in (1.0, -1.0)]
+    cases = [cases[i] for i in np.random.default_rng(3).permutation(len(cases))]
+    panel = np.array([n for n, _, _ in cases])
+    targets = np.array([t for _, _, t in cases])
+    c0, half = (np.array([_PANELS[n][i] for n in panel]) for i in (0, 1))
+    u, density = _panel_rows()
+    kronrod, gauss = ge._product_rule(u, density, panel, (targets - c0) / half)
+    for (n, x, t), k_val, g_val in zip(cases, kronrod, gauss):
+        zc, hc, bend = (mp.mpc(v) for v in _PANELS[n])
+
+        def integrand(s, t=mp.mpc(t)):
+            z = zc + hc * (s + 1j * bend * (1 - s * s))
+            return mp.exp(z) / (z - 3) * hc * (1 - 2j * bend * s) / (z - t)
+
+        with mp.workdps(20):
+            ref = complex(mp.quad(integrand, sorted({-1.0, x, 1.0})))
+        assert abs(k_val - ref) < 1e-12 * abs(ref)
+        assert abs(g_val - ref) < 1e-12 * abs(ref)
+
+
+def test_product_rule_works_pair_by_pair():
+    # a pair's values depend on its panel and u0 alone: a subset, a
+    # permutation and single pairs give the full call's values bit for
+    # bit, however the pairs fall into the blocks of _PAIRS
+    rng = np.random.default_rng(28)
+    u, density = _panel_rows()
+    n = 3 * ge._PAIRS + 7
+    panel = rng.integers(0, len(_PANELS), n)
+    u0 = (2.0 * np.sqrt(rng.uniform(0.0, 1.0, n))
+          * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+    u0[::50] = u[panel[::50], 5] + 1e-9j  # next to a node
+    u0[1::50] = 0.3 + 0.5j * u[panel[1::50], 7].imag  # between panel and chord
+    whole = ge._product_rule(u, density, panel, u0)
+    subset = rng.choice(n, 500, replace=False)
+    for pick in (subset, rng.permutation(n), np.arange(n)[::-1]):
+        got = ge._product_rule(u, density, panel[pick], u0[pick])
+        for part, ref in zip(got, whole):
+            assert part.tobytes() == ref[pick].tobytes()
+    for i in range(0, n, 97):
+        got = ge._product_rule(u, density, panel[i:i + 1], u0[i:i + 1])
+        assert [part.tobytes() for part in got] == [ref[i:i + 1].tobytes()
+                                                    for ref in whole]
+
+
+def test_near_set_is_exact(monkeypatch, contour3, k3, alpha1):
+    # targets just inside and just outside |u0| = _NEAR around several
+    # panels, twelve directions each and none on the contour: the pairs
+    # that reach _product_rule are those of dividing every pair, bitwise
+    x = np.linspace(-6.0, 6.0, 40)
+    window = (x[None, :] + 1j * x[:, None]).ravel()
+    shifted = wf._shifted_for(contour3, PP.side2, ge._EPS)
+    got, want = [], []
+    _spy(monkeypatch, "_product_rule", lambda u, d, panel, u0: got.append(u0))
+    for edges in ge._levels(window, alpha1, k3)[::4]:
+        ends = shifted.point(ge._s_of_u(edges[1:-1], 0.5 * edges[-1])[0])
+        c, h = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+        mid = np.flatnonzero(np.abs(c) < 4.0)[::3]
+        turn = h[mid, None] / np.abs(h[mid, None]) * np.exp(
+            2j * np.pi * (np.arange(12) + 0.5) / 12)
+        rings = [c[mid, None] + ge._NEAR * np.abs(h[mid, None]) * f * turn
+                 for f in (1 - 1e-12, 1 + 1e-12)]
+        targets = np.concatenate([window] + [r.ravel() for r in rings])
+        sampled = ge._sample_density(PP, alpha1, k3, shifted, edges, guard=False)
+        assert np.abs(targets[:, None] - sampled[0][0][None, :]).min() > 1e-4
+        ge._close_pair_sums(*sampled, ends, targets)
+        u = (targets[:, None] - c[None, :]) / h[None, :]
+        want.append(u[np.abs(u) < ge._NEAR])
+        assert np.sum((np.abs(u) < ge._NEAR) & (np.abs(u) > 1.99)) >= 12 * mid.size
+
+    def multiset(values):
+        values = np.concatenate(values)
+        return values[np.lexsort((values.imag, values.real))].tobytes()
+
+    assert len(got) == 2 and multiset(got) == multiset(want)
+
+
 @pytest.mark.parametrize("tag", ["pp", "pm", "mp", "mm"])
 def test_band_needs_no_fallback(monkeypatch, contour3, cfg, k3, tag):
     # targets with |gap| < 2 h_fine, on the contour and over the finest

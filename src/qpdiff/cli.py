@@ -4,13 +4,13 @@ portraits and the verification suite.
 The CLI is a thin shell over the library; every computation it performs
 is reachable through library calls with identical results.  Angles are
 radians only, with ``pi``-fraction literals ("pi/4", "-3*pi/4")
-accepted to avoid silent degree/radian mistakes.  Complex flags use the
-"re,im" syntax, and contour-anchored points resolve "A1:10" / "A2:5"
-through the active contour parametrisation.
+accepted to avoid silent degree/radian mistakes.  Points are "re,im"
+pairs or anchors ("A1:10", "A2:5") on the active contour, whose
+constants are Python complex literals ("0.0012+0.0006j").
 
-Configuration may come from a ``key=value`` file (``--config``); flags
-override file values, which override defaults.  No environment
-variable is read.
+A ``key=value`` file (``--config``) may set any key; flags override it,
+one for each key the subcommand reads (``_READS``).  ``verify`` takes
+neither.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import re
 import sys
-import time
+from time import perf_counter
 from dataclasses import dataclass
 
 from . import verification
@@ -78,7 +78,7 @@ def parse_complex(text: str, contour: ContourSpec | None = None) -> complex:
 
 @dataclass
 class RunConfig:
-    """Validated run-wide settings shared by all subcommands."""
+    """Validated settings of ``diffcoef``, ``factor`` and ``portrait``."""
 
     k: float = 3.0
     contour_a: complex | None = None
@@ -126,13 +126,21 @@ _CONFIG_PARSERS = {
     "eps_shift": float,
 }
 
+#: the keys each subcommand reads, and so has flags for
+_READS = {
+    "diffcoef": tuple(_CONFIG_PARSERS),
+    "factor": ("k", "contour_a", "contour_c", "abs_tol", "rel_tol",
+               "max_subdivisions"),
+    "portrait": ("k", "contour_a", "contour_c"),
+}
+
 #: flags, and their config keys, that went with the integrals' truncation
 _REMOVED = ("--s-max", "--tail-policy")
 
 
 def build_run_config(args) -> RunConfig:
     cfg = RunConfig()
-    given = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    given = _load_config_file(args.config) if args.config else {}
     for flag in _REMOVED:
         key = flag[2:].replace("-", "_")
         if key in given or getattr(args, key, None) is not None:
@@ -228,20 +236,19 @@ def cmd_portrait(args) -> int:
     pspec = PortraitSpec(window=window, resolution=(w, h),
                          function=args.function, mode=args.mode,
                          params=tuple(params))
-    t0 = time.time()
+    t0 = perf_counter()
     buffer = render(pspec, contour=spec)
     write_image(buffer, args.out)
-    print(f"wrote {args.out}  ({w}x{h}, {time.time() - t0:.1f} s)")
+    print(f"wrote {args.out}  ({w}x{h}, {perf_counter() - t0:.1f} s)")
     return 0
 
 
 def cmd_verify(args) -> int:
-    run = build_run_config(args)
     checks = verification.suite_checks(args.suite)
     results = []
     failed = 0
     for check in checks:
-        result = check(run)
+        result = check()
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {result.name}  ({result.elapsed:.1f} s)  "
@@ -267,18 +274,13 @@ def cmd_verify(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_settings(p, command):
+    """``--config`` and a flag for each key ``command`` reads."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--k", type=float, default=None, help="wavenumber")
-    p.add_argument("--contour-a", dest="contour_a", type=complex, default=None)
-    p.add_argument("--contour-c", dest="contour_c", type=complex, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--max-subdivisions", dest="max_subdivisions", type=int,
-                   default=None)
+    for key in _READS[command]:
+        p.add_argument("--" + key.replace("_", "-"), type=_CONFIG_PARSERS[key])
     for flag in _REMOVED:
         p.add_argument(flag, help=argparse.SUPPRESS)
-    p.add_argument("--eps-shift", dest="eps_shift", type=float, default=None)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -298,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-theta", dest="n_theta", type=int, default=101)
     p.add_argument("--out", required=True,
                    help="CSV path (single arc) or output directory")
-    _add_common(p)
+    _add_settings(p, "diffcoef")
     p.set_defaults(func=cmd_diffcoef)
 
     p = sub.add_parser("factor", help="evaluate one kernel factor at a point")
@@ -306,7 +308,7 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=[lab.tag for lab in ALL_LABELS] + ["full"])
     p.add_argument("--alpha1", required=True, help="'re,im' or 'A1:s'")
     p.add_argument("--alpha2", required=True, help="'re,im' or 'A2:s'")
-    _add_common(p)
+    _add_settings(p, "factor")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("portrait", help="render a phase portrait to PPM")
@@ -317,14 +319,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha1", default=None)
     p.add_argument("--alpha2", default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p, "portrait")
     p.set_defaults(func=cmd_portrait)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--suite", default="all",
                    choices=sorted(verification.SUITES))
     p.add_argument("--json", default=None, help="also write a JSONL report")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -23,6 +23,7 @@ by one safeguarded Newton solve of ``Re A(s) = Re z``
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,16 @@ def _at(spec: ContourSpec, s, which: int):
     return complex(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-def scaled_constants(k: float, k_ref: float = K_REF,
-                     a_ref: complex = A_REF, c_ref: complex = C_REF):
+def scaled_constants(k: float):
     """Shape constants for wavenumber ``k`` by geometric similarity.
 
-    ``A_k(s) = (k/k_ref) A_ref(s k_ref / k)`` maps the reference contour
-    onto one whose indentation sits at ``-+k`` instead of ``-+k_ref``.
+    ``A_k(s) = (k/K_REF) A_ref(s K_REF / k)`` maps the reference contour
+    onto one whose indentation sits at ``-+k`` instead of ``-+K_REF``.
     """
     if not 0 < k < np.inf:  # NaN fails the chained test too
         raise DomainError("wavenumber must be finite and positive")
-    ratio = k_ref / k
-    return a_ref * ratio ** 4, c_ref / ratio ** 4
+    ratio = K_REF / k
+    return A_REF * ratio ** 4, C_REF / ratio ** 4
 
 
 def default_contour(k: float = K_REF) -> ContourSpec:
@@ -136,21 +136,16 @@ _NEWTON_MAXIT = 100
 #: targets solved together; bounds the iteration's temporaries
 _BLOCK = 4096
 
-_geometry_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _geometry(spec: ContourSpec):
     """Cached monotonicity check, bump bound and samples for a contour.
 
     Verifies once per constants that Re A(s) is strictly increasing
     (sampled at 10^4 points; required by side classification), records
     max |A(s) - s| for projection bracketing, and keeps the samples
-    ``(s, Re A(s))`` that seed the projection's Newton iteration.
+    ``(s, Re A(s))`` that seed the projection's Newton iteration.  Keeps
+    the last 64 contours (157 KiB each); a ``ContourError`` is not kept.
     """
-    key = (spec.a, spec.c)
-    hit = _geometry_cache.get(key)
-    if hit is not None:
-        return hit
     s = np.linspace(-60.0, 60.0, 10001)
     pts = contour_point(spec, s)
     re = pts.real
@@ -161,9 +156,7 @@ def _geometry(spec: ContourSpec):
         )
     bump = float(np.max(np.abs(pts - s)))
     # a copy: a view of Re A(s) would keep the complex samples alive
-    info = {"bump": bump, "s": s, "re": re.copy()}
-    _geometry_cache[key] = info
-    return info
+    return {"bump": bump, "s": s, "re": re.copy()}
 
 
 def _bracket(spec: ContourSpec, x, pad: float):
@@ -377,14 +370,14 @@ class ContourReport:
                 and self.scan.ok and self.clearance > 0.0)
 
 
-def validate_contour(spec: ContourSpec, k: float, scan_n: int = 120,
+def validate_contour(spec: ContourSpec, k: float,
                      raise_on_failure: bool = False) -> ContourReport:
     """Run the acceptance diagnostics for a contour at wavenumber ``k``.
 
     Checks, in order: A(0) = 0; the relative asymptote |A(s)/s - 1| at
     s = +-10^3 k / K_REF, the same point of every similarity-scaled
     contour; Re-monotonicity (sampled, not proven); indentation above
-    -k / below +k; the sign-compatibility scan; the loci clearance.
+    -k / below +k; the 120-by-120 sign-compatibility scan; the loci clearance.
     A wavenumber that is not finite and positive is a ``DomainError``.
     """
     if not 0 < k < np.inf:
@@ -402,7 +395,7 @@ def validate_contour(spec: ContourSpec, k: float, scan_n: int = 120,
         # the contour passes above -k and below +k
         gaps = contour_projection(spec, np.array([-k, k]))[1]
         indentation_ok = gaps[0] < 0.0 < gaps[1]
-    scan = sign_compatibility_scan(spec, spec, k, scan_n,
+    scan = sign_compatibility_scan(spec, spec, k, 120,
                                    s_range=10.0 * k / K_REF)
     clearance = loci_clearance(spec, spec, k, s_range=30.0 * k / K_REF) if monotone else 0.0
     report = ContourReport(
@@ -418,12 +411,12 @@ def validate_contour(spec: ContourSpec, k: float, scan_n: int = 120,
     return report
 
 
-def default_shift(k: float, distance: float, floor: float = 1e-3) -> float:
+def default_shift(k: float, distance: float) -> float:
     """Shift magnitude for the Cauchy contours serving a given target.
 
     Takes the smaller of 0.05 k (strip safety) and a ninth of the
     target's ``distance`` to the base contour (the absolute gap that
     ``contour_projection`` returns), so that the target stays at least
-    ten shifts away from the shifted contour; clamped below at ``floor``.
+    ten shifts away from the shifted contour; clamped below at 1e-3.
     """
-    return np.maximum(floor, np.minimum(0.05 * k, np.divide(distance, 9.0)))
+    return np.maximum(1e-3, np.minimum(0.05 * k, np.divide(distance, 9.0)))

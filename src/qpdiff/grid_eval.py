@@ -35,7 +35,7 @@ import numpy as np
 
 from ._cauchy_numpy import cauchy_pair_sums
 from .contour import ContourSpec, _point_and_derivative, side_sign
-from .errors import QpdiffError
+from .errors import DomainError, QpdiffError
 from .quadrature import (QuadratureConfig, _WG, _WK, _XK, _s_of_u,
                          _starting_mesh)
 from .specfun import half_factor
@@ -288,12 +288,12 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     targets are continued by dividing the explicit alpha1-plane
     half-factor by the complementary factor's integral (which is the
     natural one there).  ``alpha1`` must lie in the label's natural
-    alpha1 half-plane or on the contour.
+    alpha1 half-plane or on the contour, else ``DomainError``.
     """
     tol = _side_tol(k)
     side1 = side_sign(contour, complex(alpha1), tol)
     if side1 != 0 and side1 != label.side1:
-        raise QpdiffError(
+        raise DomainError(
             f"alpha1 is outside the natural half-plane of K_{label.tag}; "
             "pointwise continuation is required (continue_factor)"
         )

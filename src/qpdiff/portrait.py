@@ -25,7 +25,7 @@ from .quadrature import QuadratureConfig
 from .specfun import _kappa_raw, diag_log, sqrt_down
 from .whfactor import MM, MP, PM, PP
 
-#: quadrature tolerances used for portrait pixels; hue needs far less
+#: quadrature tolerances of every portrait's pixels; hue needs far less
 #: than the factor identities do, and the relaxed setting keeps a
 #: 400x400 quarter-factor portrait well inside its time budget.
 PORTRAIT_CFG = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-6)
@@ -158,8 +158,7 @@ def _hsv_wheel_rgb(hue):
                           + np.arange(n)[:, None]]
 
 
-def render(spec: PortraitSpec, contour: ContourSpec | None = None,
-           cfg: QuadratureConfig | None = None) -> np.ndarray:
+def render(spec: PortraitSpec, contour: ContourSpec | None = None) -> np.ndarray:
     """Render a portrait to an (height, width, 3) uint8 RGB buffer."""
     fn = REGISTRY.get(spec.function)
     if fn is None:
@@ -169,10 +168,8 @@ def render(spec: PortraitSpec, contour: ContourSpec | None = None,
     params.setdefault("k", 3.0)
     if contour is None:
         contour = default_contour(params["k"])
-    if cfg is None:
-        cfg = PORTRAIT_CFG
     z = pixel_grid(spec)
-    vals = np.asarray(fn(z, contour, cfg, params), dtype=np.complex128)
+    vals = np.asarray(fn(z, contour, PORTRAIT_CFG, params), dtype=np.complex128)
     ok = np.isfinite(vals)
 
     h, w = z.shape

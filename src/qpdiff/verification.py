@@ -2,17 +2,17 @@
 
 Each check function covers one acceptance criterion, pins its
 tolerances inline, and returns a ``CheckResult`` with a one-line
-detail.  The checks are deliberately self-contained (they build their
-own contours, configs and incidences from the criterion's stated
-parameters) so that a ``verify`` run reports on the library as shipped,
-not on whatever configuration happens to be active.
+detail.  The checks take no arguments: they build their own contours,
+configs and incidences from the criterion's stated parameters, so that
+a ``verify`` run reports on the library as shipped, not on whatever
+configuration happens to be active.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class CheckResult:
 
 
 def _result(name, t0, limit, ok, detail, **data):
-    elapsed = time.time() - t0
+    elapsed = perf_counter() - t0
     in_time = elapsed < limit
     if not in_time:
         detail += f"; exceeded {limit:.0f} s budget"
@@ -47,9 +47,9 @@ def _result(name, t0, limit, ok, detail, **data):
 
 # -- criterion 1 -----------------------------------------------------------
 
-def check_branch_identities(run=None) -> CheckResult:
+def check_branch_identities() -> CheckResult:
     """sqrt/log/kappa defining identities at 1e4 points, and cut locations."""
-    t0 = time.time()
+    t0 = perf_counter()
     rng = np.random.default_rng(20240811)
     n = 10_000
     z = (np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
@@ -93,9 +93,9 @@ def check_branch_identities(run=None) -> CheckResult:
 
 # -- criterion 2 -----------------------------------------------------------
 
-def check_sign_compatibility(run=None) -> CheckResult:
+def check_sign_compatibility() -> CheckResult:
     """Im(1/K) >= 0 on the 200x200 contour-parameter grid (k = 3)."""
-    t0 = time.time()
+    t0 = perf_counter()
     spec = default_contour(3.0)
     scan = sign_compatibility_scan(spec, spec, 3.0, 200)
     dist = math.hypot(scan.s1_at_min, scan.s2_at_min)
@@ -112,9 +112,9 @@ def check_sign_compatibility(run=None) -> CheckResult:
 
 # -- criterion 3 -----------------------------------------------------------
 
-def check_four_factor(run=None) -> CheckResult:
+def check_four_factor() -> CheckResult:
     """|K_pp K_pm K_mp K_mm - K| / |K| < 1e-6 on the contours and at real points."""
-    t0 = time.time()
+    t0 = perf_counter()
     k = 3.0
     spec = default_contour(k)
     cfg = QuadratureConfig()
@@ -145,9 +145,9 @@ def _loglog_slope(radii, mags):
     return float(np.polyfit(np.log(radii), np.log(mags), 1)[0])
 
 
-def check_decay(run=None) -> CheckResult:
+def check_decay() -> CheckResult:
     """Large-|alpha| decay exponents of the half, quarter and assembled factors."""
-    t0 = time.time()
+    t0 = perf_counter()
     k = 3.0
     spec = default_contour(k)
     radii = np.geomspace(1e2, 1e4, 7)
@@ -191,9 +191,9 @@ def check_decay(run=None) -> CheckResult:
 
 # -- criterion 5 -----------------------------------------------------------
 
-def check_cauchy_oracles(run=None) -> CheckResult:
+def check_cauchy_oracles() -> CheckResult:
     """Sum-split and factorisation against closed-form rational oracles."""
-    t0 = time.time()
+    t0 = perf_counter()
     spec = default_contour(3.0)
     cfg = QuadratureConfig()
     eps = 0.35
@@ -246,9 +246,9 @@ def check_cauchy_oracles(run=None) -> CheckResult:
 
 # -- criterion 6 -----------------------------------------------------------
 
-def check_residual(run=None) -> CheckResult:
+def check_residual() -> CheckResult:
     """Compatibility residual: exact cancellation on alpha2 = a2, nonzero off it."""
-    t0 = time.time()
+    t0 = perf_counter()
     inc = make_incidence(math.pi / 4, -3 * math.pi / 4, 3.0)
     ev = AnsatzEvaluator(inc)
     rng = np.random.default_rng(11)
@@ -277,9 +277,9 @@ def check_residual(run=None) -> CheckResult:
 
 # -- criterion 7 -----------------------------------------------------------
 
-def check_diffraction(run=None) -> CheckResult:
+def check_diffraction() -> CheckResult:
     """Oasis imaginarity, k-invariance, pole scaling, shift robustness."""
-    t0 = time.time()
+    t0 = perf_counter()
     k = 3.0
     inc = make_incidence(math.pi / 4, -3 * math.pi / 4, k)
     ev = AnsatzEvaluator(inc)
@@ -338,13 +338,13 @@ def check_diffraction(run=None) -> CheckResult:
 
 # -- criterion 8 -----------------------------------------------------------
 
-def check_performance(run=None) -> CheckResult:
+def check_performance() -> CheckResult:
     """400x400 quarter-factor portrait and one 101-point arc, timed.
 
     Both are timed cold: the integral and projection memos are cleared
     before each, so neither reads work that earlier criteria left there.
     """
-    t0 = time.time()
+    t0 = perf_counter()
     spec = default_contour(3.0)
     alpha1 = contour_point(spec, 10.0)
     pspec = PortraitSpec(window=(-6, 6, -6, 6), resolution=(400, 400),
@@ -352,17 +352,17 @@ def check_performance(run=None) -> CheckResult:
                          params=(("k", 3.0), ("alpha1", alpha1)))
     _integral_memo.clear()
     _projection_memo.clear()
-    t_p = time.time()
+    t_p = perf_counter()
     buffer = render(pspec, contour=spec)
-    portrait_s = time.time() - t_p
+    portrait_s = perf_counter() - t_p
     black = int((buffer.sum(axis=2) == 0).sum())
 
     _integral_memo.clear()
     _projection_memo.clear()
-    t_a = time.time()
+    t_a = perf_counter()
     inc = make_incidence(math.pi / 4, -3 * math.pi / 4, 3.0)
     AnsatzEvaluator(inc).arc_sweep(math.pi / 4, 101)
-    arc_s = time.time() - t_a
+    arc_s = perf_counter() - t_a
     ok = portrait_s <= 60.0 and arc_s <= 30.0
     return _result(
         "8 performance", t0, 120.0, ok,
@@ -374,9 +374,9 @@ def check_performance(run=None) -> CheckResult:
 
 # -- criterion 9 -----------------------------------------------------------
 
-def check_real_branch(run=None) -> CheckResult:
+def check_real_branch() -> CheckResult:
     """Past the validity boundary the coefficient turns purely real."""
-    t0 = time.time()
+    t0 = perf_counter()
     inc = make_incidence(math.pi / 4, math.pi / 8, 3.0)
     ev = AnsatzEvaluator(inc)
     arc = ev.arc_sweep(0.0, 101)

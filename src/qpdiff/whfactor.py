@@ -167,14 +167,14 @@ def _split_guard(contour: ShiftedContour, target: complex) -> float:
 
 
 def cauchy_split(f, target, side: str, contour: ShiftedContour,
-                 cfg: QuadratureConfig, scale: float = 3.0) -> complex:
+                 cfg: QuadratureConfig) -> complex:
     """One half of the additive split of a strip-analytic function.
 
     ``side="plus"`` returns the part analytic above the base contour,
     computed as ``1/(2 i pi) int f(z)/(z - target) dz`` along the
     below-shifted copy; ``side="minus"`` the part analytic below, with
     the opposite sign along the above-shifted copy.  ``f`` must decay
-    like ``|z|^-lambda`` (lambda > 0) on the strip.
+    like ``|z|^-lambda`` (lambda > 0) on the strip, meshed at scale ``K_REF``.
     """
     target = complex(target)
     if not np.isfinite(target):
@@ -193,11 +193,11 @@ def cauchy_split(f, target, side: str, contour: ShiftedContour,
     density = (lambda z, j: (np.asarray(f(z), dtype=np.complex128),),
                lambda data, owner: data[0])
     return coef * integrate_over_shifted(density, [contour], np.array([target]),
-                                         [s_star], cfg, scale, [()]).value[0]
+                                         [s_star], cfg, K_REF, [()]).value[0]
 
 
 def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
-                     cfg: QuadratureConfig, scale: float = 3.0) -> complex:
+                     cfg: QuadratureConfig) -> complex:
     """One factor of the multiplicative split of a strip function.
 
     The factor is ``exp`` of the ``cauchy_split`` part of ``log g``.
@@ -215,7 +215,7 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
         samples.append((np.asarray(z).real.copy(), gz.copy()))
         return np.log(gz)
 
-    value = np.exp(cauchy_split(log_g, target, side, contour, cfg, scale))
+    value = np.exp(cauchy_split(log_g, target, side, contour, cfg))
 
     re, gz = (np.concatenate(part) for part in zip(*samples))
     order = np.argsort(re)
@@ -331,7 +331,7 @@ def _projected(contour: ContourSpec, z):
 
 
 def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
-                   contour: ContourSpec, cfg: QuadratureConfig, eps=None):
+                   contour: ContourSpec, cfg: QuadratureConfig):
     """Quarter factors at M points by their integrals, in one batch.
 
     Point ``j`` has the label of alpha1 sign ``sign1[j]`` and alpha2
@@ -344,16 +344,15 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
     (``a1 != 0``), so a hit skips the prefactor and the ``exp`` as well;
     points with ``a1 = 0`` are computed directly and not stored.  It keys
     a value by ``(sign1, side2, a1, a2)``, compared bit for bit (-0.0 is
-    not 0.0), and the token of ``(eps, k, contour, cfg)``, which fix its
-    shift, breaks and rule.  A stored value is its first batch's.
+    not 0.0), and the token of ``(k, contour, cfg)``, which with the gap fix
+    its shift, breaks and rule.  A stored value is its first batch's.
     """
     def quarter(idx):
         return _quarter_value(side2[idx], a1[idx], a2[idx], k,
                               lambda live: integrate(idx[live]))
 
     def integrate(idx):
-        shift = (default_shift(k, np.abs(gap2[idx])) if eps is None
-                 else [eps] * idx.size)
+        shift = default_shift(k, np.abs(gap2[idx]))
         shifted = [_shifted_for(contour, *c) for c in zip(side2[idx].tolist(), shift)]
         scaled, humps = sign1[idx] * a1[idx], _hump_breaks(a1[idx], k)
         samples = []
@@ -385,22 +384,21 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
         value[zero] = quarter(zero.nonzero()[0])
     idx = (~zero).nonzero()[0]
     raw = np.array([sign1, side2, a1, a2]).T[idx].tobytes()
-    token = _integral_memo.token((eps, k, contour, cfg))
+    token = _integral_memo.token((k, contour, cfg))
     keys = [(token, raw[i:i + 64]) for i in range(0, len(raw), 64)]
     value[idx] = _integral_memo.lookup(keys, lambda pos: quarter(idx[pos]))
     return value
 
 
 def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
-                   contour: ContourSpec, cfg: QuadratureConfig,
-                   eps: float | None = None):
+                   contour: ContourSpec, cfg: QuadratureConfig):
     """One quarter factor by its own integral representation.
 
     Valid for points in the label's natural domain (boundary included);
     callers needing other points go through ``continue_factor``.  The
-    shift ``eps`` defaults to the guarded rule in
-    ``contour.default_shift`` and is reduced automatically for targets
-    close to the contour.  Alpha2 is projected onto the contour once per
+    shift of each point's integration contour is the guarded rule in
+    ``contour.default_shift``, reduced for targets close to the
+    contour.  Alpha2 is projected onto the contour once per
     process (``_projected``); its gap feeds the domain check and the
     shift, its parameter the panel breaks.  ``alpha1`` and ``alpha2``
     broadcast: arrays are one batch of the adaptive rule, a scalar call a
@@ -426,7 +424,7 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
             raise DomainError(f"{name} outside the natural domain of "
                               f"K_{label.tag}; use continue_factor")
     values = _quarter_batch(np.full(m, label.sign1), np.full(m, label.side2),
-                            a1, a2, s[:m], gap[:m], k, contour, cfg, eps)
+                            a1, a2, s[:m], gap[:m], k, contour, cfg)
     return complex(values[0]) if not shape else values.reshape(shape)
 
 

@@ -199,6 +199,32 @@ def test_non_finite_shift_is_usage_error(eps, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    *(["portrait", "--function", "k_pp", "--alpha1", "A1:10", "--res", "8", flag]
+      for flag in ("--abs-tol=1e-3", "--rel-tol=1e-3", "--max-subdivisions=3",
+                   "--eps-shift=5")),
+    ["factor", "--label", "pp", "--alpha1", "0.8,0.9", "--alpha2", "1,1.2",
+     "--eps-shift=-5"],
+    *(["verify", "--suite", "specfun", flag]
+      for flag in ("--config=run.cfg", "--k=-1", "--contour-a=1j",
+                   "--contour-c=1j", "--abs-tol=1e-3", "--rel-tol=1e-3",
+                   "--max-subdivisions=3", "--eps-shift=-1")),
+], ids=lambda argv: f"{argv[0]}{argv[-1].split('=')[0]}")
+def test_a_setting_the_command_does_not_read_is_a_usage_error(argv, tmp_path,
+                                                              capsys):
+    # a flag that would change nothing is refused, not silently ignored
+    out = tmp_path / "out"
+    if argv[0] == "portrait":
+        argv = argv + ["--out", str(out)]
+    elif argv[0] == "verify":
+        argv = argv + ["--json", str(out)]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_outputs_follow_the_umask(tmp_path, capsys):
     ppm, csv = tmp_path / "id.ppm", tmp_path / "arc.csv"
     old = os.umask(0o022)

@@ -211,6 +211,20 @@ class TestProjection:
         with pytest.raises(ContourError):
             ct.contour_projection(contour3, 0.7 + 1j)
 
+    def test_geometry_cache_holds_a_bounded_amount(self):
+        # each contour's samples take about 157 KiB: the 64 cached contours
+        # hold about 10 MiB, where an entry per contour seen would hold 31
+        ct._geometry.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in np.linspace(1.0, 5.0, 200):
+                ct.contour_projection(ct.default_contour(k), 0.5 + 0.5j)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            ct._geometry.cache_clear()
+        assert held / 2 ** 20 < 12.0
+
     def test_non_monotone_contour_raises(self):
         bad = ct.ContourSpec(a=-0.5, c=1.0)
         with pytest.raises(ContourError):

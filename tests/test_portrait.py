@@ -254,6 +254,6 @@ class TestKernelRegistry:
 
 
 def test_factor_field_rejects_wrong_alpha1_side(contour3, cfg, k3):
-    from qpdiff.errors import QpdiffError
-    with pytest.raises(QpdiffError):
+    # the error quarter_factor raises for the same alpha1
+    with pytest.raises(DomainError, match="natural half-plane"):
         factor_field(PP, -1.2, np.array([1.0 + 1.0j]), k3, contour3, cfg)

@@ -170,12 +170,25 @@ class TestQuarterFactor:
             kv = sf.big_k(a1, a2, k3)
             assert abs(prod - kv) / abs(kv) < 1e-6
 
-    def test_eps_independence(self, contour3, cfg, k3):
+    def test_eps_independence(self, monkeypatch, contour3, cfg, k3):
+        # the integration contour's shift is not in the memo's key: clear
+        # the memo so that each shift takes its own integral
         a1, a2 = 0.8 + 0.9j, contour_point(contour3, 1.7)
+        shifts = []
+
+        def at_shift(label, eps):
+            def shift(k, distance):
+                shifts.append(eps)
+                return np.full(np.shape(distance), eps)
+
+            monkeypatch.setattr(wf, "default_shift", shift)
+            wf._integral_memo.clear()
+            return wf.quarter_factor(label, a1, a2, k3, contour3, cfg)
+
         for label in (wf.PP, wf.PM):
-            v1 = wf.quarter_factor(label, a1, a2, k3, contour3, cfg, eps=0.05)
-            v2 = wf.quarter_factor(label, a1, a2, k3, contour3, cfg, eps=0.025)
+            v1, v2 = at_shift(label, 0.05), at_shift(label, 0.025)
             assert abs(v1 - v2) / abs(v1) < 10 * cfg.rel_tol
+        assert shifts == [0.05, 0.025] * 2
 
     def test_vanishing_log_argument_is_a_branch_crossing(self, k3):
         # kappa(k, 0) = k, so w = 1 - k/k = 0 exactly at z = 0; the grid
@@ -427,13 +440,13 @@ class TestIntegralMemo:
     memo = wf._integral_memo
 
     @staticmethod
-    def batch_of(points, contour, k, cfg, eps=None):
+    def batch_of(points, contour, k, cfg):
         # K_pp at (a1, a2) pairs, through _quarter_batch
         a1, a2 = (np.array(p, dtype=np.complex128) for p in zip(*points))
         s2, gap2 = contour_projection(contour, a2)
         ones = np.ones(a1.size, dtype=int)
         return wf._quarter_batch(ones, ones, a1, a2, s2, gap2, k, contour,
-                                 cfg, eps)
+                                 cfg)
 
     def test_four_labels_at_a_point_take_one_integral(self, monkeypatch,
                                                       contour3, cfg, k3):
@@ -487,7 +500,6 @@ class TestIntegralMemo:
         self.batch_of(point, contour3, k3, cfg)
         variants = [
             lambda: self.batch_of(point, contour3, k3, dataclasses.replace(cfg, rel_tol=1e-9)),
-            lambda: self.batch_of(point, contour3, k3, cfg, eps=0.05),
             lambda: self.batch_of(point, contour3, 3.5, cfg),
             lambda: self.batch_of(point, default_contour(3.5), k3, cfg),
             lambda: self.batch_of([(0.8 + 0.9j, 1.1 + 1.2j)], contour3, k3, cfg),

@@ -8,9 +8,10 @@ accepted to avoid silent degree/radian mistakes.  Points are "re,im"
 pairs or anchors ("A1:10", "A2:5") on the active contour, whose
 constants are Python complex literals ("0.0012+0.0006j").
 
-A ``key=value`` file (``--config``) may set any key; flags override it,
-one for each key the subcommand reads (``_READS``).  ``verify`` takes
-neither.  No environment variable is read.
+A ``key=value`` file (``--config``) sets the keys the subcommand reads
+(``_READS``), and flags override it, one for each such key; a key the
+subcommand does not read is a usage error, in the file as on the command
+line.  ``verify`` takes neither.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def build_run_config(args) -> RunConfig:
     for key, raw in given.items():
         if key not in _CONFIG_PARSERS:
             raise QpdiffError(f"unknown config key {key!r}")
+        if key not in _READS[args.command]:
+            raise QpdiffError(f"config key {key!r} is not read by "
+                              f"{args.command}; remove it")
         setattr(cfg, key, _parse(_CONFIG_PARSERS[key], raw,
                                  f"config value for {key}"))
     for key in _CONFIG_PARSERS:

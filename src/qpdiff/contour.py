@@ -136,6 +136,12 @@ _NEWTON_MAXIT = 100
 #: targets solved together; bounds the iteration's temporaries
 _BLOCK = 4096
 
+#: the parameter samples of every contour's geometry: one shared,
+#: read-only array
+_GEOMETRY_S = np.linspace(-60.0, 60.0, 10001)
+_GEOMETRY_S.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=64)
 def _geometry(spec: ContourSpec):
     """Cached monotonicity check, bump bound and samples for a contour.
@@ -143,10 +149,11 @@ def _geometry(spec: ContourSpec):
     Verifies once per constants that Re A(s) is strictly increasing
     (sampled at 10^4 points; required by side classification), records
     max |A(s) - s| for projection bracketing, and keeps the samples
-    ``(s, Re A(s))`` that seed the projection's Newton iteration.  Keeps
-    the last 64 contours (157 KiB each); a ``ContourError`` is not kept.
+    ``(s, Re A(s))`` that seed the projection's Newton iteration; ``s`` is
+    ``_GEOMETRY_S``, shared by every contour.  Keeps the last 64 contours
+    (78 KiB each); a ``ContourError`` is not kept.
     """
-    s = np.linspace(-60.0, 60.0, 10001)
+    s = _GEOMETRY_S
     pts = contour_point(spec, s)
     re = pts.real
     if np.any(np.diff(re) <= 0):
@@ -159,60 +166,67 @@ def _geometry(spec: ContourSpec):
     return {"bump": bump, "s": s, "re": re.copy()}
 
 
-def _bracket(spec: ContourSpec, x, pad: float):
-    """``(lo, hi)`` with ``Re A(lo) < x < Re A(hi)``, widened by doubling."""
-    for _ in range(8):
-        lo, hi = x - pad, x + pad
-        f = _point_and_derivative(spec, np.concatenate([lo, hi]), False)[0].real
-        ok = (f[:x.size] < x) & (x < f[x.size:])
-        if ok.all():
-            return lo, hi
-        pad = np.where(ok, pad, 2.0 * pad)
-    raise ContourError("projection bracket not found; invalid contour")
-
-
 def _solve_projection(spec: ContourSpec, x):
     """Safeguarded Newton solve of ``Re A(s) = x`` for a 1-D array ``x``.
 
-    Newton steps use the closed-form ``Re A'(s)``; a step that leaves
-    the sign bracket, meets a nonpositive slope, or fails to halve the
-    previous step is replaced by bisection (as in Numerical Recipes'
+    The sign bracket ``(lo, hi)``, with ``Re A(lo) < x < Re A(hi)``, starts
+    at ``x -+ (bump + 1)`` and is widened by doubling; the seed is the
+    sampled inverse, clipped to it.  The bracket's ends and the seed are
+    one ``_point_and_derivative`` call, which is also the first Newton
+    evaluation.  Newton steps use the closed-form ``Re A'(s)``; a step
+    that leaves the bracket, meets a nonpositive slope, or fails to halve
+    the previous step is replaced by bisection (as in Numerical Recipes'
     ``rtsafe``).  Only unconverged entries are iterated.  Returns ``s``
     and ``A(s)`` (to first order in the last step, which is below the
     tolerance ``1e-14 (1 + |x|)``).
     """
     geo = _geometry(spec)
-    lo, hi = _bracket(spec, x, geo["bump"] + 1.0)
-    tol = 1e-14 * (1.0 + np.abs(x))
+    n, pad = x.size, geo["bump"] + 1.0
     inside = (x > geo["re"][0]) & (x < geo["re"][-1])
-    s = np.clip(np.where(inside, np.interp(x, geo["re"], geo["s"]), x), lo, hi)
-    last = hi - lo
-    idx = np.arange(x.size)
-    s_out = np.empty(x.shape)
-    pts = np.empty(x.shape, dtype=np.complex128)
+    seed = np.where(inside, np.interp(x, geo["re"], geo["s"]), x)
+    for _ in range(8):
+        lo, hi = x - pad, x + pad
+        s = np.minimum(np.maximum(seed, lo), hi)  # np.clip, without its wrapper
+        p, d = _point_and_derivative(spec, np.concatenate([lo, hi, s]))
+        f = p.real
+        ok = (f[:n] < x) & (x < f[n:2 * n])
+        if np.count_nonzero(ok) == n:
+            break
+        pad = np.where(ok, pad, 2.0 * pad)
+    else:
+        raise ContourError("projection bracket not found; invalid contour")
+    p, d = p[2 * n:], d[2 * n:]
+    tol = 1e-14 * (1.0 + np.abs(x))
+    size = np.abs(hi - lo)  # |last step|, the bracket's width at first
+    idx = np.arange(n)
+    s_out = np.empty(n)
+    pts = np.empty(n, dtype=np.complex128)
     for _ in range(_NEWTON_MAXIT):
-        p, d = _point_and_derivative(spec, s)
         f = p.real - x
         below = f < 0.0
         lo = np.where(below, s, lo)
         hi = np.where(below, hi, s)
-        step = f / d.real
+        slope = d.real
+        step = f / slope
         new = s - step
-        bisect = ((new < lo) | (new > hi) | ~(d.real > 0.0)
-                  | (np.abs(step) > 0.5 * np.abs(last)))
+        bisect = ((new < lo) | (new > hi) | ~(slope > 0.0)
+                  | (np.abs(step) > 0.5 * size))
         if np.count_nonzero(bisect):
             new = np.where(bisect, 0.5 * (lo + hi), new)
         last = new - s
-        done = np.abs(last) < tol
+        size = np.abs(last)
+        done = size < tol
         if np.count_nonzero(done):
-            s_out[idx[done]] = new[done]
-            pts[idx[done]] = (p + d * last)[done]
+            fin = idx[done]
+            s_out[fin] = new[done]
+            pts[fin] = (p + d * last)[done]
             keep = ~done
-            new, x, lo, hi, last, tol, idx = (
-                v[keep] for v in (new, x, lo, hi, last, tol, idx))
+            new, x, lo, hi, size, tol, idx = (
+                v[keep] for v in (new, x, lo, hi, size, tol, idx))
         if not idx.size:
             return s_out, pts
         s = new
+        p, d = _point_and_derivative(spec, s)
     raise ContourError("contour projection did not converge; invalid contour")
 
 

@@ -25,6 +25,7 @@ integral.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,9 @@ _WG[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
              0.129484966168870]
 
 _PANEL_CAP = 16384
+#: nodes in one part of a ``_panel_sums`` call: its node and member stages
+#: hold about ten complex values a node, a few MiB a part
+_NODE_BUDGET = 4096
 #: panel breaks around a target's projection, in shifts
 _WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
 
@@ -84,10 +88,15 @@ class QuadResult:
     n_panels: int
 
 
+def _starts(order, *keys):
+    """Flags along ``order``: True where an entry differs from the one
+    before it in some key; ``order`` sorts equal entries next to each other."""
+    return np.append(True, np.any([np.diff(k[order]) != 0 for k in keys], axis=0))
+
+
 def _distinct(order, *keys):
-    """``first``, ``back`` with ``key[first][back] == key`` for each key;
-    ``order`` sorts entries equal in all keys next to each other."""
-    new = np.append(True, np.any([np.diff(k[order]) != 0 for k in keys], axis=0))
+    """``first``, ``back`` with ``key[first][back] == key`` for each key."""
+    new = _starts(order, *keys)
     back = np.empty_like(order)
     back[order] = np.cumsum(new) - 1
     return order[new], back
@@ -99,23 +108,42 @@ def _panel_sums(fvec, lo, hi, owner):
     ``fvec = (node, member, rep)``: ``node(x, j)`` runs once per distinct
     ``(rep[owner], lo, hi)`` panel (per panel when ``rep`` is None) with
     ``j`` the integral that stands for it, ``member(data, owner)`` on
-    every panel's share of its result.
+    every panel's share of its result.  The panels run in parts of at
+    most ``_NODE_BUDGET`` nodes, so a call's memory does not grow with
+    its batch.  With ``rep``, they are taken in order of ``rep[owner]``
+    and midpoint, so the panels sharing a node stage are neighbours: a
+    part runs that stage once, and a stage runs again only for a run of
+    sharers that a part boundary cuts.  A panel's sums are the same bits
+    in any part.
     """
     node, member, rep = fvec
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    key = owner if rep is None else rep[owner]
-    first, back = (slice(None),) * 2 if rep is None else _distinct(
-        np.argsort(key + 1j * mid, kind="stable"), key, lo, hi)
-    x = mid[first, None] + half[first, None] * _XK
-    at = np.repeat(owner, _XK.size)
-    data = node(x.ravel(), at if rep is None else np.repeat(key[first], _XK.size))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if rep is not None:
-        data = tuple(d.reshape(x.shape)[back].ravel() for d in data)
-    y = np.asarray(member(data, at), dtype=np.complex128).reshape(lo.size, _XK.size)
-    i_k = np.add.reduce(y * _WK, axis=1) * half
-    i_g = np.add.reduce(y * _WG, axis=1) * half
-    return i_k, np.abs(i_k - i_g)
+        key = rep[owner]
+        order = np.argsort(key + 1j * mid, kind="stable")
+        new = _starts(order, key, lo, hi)
+    i_k, err = np.empty(lo.size, dtype=np.complex128), np.empty(lo.size)
+    size = _NODE_BUDGET // _XK.size
+    for start in range(0, lo.size, size):
+        if rep is None:  # each panel its own node stage
+            part = stage = slice(start, start + size)
+            j = owner[part]
+        else:
+            part = order[start:start + size]
+            runs = new[start:start + size].copy()
+            runs[0] = True
+            stage = part[runs]
+            j = key[stage]
+        x = mid[stage, None] + half[stage, None] * _XK
+        data = node(x.ravel(), np.repeat(j, _XK.size))
+        if rep is not None:
+            back = np.cumsum(runs) - 1
+            data = tuple(d.reshape(x.shape)[back].ravel() for d in data)
+        y = np.asarray(member(data, np.repeat(owner[part], _XK.size)),
+                       dtype=np.complex128).reshape(-1, _XK.size)
+        i_k[part] = value = np.add.reduce(y * _WK, axis=1) * half[part]
+        err[part] = np.abs(value - np.add.reduce(y * _WG, axis=1) * half[part])
+    return i_k, err
 
 
 def _padded(rows):
@@ -131,9 +159,10 @@ def _padded(rows):
 
 def _s_of_u(u, big: float):
     """``s`` and ``ds/du`` at mapped coordinates ``u`` in ``[-2 big, 2 big]``."""
-    far = np.abs(u) > big
+    mag = np.abs(u)
+    far = mag > big
     # a node of a panel bisected to a few ulps may round onto -+2 big
-    gap = np.maximum(2.0 * big - np.abs(u), 0.5 * np.spacing(2.0 * big))
+    gap = np.maximum(2.0 * big - mag, 0.5 * math.ulp(2.0 * big))
     s = np.where(far, np.copysign(big * big, u) / gap, u)
     return s, np.where(far, np.square(s / big), 1.0)
 
@@ -142,7 +171,7 @@ def _u_of_s(s, big: float):
     """The mapped coordinate of the parameters ``s``: ``_s_of_u`` inverted."""
     mag = np.abs(s)
     return np.where(mag > big,
-                    np.sign(s) * (2.0 * big - big * big / np.maximum(mag, big)), s)
+                    np.copysign(2.0 * big - big * big / np.maximum(mag, big), s), s)
 
 
 def _starting_mesh(span, scale: float, h: float, reach: float, breaks):
@@ -204,11 +233,11 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
         indicates a genuinely singular integrand).
     """
     m, kept = len(edges), ~np.isnan(edges)
-    row, flat = np.nonzero(kept)[0], edges[kept]
+    row, flat = kept.nonzero()[0], edges[kept]
     same = row[1:] == row[:-1]  # the panels of one integral stay in order
     lo, hi, owner = flat[:-1][same], flat[1:][same], row[1:][same]
     count = np.bincount(owner, minlength=m)
-    if (hi <= lo).any() or not count.all():
+    if np.count_nonzero(hi <= lo) or np.count_nonzero(count) < m:
         raise DomainError("edges must be a strictly increasing 1-D array")
     depth = np.zeros(lo.size, dtype=np.int64)
     vals, errs = _panel_sums(fvec, lo, hi, owner)
@@ -226,7 +255,7 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
         done = err_total <= tol
         # stored every round: an integral's last store is its final one
         value[ids], error[ids], n_panels[ids] = total, err_total, count
-        if done.all():
+        if np.count_nonzero(done) == ids.size:
             return value, error, n_evals, n_panels
         group = np.repeat(np.arange(ids.size), count)
         split = errs > (tol / (2.0 * count))[group]
@@ -241,13 +270,14 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
                 f"estimate {err_total[deep[0]]:.3e} vs tolerance {tol[deep[0]]:.3e})"
             )
         halves = np.bincount(group[split], minlength=ids.size)
-        if (count + halves > _PANEL_CAP).any():
+        if np.count_nonzero(count + halves > _PANEL_CAP):
             raise QuadratureError("panel budget exhausted; integrand too hard")
-        if (hi[split] - lo[split] < 1e-14 * (1.0 + np.abs(lo[split]))).any():
+        lo_s, hi_s = lo[split], hi[split]
+        if np.count_nonzero(hi_s - lo_s < 1e-14 * (1.0 + np.abs(lo_s))):
             raise QuadratureError("panel width underflow: singular integrand")
 
-        mid = 0.5 * (lo[split] + hi[split])
-        fresh = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
+        mid = 0.5 * (lo_s + hi_s)
+        fresh = (np.concatenate([lo_s, mid]), np.concatenate([mid, hi_s]),
                  np.concatenate([owner[split]] * 2))
         fresh += _panel_sums(fvec, *fresh) + (np.concatenate([depth[split] + 1] * 2),)
         n_evals[ids] += 2 * _XK.size * halves
@@ -286,18 +316,20 @@ def integrate_over_shifted(density, shifted, targets, s_star,
     rep = first[back] if len(first) < m else None  # integrals of one node stage
     s = np.asarray(s_star, dtype=np.float64)[:, None]
     width = np.abs(offset)[:, None] * _WIDTHS
-    breaks = np.hstack([s, s + width, s - width, _padded(extra_breaks)])
+    breaks = np.concatenate([s, s + width, s - width, _padded(extra_breaks)],
+                            axis=1)
 
     # spacing scale / 4, but no finer than a seventh of the indentation's
     # half-width 2 + scale, whose absolute margin is wide for a small scale
     h = max(0.25 * scale, (2.0 + scale) / 7.0)
     mesh = ((0.0, 0.0), scale, h, 4.0 * scale)
     edges, big = _starting_mesh(*mesh, breaks), _base_edges(*mesh)[1]
+    lift = 1j * offset
 
     def nodes(u, j):
         s, ds_du = _s_of_u(u, big)
         point, slope = _point_and_derivative(spec, s)
-        z = point + (1j * offset)[j]
+        z = point + lift[j]
         return node(z, j) + (slope * ds_du / (z - targets[j]),)
 
     def members(data, owner):

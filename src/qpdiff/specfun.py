@@ -103,7 +103,8 @@ def _diag_log_rotated(w):
         np.log1p(t, out=out.real)
     out.real *= 0.5
     far = (t <= -0.75) | (t >= 1.25)
-    out.real[far] = np.log(np.hypot(x[far], y[far]))
+    if np.count_nonzero(far):
+        out.real[far] = np.log(np.hypot(x[far], y[far]))
     return out
 
 
@@ -125,12 +126,17 @@ def _sqrt_down_raw(w):
 
 def _kappa_raw(kk, z):
     """kappa without the admissibility check; used inside compositions."""
-    return _kappa_of(kk - z, kk + z)
+    roots = np.empty((2,) + np.broadcast(kk, z).shape, dtype=np.complex128)
+    np.subtract(kk, z, roots[0, ...])  # a 0-d view, not a scalar, for 0-d operands
+    np.add(kk, z, roots[1, ...])
+    return _kappa_of(roots)
 
 
-def _kappa_of(minus, plus):
-    """kappa from its root arguments ``kk - z`` and ``kk + z``."""
-    return _sqrt_down_raw(minus) * _sqrt_down_raw(plus)
+def _kappa_of(roots):
+    """kappa from its root arguments ``kk - z`` and ``kk + z``, stacked:
+    both ``sqrt_down`` roots are one pass."""
+    root = _sqrt_down_raw(roots)
+    return root[0] * root[1]
 
 
 def kappa(kk, z):
@@ -152,12 +158,12 @@ def kappa(kk, z):
     return _shaped(_kappa_raw(kk_arr, _as_complex(z)), kk, z)
 
 
-def _check_composition_cuts(*sqrt_args):
+def _check_composition_cuts(w):
     """Signal evaluation exactly on an inner sqrt_down cut (Re 0, Im < 0)
-    of arguments of one shape, naming the entries on a cut."""
-    w = np.array(sqrt_args)
+    of the arguments stacked along the first axis of ``w``, naming the
+    entries on a cut."""
     on_cut = (w.real == 0.0) & (w.imag < 0.0)
-    if on_cut.any():
+    if np.count_nonzero(on_cut):
         raise OnBranchCutError(
             "evaluation lies exactly on a branch cut; offset the point",
             mask=np.ravel(on_cut.any(axis=0)))
@@ -198,11 +204,14 @@ def gamma_fn(alpha1, alpha2, k):
 def _nested_kappa(a1, a2, k):
     """``kappa(kappa(k, a2), a1)`` over checked arrays of one shape, after
     the composition cut check; each root argument is formed once."""
-    roots = (k - a2, k + a2)
-    inner = _kappa_of(*roots)
-    roots += (inner - a1, inner + a1)
-    _check_composition_cuts(*roots)
-    return _kappa_of(*roots[2:])
+    roots = np.empty((4,) + a1.shape, dtype=np.complex128)
+    np.subtract(k, a2, roots[0])
+    np.add(k, a2, roots[1])
+    inner = _kappa_of(roots[:2])
+    np.subtract(inner, a1, roots[2])
+    np.add(inner, a1, roots[3])
+    _check_composition_cuts(roots)
+    return _kappa_of(roots[2:])
 
 
 # Half-plane factor tags: first character is the alpha1 subscript, second
@@ -234,14 +243,18 @@ def half_factor(tag, alpha1, alpha2, k):
 def _half_factor_raw(k, inner, outer, sign):
     """``1/sqrt_down(kappa(k, inner) + sign * outer)`` (signs +-1.0) over checked
     ``inner`` and ``outer`` of one shape; ``OnBranchCutError`` names the entries
-    on a cut or branch point.  ``k -+ inner`` is formed once, for kappa and
-    the check."""
-    roots = (k - inner, k + inner)
-    arg = _kappa_of(*roots) + sign * outer
-    _check_composition_cuts(*roots, arg)
-    if (arg == 0).any():
+    on a cut or branch point.  One array holds the three root arguments,
+    ``k - inner``, ``k + inner`` and the outer one: kappa's two roots are
+    one ``_sqrt_down_raw`` pass, and the check reads all three at once."""
+    w = np.empty((3,) + inner.shape, dtype=np.complex128)
+    np.subtract(k, inner, w[0])
+    np.add(k, inner, w[1])
+    arg = w[2]
+    np.add(_kappa_of(w[:2]), sign * outer, arg)
+    _check_composition_cuts(w)
+    if np.count_nonzero(zero := arg == 0):
         raise OnBranchCutError("half-factor branch point hit exactly",
-                               mask=np.ravel(arg == 0))
+                               mask=np.ravel(zero))
     return 1.0 / _sqrt_down_raw(arg)
 
 

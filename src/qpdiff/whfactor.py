@@ -107,7 +107,8 @@ PM = FactorLabel("pm")
 MP = FactorLabel("mp")
 MM = FactorLabel("mm")
 ALL_LABELS = (PP, PM, MP, MM)
-_SIDES = np.array([[lab.sign1, lab.side2] for lab in ALL_LABELS])  # by index
+#: the natural (alpha1, alpha2) sides of each label, by tag
+_REQUIRED = {lab.tag: (lab.sign1, lab.side2) for lab in ALL_LABELS}
 
 
 def _side_tol(k: float) -> float:
@@ -132,8 +133,8 @@ def _hump_breaks(a1, k: float):
     """Breaks (values of ``s``) for ``|a1| > 4k``, a row per entry of ``a1``."""
     mag = np.hypot(a1.real, a1.imag)  # numpy's complex abs rounds unlike abs()
     wide = mag > 4.0 * k
-    return (np.where(wide[:, None], mag[:, None] * _HUMP, np.nan) if wide.any()
-            else np.empty((a1.size, 0)))
+    return (np.where(wide[:, None], mag[:, None] * _HUMP, np.nan)
+            if np.count_nonzero(wide) else np.empty((a1.size, 0)))
 
 
 def _shifted_for(contour: ContourSpec, side2: int, eps: float) -> ShiftedContour:
@@ -245,7 +246,7 @@ def _log_density(scaled, k: float, z, kap=None):
     """
     kap = _kappa_raw(np.complex128(k), z) if kap is None else kap
     w = 1.0 + scaled / kap
-    if np.any(np.abs(w) < 1e-12):
+    if np.count_nonzero(np.abs(w) < 1e-12):
         raise BranchCrossingError(
             "log argument vanished on the integration contour"
         )
@@ -290,7 +291,7 @@ def _quarter_value(side2, a1, a2, k: float, integral):
     pref = _sqrt_down_raw(_sqrt_down_raw(np.where(side2 > 0, k + a2, k - a2)))
     value = np.reciprocal(pref)  # rounds as Python's 1.0 / pref does
     live = a1 != 0
-    if live.any():
+    if np.count_nonzero(live):
         coef = np.where(side2[live] > 0, -1.0 / (4j * np.pi),
                         1.0 / (4j * np.pi))
         value[live] = np.exp(coef * integral(live)) / pref[live]
@@ -317,16 +318,18 @@ def _projected(contour: ContourSpec, z):
     distinct = {}  # bytes of each distinct variable -> its position
     inverse = [distinct.setdefault(raw[i:i + 16], len(distinct))
                for i in range(0, len(raw), 16)]
-    points = np.frombuffer(b"".join(distinct), dtype=np.complex128)
 
     def project(pos):
+        points = np.frombuffer(b"".join(distinct), dtype=np.complex128)
         s, gap = contour_projection(contour, points[pos])
         both = np.empty(pos.size, dtype=np.complex128)
         both.real, both.imag = s, gap
         return both
 
     token = _projection_memo.token(contour)
-    both = _projection_memo.lookup([(token, b) for b in distinct], project)[inverse]
+    both = _projection_memo.lookup([(token, b) for b in distinct], project)
+    if len(distinct) < len(inverse):
+        both = both[inverse]
     return both.real, both.imag
 
 
@@ -352,8 +355,9 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
                               lambda live: integrate(idx[live]))
 
     def integrate(idx):
-        shift = default_shift(k, np.abs(gap2[idx]))
-        shifted = [_shifted_for(contour, *c) for c in zip(side2[idx].tolist(), shift)]
+        shift = default_shift(k, np.abs(gap2[idx]))  # opposite alpha2's side
+        shifted = [ShiftedContour(contour, offset) for offset
+                   in np.where(side2[idx] > 0, -shift, shift).tolist()]
         scaled, humps = sign1[idx] * a1[idx], _hump_breaks(a1[idx], k)
         samples = []
         # only a track with a sample left of the imaginary axis can cross
@@ -371,22 +375,26 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
 
         value = integrate_over_shifted((node, member), shifted, a2[idx],
                                        s2[idx], cfg, k, humps).value
-        if crossable.any():
+        if np.count_nonzero(crossable):
             owner, re, rotated = (np.concatenate(part) for part in zip(*samples))
             keep = crossable[owner]
             order = _track_order(owner[keep], re[keep])
             _check_log_track(rotated[keep][order], owner[keep][order])
         return value
 
-    value = np.empty(a2.size, dtype=np.complex128)
-    zero = a1 == 0
-    if zero.any():  # the log argument is 1: no integral, nothing stored
-        value[zero] = quarter(zero.nonzero()[0])
-    idx = (~zero).nonzero()[0]
-    raw = np.array([sign1, side2, a1, a2]).T[idx].tobytes()
+    live = a1.nonzero()[0]
+    if live.size < a1.size:  # the log argument is 1: no integral, nothing stored
+        value = np.empty(a1.size, dtype=np.complex128)
+        value[a1 == 0] = quarter((a1 == 0).nonzero()[0])
+    raw = np.concatenate([a1, a2]).reshape(2, -1).T.tobytes()
+    sides = (2 * sign1 + side2).tolist()
     token = _integral_memo.token((k, contour, cfg))
-    keys = [(token, raw[i:i + 64]) for i in range(0, len(raw), 64)]
-    value[idx] = _integral_memo.lookup(keys, lambda pos: quarter(idx[pos]))
+    found = _integral_memo.lookup(
+        [(token, sides[j], raw[32 * j:32 * j + 32]) for j in live.tolist()],
+        lambda pos: quarter(live[pos]))
+    if live.size == a1.size:
+        return found
+    value[live] = found
     return value
 
 
@@ -524,34 +532,41 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
     the branch constants, one ``_half_factor_raw`` pass takes the swapped
     ``o+-`` and the own ``+-o`` half-factors of every point.  Each point
     needs one integral, of its label flipped in each variable on the
-    wrong side; all are one batch.  Returns the values and routes
-    (indices into ``_ROUTES``).
+    wrong side; all are one batch.  Each division is one ``np.divide``
+    over the batch, masked to the points off that side.  Returns the
+    values and routes (indices into ``_ROUTES``).
     """
     m = len(labels)
-    code = np.array([ALL_LABELS.index(lab) for lab in labels], dtype=int)
-    required = _SIDES[code].T.ravel()  # every sign1, then every side2
-    s, gap = _projected(contour, z := np.concatenate([a1, a2]))
-    off = _side_off(gap_side(gap, _side_tol(k)), required)
+    sides = [_REQUIRED[lab.tag] for lab in labels]
+    # every sign1, then every side2
+    required = np.array([s1 for s1, _ in sides] + [s2 for _, s2 in sides], dtype=int)
+    # the variables, then the other variable of each: the halves' arguments
+    z = np.concatenate([a1, a2, a2, a1])
+    s, gap = _projected(contour, z[:2 * m])
+    off = gap * required < -_side_tol(k)  # gap_side(gap) * required < 0
     off1, off2 = off[:m], off[m:]
     # the label whose integral a point needs: flipped where off its side
     need = np.where(off, -required, required)
-    cst = np.ones(m, dtype=np.complex128)
-    for c in dict.fromkeys(code[off1].tolist()):
-        cst[code == c] = continuation_constant(ALL_LABELS[c], k, contour, cfg)
-    half = np.ones(2 * m, dtype=np.complex128)
-    if off.any():  # halves no point needs are taken at (0, 0): none fails
+    cst = None
+    if np.count_nonzero(off1):
+        cst = dict.fromkeys(lab.tag for lab, o in zip(labels, off1.tolist()) if o)
+        for tag in cst:
+            cst[tag] = continuation_constant(FactorLabel(tag), k, contour, cfg)
+        cst = np.array([cst.get(lab.tag, 1.0) for lab in labels], dtype=np.complex128)
+    if anyoff := np.count_nonzero(off):  # halves no point needs are taken
+        args = np.where(off, z.reshape(2, 2 * m), 0)  # at (0, 0): none fails
         try:
-            half = _half_factor_raw(
-                np.complex128(k), np.where(off, z, 0),
-                np.where(off, np.concatenate([a2, a1]), 0),
-                np.concatenate([required[m:], need[:m]], dtype=float))
+            half = _half_factor_raw(np.complex128(k), args[0], args[1], np.concatenate(
+                [required[m:], need[:m]], dtype=float))
         except OnBranchCutError as exc:
             exc.mask = exc.mask[:m] | exc.mask[m:]
             raise
     value = _quarter_batch(need[:m], need[m:], a1, a2, s[m:], gap[m:], k,
                            contour, cfg)
-    value[off2] = half[m:][off2] / value[off2]
-    value[off1] = cst[off1] * half[:m][off1] / value[off1]
+    if anyoff:
+        np.divide(half[m:], value, out=value, where=off2)
+    if cst is not None:
+        np.divide(cst * half[:m], value, out=value, where=off1)
     return value, 2 * off1 + off2
 
 

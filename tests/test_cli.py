@@ -262,6 +262,26 @@ class TestConfigFile:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("argv,key", [
+        (["portrait", "--function", "k_pp", "--alpha1", "A1:10", "--res", "8"],
+         "rel_tol = 1e-3"),
+        (["factor", "--label", "pp", "--alpha1", "0.8,0.9", "--alpha2", "1,1.2"],
+         "eps_shift = 5"),
+    ], ids=["portrait-rel_tol", "factor-eps_shift"])
+    def test_a_key_the_command_does_not_read_is_a_usage_error(
+            self, argv, key, tmp_path, capsys):
+        # as the matching flag is: a key that would change nothing is
+        # refused, not silently ignored, and nothing is written
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "out.ppm"
+        cfgfile.write_text(key + "\n")
+        argv = argv + ["--config", str(cfgfile)]
+        if argv[0] == "portrait":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "is not read by " + argv[0] in captured.err
+        assert not captured.out and not out.exists()
+
     @pytest.mark.parametrize("setting", ["--s-max=1e5", "--tail-policy=truncate",
                                          "s_max = 1e4", "tail_policy = truncate"])
     def test_removed_settings_are_usage_errors(self, setting, tmp_path, capsys):

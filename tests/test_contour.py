@@ -225,6 +225,25 @@ class TestProjection:
             ct._geometry.cache_clear()
         assert held / 2 ** 20 < 12.0
 
+    def test_geometry_samples_are_shared(self):
+        # every cached contour keeps its Re A(s), and reads one read-only
+        # array of parameters s: 200 contours hold about 4.9 MiB, not 9.8
+        ct._geometry.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in np.linspace(1.0, 5.0, 200):
+                ct.contour_projection(ct.default_contour(k), 0.5 + 0.5j)
+            held = tracemalloc.get_traced_memory()[0]
+            shared = {id(ct._geometry(ct.default_contour(k))["s"])
+                      for k in (1.0, 2.0, 5.0)}
+        finally:
+            tracemalloc.stop()
+            ct._geometry.cache_clear()
+        assert shared == {id(ct._GEOMETRY_S)}
+        assert not ct._GEOMETRY_S.flags.writeable
+        assert np.array_equal(ct._GEOMETRY_S, np.linspace(-60.0, 60.0, 10001))
+        assert held / 2 ** 20 < 5.5
+
     def test_non_monotone_contour_raises(self):
         bad = ct.ContourSpec(a=-0.5, c=1.0)
         with pytest.raises(ContourError):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import warnings
 
 import numpy as np
@@ -131,6 +132,39 @@ class TestCandidate:
                   for d in (1e-2, 1e-3)]
         assert scaled[0] == pytest.approx(scaled[1], rel=0.05)
         assert scaled[1] > 0
+
+
+class TestKellerConeResidues:
+    """The residues of F_pp on its two pole lines against their closed form.
+
+    On the line alpha1 = a1 the residue is
+    ``1 / ((alpha2 - a2) half("o+")(a1, alpha2) half("o-")(a1, a2))``, on
+    alpha2 = a2 the same with "+o" and "-o"; they need no oracle.  One
+    Richardson step ``2 r(d/2) - r(d)`` of ``r(d) = d F_pp`` at a distance
+    ``d`` from the line removes the error linear in ``d``.
+    """
+
+    alpha = np.linspace(-2.5, 2.5, 12)  # real, none on the other pole line
+
+    @staticmethod
+    def richardson(r, d=1e-4):
+        return 2.0 * r(0.5 * d) - r(d)
+
+    def test_residue_on_the_alpha1_pole_line(self, ev12, inc12):
+        from qpdiff.specfun import half_factor
+        a1, a2, k, alpha = inc12.a1, inc12.a2, inc12.k, self.alpha
+        got = self.richardson(lambda d: d * ev12.fpp(np.full(alpha.size, a1 + d), alpha))
+        want = 1.0 / ((alpha - a2) * half_factor("o+", a1, alpha, k)
+                      * half_factor("o-", a1, a2, k))
+        assert np.max(np.abs(got - want) / np.abs(want)) < 2.5e-8
+
+    def test_residue_on_the_alpha2_pole_line(self, ev12, inc12):
+        from qpdiff.specfun import half_factor
+        a1, a2, k, alpha = inc12.a1, inc12.a2, inc12.k, self.alpha
+        got = self.richardson(lambda d: d * ev12.fpp(alpha, np.full(alpha.size, a2 + d)))
+        want = 1.0 / ((alpha - a1) * half_factor("+o", alpha, a2, k)
+                      * half_factor("-o", a1, a2, k))
+        assert np.max(np.abs(got - want) / np.abs(want)) < 2.5e-8
 
 
 class TestResidual:
@@ -365,3 +399,23 @@ class TestArcBatch:
                                      ff.AnsatzEvaluator(inc12, cfg=cfg),
                                      math.pi, 9)
         assert set(res.flags) == {"failed"}
+
+
+def test_long_arc_memory_is_bounded(tmp_path):
+    # the 3001-row arc at the reference incidence, in a fresh process: its
+    # quadrature runs in parts of a fixed node budget, so its peak resident
+    # memory does not hold every node of a refinement round at once (about
+    # 650 MiB before the parts; 208 MiB with them, most of it the branch-
+    # crossing samples that _quarter_batch keeps for the whole batch)
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import math, resource\n"
+            "from qpdiff.farfield import AnsatzEvaluator, make_incidence\n"
+            "inc = make_incidence(math.pi / 4, -3 * math.pi / 4, 3.0)\n"
+            "AnsatzEvaluator(inc).arc_sweep(math.pi / 4, 3001)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, cwd=tmp_path).stdout
+    assert int(out.split()[-1]) / 1024.0 < 232.0

@@ -895,6 +895,56 @@ def test_warm_continuation_takes_one_half_factor_pass(monkeypatch, contour3,
     assert sorted(routes) == sorted(wf._ROUTES)
 
 
+def test_a_warm_label_evaluates_no_contour_point_and_no_integral(
+        monkeypatch, contour3, cfg, k3):
+    # at a point already projected and integrated, each label of each route
+    # reads both memos: no contour evaluation, no integral
+    import qpdiff.contour as ct
+    import qpdiff.quadrature as quad
+    a1, a2 = 0.8 + 0.9j, 1.0 - 1.2j
+    cold = [wf.continue_factor(label, a1, a2, k3, contour3, cfg, with_route=True)
+            for label in wf.ALL_LABELS]
+    calls = []
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called on a warm label")
+        return spy
+
+    for module in (ct, quad):
+        monkeypatch.setattr(module, "_point_and_derivative",
+                            refuse("_point_and_derivative"))
+    monkeypatch.setattr(wf, "integrate_over_shifted",
+                        refuse("integrate_over_shifted"))
+    warm = [wf.continue_factor(label, a1, a2, k3, contour3, cfg, with_route=True)
+            for label in wf.ALL_LABELS]
+    assert not calls and warm == cold
+    assert sorted(route for _, route in warm) == sorted(wf._ROUTES)
+
+
+@pytest.mark.parametrize("z, calls, points", [
+    ([0.8 + 0.9j, 1.0 - 1.2j], 3, 9),
+    ([0.5, -1.0], 2, 4),
+    ([-2.5 + 0.1j, 2.6 - 0.05j], 3, 10),
+    ([0.01, 0.02j], 2, 7),
+])
+def test_a_cold_projection_evaluates_no_more_contour_points(
+        monkeypatch, contour3, z, calls, points):
+    # the sign bracket's ends and the Newton seed are one evaluation, the
+    # first Newton one: the calls and the parameters they evaluate, at most
+    import qpdiff.contour as ct
+    sizes, original = [], ct._point_and_derivative
+
+    def spy(spec, s, derivative=True):
+        sizes.append(np.size(s))
+        return original(spec, s, derivative)
+
+    monkeypatch.setattr(ct, "_point_and_derivative", spy)
+    wf._projected(contour3, np.array(z))
+    assert len(sizes) <= calls and sum(sizes) <= points
+
+
 def test_empty_batch_continues_to_empty_arrays(contour3, cfg, k3):
     empty = np.array([], dtype=complex)
     values, routes = wf.continue_factor(wf.PP, empty, empty, k3, contour3,

@@ -76,7 +76,7 @@ def _point_and_derivative(spec: ContourSpec, s, derivative: bool = True):
     s4 = np.square(s * s)
     q = s4 + spec.c
     aq = spec.a * q
-    if not aq.all():
+    if np.count_nonzero(aq) < aq.size:
         raise ContourError("degenerate contour constants: a (s^4 + c) = 0")
     if not derivative:
         return s + s / aq, None
@@ -216,15 +216,15 @@ def _solve_projection(spec: ContourSpec, x):
         last = new - s
         size = np.abs(last)
         done = size < tol
-        if np.count_nonzero(done):
+        if ended := np.count_nonzero(done):
             fin = idx[done]
             s_out[fin] = new[done]
             pts[fin] = (p + d * last)[done]
+            if ended == idx.size:
+                return s_out, pts
             keep = ~done
             new, x, lo, hi, size, tol, idx = (
                 v[keep] for v in (new, x, lo, hi, size, tol, idx))
-        if not idx.size:
-            return s_out, pts
         s = new
         p, d = _point_and_derivative(spec, s)
     raise ContourError("contour projection did not converge; invalid contour")
@@ -249,17 +249,18 @@ def contour_projection(spec: ContourSpec, z):
         is found, or the iteration does not converge.
     """
     z = np.asarray(z)
-    if not np.isfinite(z).all():
+    if np.count_nonzero(np.isfinite(z)) < z.size:
         raise NonFiniteInputError("projected point contains NaN/Inf")
-    bits, back = np.unique(np.real(z).astype(np.float64).view(np.int64),
+    bits, back = np.unique(z.real.astype(np.float64).view(np.int64).ravel(),
                            return_inverse=True)
     x = bits.view(np.float64)
-    s, pts = (np.concatenate(part)[back.ravel()] for part in zip(*(
-        _solve_projection(spec, x[i:i + _BLOCK])
-        for i in range(0, max(x.size, 1), _BLOCK))))
+    s, pts = np.empty(x.size), np.empty(x.size, dtype=np.complex128)
+    for i in range(0, x.size, _BLOCK):
+        s[i:i + _BLOCK], pts[i:i + _BLOCK] = _solve_projection(spec, x[i:i + _BLOCK])
+    s, pts = s[back], pts[back]
     if z.ndim == 0:
-        return float(s[0]), float(np.imag(z) - pts[0].imag)
-    return s.reshape(z.shape), np.imag(z) - pts.imag.reshape(z.shape)
+        return float(s[0]), float(z.imag - pts[0].imag)
+    return s.reshape(z.shape), z.imag - pts.imag.reshape(z.shape)
 
 
 def gap_side(gap, tol: float = SIDE_TOL):

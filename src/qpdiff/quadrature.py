@@ -19,7 +19,13 @@ engines: a batch's rows here, with one sort, and the coarsest mesh of
 stages: a node stage (the contour point, what the caller derives from it
 alone, and the Cauchy factor) once per distinct panel of the integrals
 with one target and shift, and a member stage (the density) once per
-integral.
+integral.  Both stages run in parts of at most ``_NODE_BUDGET`` nodes,
+so a round's memory is bounded whatever the batch; a panel's sums are
+the same bits in any part.  A batch of one pays a fixed cost per
+integral (its mesh and the refinement's set-up, several dozen numpy
+calls) and per refinement round (the bookkeeping and one part of each
+stage), on top of the arithmetic of its nodes, about 500 for a quarter
+factor.
 """
 
 from __future__ import annotations
@@ -56,8 +62,10 @@ _WG[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
 
 _PANEL_CAP = 16384
 #: nodes in one part of a ``_panel_sums`` call: its node and member stages
-#: hold about ten complex values a node, a few MiB a part
-_NODE_BUDGET = 4096
+#: hold about ten complex values a node, about 10 MiB a part.  Each part
+#: pays the stages' fixed numpy calls: at 4096 nodes, 8 arcs of 21 rows
+#: at the reference incidence run 78 parts, not 22, and take 10 % longer
+_NODE_BUDGET = 65536
 #: panel breaks around a target's projection, in shifts
 _WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
 
@@ -135,12 +143,13 @@ def _panel_sums(fvec, lo, hi, owner):
             stage = part[runs]
             j = key[stage]
         x = mid[stage, None] + half[stage, None] * _XK
-        data = node(x.ravel(), np.repeat(j, _XK.size))
+        at = np.repeat(j, _XK.size)
+        data = node(x.ravel(), at)
         if rep is not None:
             back = np.cumsum(runs) - 1
             data = tuple(d.reshape(x.shape)[back].ravel() for d in data)
-        y = np.asarray(member(data, np.repeat(owner[part], _XK.size)),
-                       dtype=np.complex128).reshape(-1, _XK.size)
+            at = np.repeat(owner[part], _XK.size)
+        y = np.asarray(member(data, at), dtype=np.complex128).reshape(-1, _XK.size)
         i_k[part] = value = np.add.reduce(y * _WK, axis=1) * half[part]
         err[part] = np.abs(value - np.add.reduce(y * _WG, axis=1) * half[part])
     return i_k, err

@@ -45,6 +45,14 @@ an integral (at most 2048, under 0.7 MiB), so each integral is taken
 once: off both contours, the four labels at a point need one and the
 same integral.  Both evict their oldest entries first, compare
 variables bit for bit and hash a batch's contour (and rule) once.
+
+A scalar ``continue_factor`` call is a batch of one, so its cost is
+mostly fixed: a few dozen numpy calls on one- and two-entry arrays.  A
+label at a point already projected and integrated reads both memos and
+takes one half-factor pass; it evaluates no contour point and takes no
+integral.  A fresh point adds one projection of its two variables (the
+sign bracket's ends and the Newton seed are one contour evaluation) and
+one integral, a batch of one of ``integrate_over_shifted``.
 """
 
 from __future__ import annotations
@@ -107,6 +115,7 @@ PM = FactorLabel("pm")
 MP = FactorLabel("mp")
 MM = FactorLabel("mm")
 ALL_LABELS = (PP, PM, MP, MM)
+_LABELS = {lab.tag: lab for lab in ALL_LABELS}
 #: the natural (alpha1, alpha2) sides of each label, by tag
 _REQUIRED = {lab.tag: (lab.sign1, lab.side2) for lab in ALL_LABELS}
 
@@ -386,12 +395,11 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
     if live.size < a1.size:  # the log argument is 1: no integral, nothing stored
         value = np.empty(a1.size, dtype=np.complex128)
         value[a1 == 0] = quarter((a1 == 0).nonzero()[0])
-    raw = np.concatenate([a1, a2]).reshape(2, -1).T.tobytes()
-    sides = (2 * sign1 + side2).tolist()
+    raw1, raw2, sign, side = a1.tobytes(), a2.tobytes(), sign1.tolist(), side2.tolist()
     token = _integral_memo.token((k, contour, cfg))
     found = _integral_memo.lookup(
-        [(token, sides[j], raw[32 * j:32 * j + 32]) for j in live.tolist()],
-        lambda pos: quarter(live[pos]))
+        [(token, sign[j], side[j], raw1[16 * j:16 * j + 16], raw2[16 * j:16 * j + 16])
+         for j in live.tolist()], lambda pos: quarter(live[pos]))
     if live.size == a1.size:
         return found
     value[live] = found
@@ -537,9 +545,8 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
     values and routes (indices into ``_ROUTES``).
     """
     m = len(labels)
-    sides = [_REQUIRED[lab.tag] for lab in labels]
     # every sign1, then every side2
-    required = np.array([s1 for s1, _ in sides] + [s2 for _, s2 in sides], dtype=int)
+    required = np.array([_REQUIRED[lab.tag] for lab in labels], dtype=float).T.ravel()
     # the variables, then the other variable of each: the halves' arguments
     z = np.concatenate([a1, a2, a2, a1])
     s, gap = _projected(contour, z[:2 * m])
@@ -551,13 +558,13 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
     if np.count_nonzero(off1):
         cst = dict.fromkeys(lab.tag for lab, o in zip(labels, off1.tolist()) if o)
         for tag in cst:
-            cst[tag] = continuation_constant(FactorLabel(tag), k, contour, cfg)
+            cst[tag] = continuation_constant(_LABELS[tag], k, contour, cfg)
         cst = np.array([cst.get(lab.tag, 1.0) for lab in labels], dtype=np.complex128)
     if anyoff := np.count_nonzero(off):  # halves no point needs are taken
         args = np.where(off, z.reshape(2, 2 * m), 0)  # at (0, 0): none fails
         try:
-            half = _half_factor_raw(np.complex128(k), args[0], args[1], np.concatenate(
-                [required[m:], need[:m]], dtype=float))
+            half = _half_factor_raw(np.complex128(k), args[0], args[1],
+                                    np.concatenate([required[m:], need[:m]]))
         except OnBranchCutError as exc:
             exc.mask = exc.mask[:m] | exc.mask[m:]
             raise

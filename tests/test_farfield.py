@@ -405,7 +405,7 @@ def test_long_arc_memory_is_bounded(tmp_path):
     # the 3001-row arc at the reference incidence, in a fresh process: its
     # quadrature runs in parts of a fixed node budget, so its peak resident
     # memory does not hold every node of a refinement round at once (about
-    # 650 MiB before the parts; 208 MiB with them, most of it the branch-
+    # 650 MiB before the parts; 214 MiB with them, most of it the branch-
     # crossing samples that _quarter_batch keeps for the whole batch)
     import subprocess
     import sys

@@ -933,7 +933,9 @@ def test_a_cold_projection_evaluates_no_more_contour_points(
         monkeypatch, contour3, z, calls, points):
     # the sign bracket's ends and the Newton seed are one evaluation, the
     # first Newton one: the calls and the parameters they evaluate, at most
+    # (the contour's cached geometry samples are not the point's)
     import qpdiff.contour as ct
+    ct._geometry(contour3)
     sizes, original = [], ct._point_and_derivative
 
     def spy(spec, s, derivative=True):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import os
 import warnings
@@ -259,6 +260,28 @@ def test_diffraction_is_k_invariant(k, phi, theta):
     want = ff.AnsatzEvaluator(inc3).diffraction(obs)
     assert got.flag == want.flag
     assert abs(got.value - want.value) <= 5e-14 * abs(want.value)
+
+
+#: a STOPGAP, not an oracle: f_d as this library computed it before the
+#: engine ran at one wavenumber (see the file's "about"), until a residue
+#: oracle written without qpdiff replaces it
+FD_STOPGAP = os.path.join(os.path.dirname(__file__), "fd_stopgap_table.json")
+
+
+@pytest.mark.parametrize("k", [0.5, 3.0, 10.0])
+def test_fd_matches_the_stopgap_table(k):
+    # pins the value, sign and normalisation of f_d, which every identity
+    # of f_d with f_d (k-invariance, mirrors, pole ratios) leaves free
+    with open(FD_STOPGAP) as handle:
+        table = json.load(handle)
+    for name, (theta0, phi0) in table["incidences"].items():
+        rows = [r for r in table["rows"] if r["incidence"] == name and r["k"] == k]
+        inc = ff.make_incidence(theta0, phi0, k, eps_shift=rows[0]["eps_shift"])
+        values, flags, _ = ff.AnsatzEvaluator(inc)._directions(
+            [ff.Observation(theta=r["theta"], phi=r["phi"]) for r in rows])
+        want = np.array([complex(*r["f_d"]) for r in rows])
+        assert flags == [r["flag"] for r in rows]
+        assert np.max(np.abs(values - want) / np.abs(want)) <= 1e-12
 
 
 class TestArcSweep:

@@ -1,6 +1,8 @@
 """Cauchy machinery and quarter factors against closed-form oracles."""
 
 import dataclasses
+import json
+import os
 import sys
 import threading
 
@@ -952,3 +954,21 @@ def test_empty_batch_continues_to_empty_arrays(contour3, cfg, k3):
     values, routes = wf.continue_factor(wf.PP, empty, empty, k3, contour3,
                                         cfg, with_route=True)
     assert values.shape == routes.shape == (0,)
+
+
+#: K_pp at k = 0.5, 3 and 10, written by tests/kpp_scale_oracle.py with
+#: mpmath and no qpdiff: each k on its own contour and wavenumber
+KPP_SCALE_TABLE = os.path.join(os.path.dirname(__file__), "kpp_scale_table.json")
+
+
+@pytest.mark.parametrize("k", [0.5, 3.0, 10.0])
+def test_kpp_matches_the_scale_oracle(cfg, k):
+    # alpha1 above the contour, alpha2 on both sides (the direct and the
+    # alpha2-div routes); the table agreed to 5.5e-16 when it was made
+    from qpdiff.contour import default_contour
+    with open(KPP_SCALE_TABLE) as handle:
+        rows = [r for r in json.load(handle)["rows"] if r["k"] == k]
+    a1, a2, want = (np.array([complex(*r[key]) for r in rows])
+                    for key in ("alpha1", "alpha2", "k_pp"))
+    got = wf.continue_factor(wf.PP, a1, a2, k, default_contour(k), cfg)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15

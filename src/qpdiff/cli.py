@@ -87,7 +87,7 @@ class RunConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 60
-    eps_shift: float | None = None
+    eps_shift: float = 0.0
 
     def contour(self) -> ContourSpec:
         if self.contour_a is None or self.contour_c is None:

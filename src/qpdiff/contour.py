@@ -15,6 +15,14 @@ below: the sign-compatibility scan (``Im(1/K) >= 0`` on the contour
 product) and the branch-loci clearance (the contour keeps a positive
 distance from the curves ``+-kappa(k, A(s))``).
 
+The same similarity makes the wavenumber a unit.  The kernel is
+homogeneous, so a problem at ``k`` on a contour ``(a, c)`` is the
+problem at ``K_REF`` on the contour ``(a (k/K_REF)^4, c (K_REF/k)^4)``
+with every spectral variable multiplied by ``K_REF / k``
+(``to_reference``), and each quarter factor at ``k`` is the ``K_REF``
+factor times ``(k/K_REF)^(-1/4)``.  The public entry points map their
+arguments this way once; the engine below them runs at ``K_REF`` only.
+
 Every geometric question about a point -- its projection parameter,
 which side of the contour it lies on, how far away it is -- is answered
 by one safeguarded Newton solve of ``Re A(s) = Re z``
@@ -120,6 +128,33 @@ def default_contour(k: float = K_REF) -> ContourSpec:
     """Reference contour for ``k = 3``; exact similarity scaling otherwise."""
     a, c = scaled_constants(k)
     return ContourSpec(a=a, c=c)
+
+
+def to_reference(k: float, spec: ContourSpec):
+    """The problem at wavenumber ``k`` on ``spec``, mapped onto ``K_REF``.
+
+    Returns the factor ``K_REF / k`` that takes a spectral variable to
+    ``K_REF``, the factor ``(k/K_REF)^(-1/4)`` that takes a quarter factor
+    back to ``k``, and the similar contour at ``K_REF``, ``(a (k/K_REF)^4,
+    c (K_REF/k)^4)``, each part scaled apart.  At ``k = K_REF`` every
+    factor is exactly 1 and the contour keeps its bits.
+    """
+    if not 0 < k < np.inf:  # NaN fails the chained test too
+        raise DomainError("wavenumber must be finite and positive")
+    grow = (k / K_REF) ** 4
+    return K_REF / k, (k / K_REF) ** -0.25, ContourSpec(
+        a=complex(spec.a.real * grow, spec.a.imag * grow),
+        c=complex(spec.c.real / grow, spec.c.imag / grow))
+
+
+def rescaled(z, factor: float):
+    """A complex array times a real ``factor``, part by part.
+
+    Unlike complex multiplication (``x * 0`` terms), this keeps every bit,
+    a zero's sign too, when ``factor`` is 1.  Returns a flat array.
+    """
+    z = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1)
+    return (z.view(np.float64) * factor).view(np.complex128)
 
 
 # --------------------------------------------------------------------------
@@ -389,16 +424,17 @@ def validate_contour(spec: ContourSpec, k: float,
                      raise_on_failure: bool = False) -> ContourReport:
     """Run the acceptance diagnostics for a contour at wavenumber ``k``.
 
-    Checks, in order: A(0) = 0; the relative asymptote |A(s)/s - 1| at
-    s = +-10^3 k / K_REF, the same point of every similarity-scaled
-    contour; Re-monotonicity (sampled, not proven); indentation above
-    -k / below +k; the 120-by-120 sign-compatibility scan; the loci clearance.
-    A wavenumber that is not finite and positive is a ``DomainError``.
+    The diagnostics run on the similar contour at ``K_REF``
+    (``to_reference``), which is what the engine integrates along, and
+    report its figures.  Checks, in order: A(0) = 0; the relative
+    asymptote |A(s)/s - 1| at s = +-10^3; Re-monotonicity (sampled, not
+    proven); indentation above -K_REF / below +K_REF; the 120-by-120
+    sign-compatibility scan; the loci clearance.  A wavenumber that is
+    not finite and positive is a ``DomainError``.
     """
-    if not 0 < k < np.inf:
-        raise DomainError("wavenumber must be finite and positive")
+    spec = to_reference(k, spec)[2]
     passes_origin = contour_point(spec, 0.0) == 0.0
-    big = 1e3 * k / K_REF
+    big = 1e3
     rel = max(abs(contour_point(spec, sgn * big) - sgn * big) / big for sgn in (-1, 1))
     try:
         _geometry(spec)
@@ -407,12 +443,11 @@ def validate_contour(spec: ContourSpec, k: float,
         monotone = False
     indentation_ok = False
     if monotone:
-        # the contour passes above -k and below +k
-        gaps = contour_projection(spec, np.array([-k, k]))[1]
+        # the contour passes above -K_REF and below +K_REF
+        gaps = contour_projection(spec, np.array([-K_REF, K_REF]))[1]
         indentation_ok = gaps[0] < 0.0 < gaps[1]
-    scan = sign_compatibility_scan(spec, spec, k, 120,
-                                   s_range=10.0 * k / K_REF)
-    clearance = loci_clearance(spec, spec, k, s_range=30.0 * k / K_REF) if monotone else 0.0
+    scan = sign_compatibility_scan(spec, spec, K_REF, 120)
+    clearance = loci_clearance(spec, spec, K_REF) if monotone else 0.0
     report = ContourReport(
         passes_origin=bool(passes_origin),
         asymptotic_rel_error=float(rel),
@@ -426,12 +461,12 @@ def validate_contour(spec: ContourSpec, k: float,
     return report
 
 
-def default_shift(k: float, distance: float) -> float:
+def default_shift(distance: float) -> float:
     """Shift magnitude for the Cauchy contours serving a given target.
 
-    Takes the smaller of 0.05 k (strip safety) and a ninth of the
+    Takes the smaller of 0.05 K_REF (strip safety) and a ninth of the
     target's ``distance`` to the base contour (the absolute gap that
     ``contour_projection`` returns), so that the target stays at least
     ten shifts away from the shifted contour; clamped below at 1e-3.
     """
-    return np.maximum(1e-3, np.minimum(0.05 * k, np.divide(distance, 9.0)))
+    return np.maximum(1e-3, np.minimum(0.05 * K_REF, np.divide(distance, 9.0)))

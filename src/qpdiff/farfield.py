@@ -23,6 +23,13 @@ The candidate is knowingly inexact: the compatibility residual
 
 measures by how much, vanishing identically only on alpha2 = a2.
 
+f_d depends on the directions alone: ``AnsatzEvaluator`` evaluates the
+problem at ``K_REF`` (the incidence at ``K_REF``, its shift scaled by
+``K_REF / k``, and the contour similar to the one at k), so a row,
+``K_REF F_pp(-K_REF xi, -K_REF eta) / (4 pi^2 i)`` there, has the same
+bits at every k.  ``fpp`` and ``compatibility_residual`` take variables
+at k and map them at the edge.
+
 Observation points put the spectral variables on the real interval
 (-k, k), partly below the inversion contours, so every factor access
 goes through the continuation dispatch of ``whfactor``; evaluations
@@ -41,16 +48,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import write_atomic
-from .contour import ContourSpec, default_contour
+from .contour import K_REF, ContourSpec, default_contour, rescaled, to_reference
 from .errors import (DomainError, NonFiniteInputError, OnBranchCutError,
                      QpdiffError)
 from .quadrature import QuadratureConfig
 from .whfactor import MM, MP, PM, PP, _continued, _pairs, _split_on_error
-
-#: default imaginary shift of positive spectral constants, as a fraction
-#: of k.  Small enough that halving it moves the diffraction coefficient
-#: by less than the quadrature noise floor (the shift-robustness guard).
-EPS_SHIFT_FRACTION = 1e-8
 
 #: |xi + xi0| (or eta analogue) below which a row is flagged near_pole.
 NEAR_POLE_THRESHOLD = 1e-3
@@ -63,9 +65,10 @@ REAL_BRANCH_THRESHOLD = 1e-3
 class Incidence:
     """Physical incidence and its derived spectral constants.
 
-    ``a1, a2`` carry the stored (possibly shifted) values: a constant
-    with positive real part receives a small negative imaginary part
-    ``-i eps_shift`` so that the forcing pole sits off the real axis.
+    ``a1, a2`` carry the stored (possibly shifted) values: with
+    ``eps_shift > 0``, a constant with positive real part receives the
+    negative imaginary part ``-i eps_shift``, which moves the forcing pole
+    off the real axis.
     """
 
     theta0: float
@@ -86,12 +89,14 @@ class Incidence:
 
 
 def make_incidence(theta0: float, phi0: float, k: float,
-                   eps_shift: float | None = None) -> Incidence:
+                   eps_shift: float = 0.0) -> Incidence:
     """Build an ``Incidence``, enforcing the reduced angle ranges.
 
     Symmetry reduces the problem to ``theta0 in [0, pi/2]`` and
     ``phi0 in [-3 pi/4, pi/4]``; other inputs are redundant and
-    rejected.  ``eps_shift`` defaults to ``EPS_SHIFT_FRACTION * k``.
+    rejected.  ``eps_shift`` is 0 by default: f_d is linear in it, so any
+    shift is a bias no error estimate sees; a row that hits the forcing
+    pole exactly raises and is flagged ``near_pole``.
     """
     if not (0.0 <= theta0 <= math.pi / 2):
         raise DomainError("theta0 must lie in [0, pi/2]")
@@ -100,8 +105,6 @@ def make_incidence(theta0: float, phi0: float, k: float,
     # NaN and +-inf fail the chained tests
     if not 0 < k < math.inf:
         raise DomainError("wavenumber must be finite and positive")
-    if eps_shift is None:
-        eps_shift = EPS_SHIFT_FRACTION * k
     if not 0 <= eps_shift < math.inf:
         raise DomainError("eps_shift must be finite and nonnegative")
     a1 = k * math.sin(theta0) * math.cos(phi0)
@@ -191,8 +194,12 @@ class ArcSweepResult:
 class AnsatzEvaluator:
     """Evaluator bound to one incidence, contour and quadrature setting.
 
-    Every evaluation is one batch of factors; the incidence-only factor
-    ``K_mm(a1, a2)`` is one more pair of each batch.
+    It evaluates at ``K_REF``: ``_ref`` is the incidence there, with its
+    shift scaled by ``K_REF / k``, and ``_contour`` the similar contour
+    (the ``K_REF`` default contour itself when none is given, so rows
+    keep their bits at every k).  Every evaluation is one batch of
+    factors; the incidence-only factor ``K_mm(a1, a2)`` is one more pair
+    of each batch.
     """
 
     def __init__(self, inc: Incidence, contour: ContourSpec | None = None,
@@ -200,24 +207,29 @@ class AnsatzEvaluator:
         self.inc = inc
         self.contour = contour if contour is not None else default_contour(inc.k)
         self.cfg = cfg if cfg is not None else QuadratureConfig()
+        self._ratio, _, ref = to_reference(inc.k, self.contour)
+        self._contour = ref if contour is not None else default_contour()
+        self._ref = make_incidence(inc.theta0, inc.phi0, K_REF,
+                                   eps_shift=inc.eps_shift * self._ratio)
 
     # -- factor plumbing ---------------------------------------------------
 
     def _factors(self, labels, alpha1, alpha2):
-        """``labels[j]`` at ``(alpha1[j], alpha2[j])``, and if it was continued."""
+        """``labels[j]`` at ``(alpha1[j], alpha2[j])`` at ``K_REF``, and if it
+        was continued."""
         values, routes = _continued(
             labels, np.asarray(alpha1, dtype=np.complex128),
-            np.asarray(alpha2, dtype=np.complex128), self.inc.k,
-            self.contour, self.cfg)
+            np.asarray(alpha2, dtype=np.complex128), self._contour, self.cfg)
         return values, routes != 0
 
     # -- spectral-plane quantities ------------------------------------------
 
     def _fpp(self, alpha1, alpha2):
-        """The (++) candidate at arrays of points, and if it was continued.
+        """The (++) candidate at ``K_REF`` at arrays of points, and if it was
+        continued.
 
         A raised ``mask`` names points (none for ``K_mm(a1, a2)``)."""
-        inc = self.inc
+        inc = self._ref
         n = alpha1.size
         forcing = g_pp(alpha1, alpha2, inc)  # the pole raises before any integral
         try:
@@ -234,18 +246,25 @@ class AnsatzEvaluator:
         return value, continued[:-1].reshape(3, n).any(axis=0) | continued[-1]
 
     def fpp(self, alpha1, alpha2):
-        """The closed-form (++) candidate; arrays broadcast into one batch."""
+        """The closed-form (++) candidate at k; arrays broadcast into one
+        batch.  F_pp at k is ``K_REF / k`` times F_pp at ``K_REF``."""
         a1, a2, shape = _pairs(alpha1, alpha2)
-        value = self._fpp(a1, a2)[0].reshape(shape)
+        ratio = self._ratio
+        value = rescaled(self._fpp(rescaled(a1, ratio), rescaled(a2, ratio))[0],
+                         ratio).reshape(shape)
         return complex(value) if not shape else value
 
     def compatibility_residual(self, alpha1, alpha2) -> complex:
         """Residual of the compatibility equation with the remainder zeroed.
 
         Cancels exactly at ``alpha2 = a2``; elsewhere its size measures
-        the inexactness of the closed-form candidate at this point.
+        the inexactness of the closed-form candidate at this point.  At k
+        it is ``(K_REF / k)^(3/2)`` times the residual at ``K_REF``: the
+        forcing term scales as ``(K_REF / k)^2``, each factor as ``(K_REF
+        / k)^(1/4)``.
         """
-        inc = self.inc
+        inc = self._ref
+        alpha1, alpha2 = rescaled(np.array([alpha1, alpha2]), self._ratio)
         (kmm_a2var, kpm_full, kmm_aa, kpm_a2fix), _ = self._factors(
             [MM, PM, MM, PM], [inc.a1, alpha1, inc.a1, alpha1],
             [alpha2, alpha2, inc.a2, inc.a2])
@@ -255,14 +274,16 @@ class AnsatzEvaluator:
             # exact cancellation (alpha2 == a2): the zero wins against the
             # forcing pole, which would otherwise trip the g_pp guard
             return 0.0 + 0.0j
-        return g_pp(alpha1, alpha2, inc) * bracket
+        residual = g_pp(alpha1, alpha2, inc) * bracket
+        return complex(rescaled(residual, self._ratio ** 1.5)[0])
 
     # -- physical far field --------------------------------------------------
 
     def _directions(self, observations):
         """Values, flags and continued marks at directions, in one batch.
 
-        ``f_d = k F_pp(-k xi, -k eta) / (4 pi^2 i)``; the flag records
+        ``f_d = K_REF F_pp(-K_REF xi, -K_REF eta) / (4 pi^2 i)`` at
+        ``K_REF``, the same at every k; the flag records
         pole proximity, the real-branch regime, or continuation (in that
         precedence), else ``ok``.  A direction that raises is isolated
         (``_split_on_error``) and NaN, flagged ``near_pole`` where it is
@@ -272,10 +293,10 @@ class AnsatzEvaluator:
         Singular directions are named by their errors and cost one retry;
         a breakdown inside the integrals is found by halving the batch.
         """
-        inc = self.inc
+        inc = self._ref
         xi = np.array([obs.xi for obs in observations])
         eta = np.array([obs.eta for obs in observations])
-        alpha1, alpha2 = -inc.k * xi, -inc.k * eta
+        alpha1, alpha2 = -K_REF * xi, -K_REF * eta
         values = np.full(xi.size, complex(np.nan, np.nan))
         continued = np.zeros(xi.size, dtype=bool)
         broken = {}
@@ -286,7 +307,7 @@ class AnsatzEvaluator:
                 broken[part[0]] = ("near_pole" if isinstance(
                     got, (DomainError, OnBranchCutError)) else "failed")
             else:
-                values[part] = inc.k * got[0] / (4j * np.pi ** 2)
+                values[part] = K_REF * got[0] / (4j * np.pi ** 2)
                 continued[part] = got[1]
         near_pole = ((np.abs(xi + inc.xi0) < NEAR_POLE_THRESHOLD)
                      | (np.abs(eta + inc.eta0) < NEAR_POLE_THRESHOLD))

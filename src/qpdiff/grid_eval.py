@@ -11,10 +11,17 @@ directly and the far ones through the box's local expansion.  The rest
 of the formula comes from the ``whfactor`` helpers that the adaptive
 ``quarter_factor`` uses.
 
+Like the adaptive rule, the grid runs at ``K_REF`` only:
+``quarter_factor_grid`` and ``factor_field`` map alpha1, the targets and
+the contour from wavenumber k onto ``K_REF`` (``contour.to_reference``)
+and rescale the values at the edge, so the mesh lengths below
+(``_H_FINE``, ``_EPS``, the kernel's lattice) are lengths at ``K_REF``
+and a window scaled with k settles on the same levels at every k.
+
 The coarsest mesh is ``quadrature._starting_mesh``'s, as for the
 adaptive rule (tails mapped, nothing cut off, the breaks where
-|alpha1| > 4k); each finer level bisects every panel of the one before
-(``_levels``).  Each pixel keeps the first level, coarse to fine, whose
+|alpha1| > 4 K_REF); each finer level bisects every panel of the one
+before (``_levels``).  Each pixel keeps the first level, coarse to fine, whose
 Kronrod and Gauss sums agree.  On every level the terms of each panel
 close to a pixel are replaced by interpolatory product quadrature of
 the sampled density (close evaluation, Helsing & Ojala 2008), so a
@@ -34,15 +41,15 @@ from __future__ import annotations
 import numpy as np
 
 from ._cauchy_numpy import cauchy_pair_sums
-from .contour import ContourSpec, _point_and_derivative, side_sign
+from .contour import (K_REF, ContourSpec, _point_and_derivative, rescaled,
+                      side_sign, to_reference)
 from .errors import DomainError, QpdiffError
 from .quadrature import (QuadratureConfig, _WG, _WK, _XK, _s_of_u,
                          _starting_mesh)
 from .specfun import half_factor
-from .whfactor import (FactorLabel, _check_log_track,
-                       _hump_breaks, _log_density, _quarter_value,
-                       _shifted_for, _side_tol, _split_on_error,
-                       quarter_factor)
+from .whfactor import (FactorLabel, _check_log_track, _hump_breaks,
+                       _log_density, _quarter_value, _shifted_for,
+                       _split_on_error, quarter_factor)
 
 
 #: the finest mesh spacing; the coarsest is ``_COARSEST`` (a power of 2)
@@ -61,7 +68,7 @@ _NEAR = 2.0
 _PAIRS = 512
 
 
-def _levels(targets, alpha1: complex, k: float):
+def _levels(targets, alpha1: complex):
     """The panel edges of every mesh level, coarsest first.
 
     The coarsest is ``quadrature._starting_mesh`` over the targets' Re
@@ -70,9 +77,9 @@ def _levels(targets, alpha1: complex, k: float):
     each further level bisects every panel of the one before, tails
     included, down to spacing ``_H_FINE``.
     """
-    edges = _starting_mesh((targets.real.min(), targets.real.max()), k,
+    edges = _starting_mesh((targets.real.min(), targets.real.max()), K_REF,
                            _COARSEST * _H_FINE, 2.0 * np.abs(targets).max(),
-                           _hump_breaks(np.array([alpha1]), k))[0]
+                           _hump_breaks(np.array([alpha1])))[0]
     levels = [edges[~np.isnan(edges)]]
     for _ in range(_COARSEST.bit_length() - 1):
         coarse = levels[-1]
@@ -83,8 +90,8 @@ def _levels(targets, alpha1: complex, k: float):
     return levels
 
 
-def _sample_density(label: FactorLabel, alpha1: complex, k: float,
-                    shifted, edges, guard: bool):
+def _sample_density(label: FactorLabel, alpha1: complex, shifted, edges,
+                    guard: bool):
     """GK nodes and rule coefficients, plus the Cauchy-free density.
 
     Returns ``(z, coef_hi, coef_lo)`` for ``cauchy_pair_sums`` and the
@@ -99,7 +106,7 @@ def _sample_density(label: FactorLabel, alpha1: complex, k: float,
                        0.5 * edges[-1])
     point, slope = _point_and_derivative(shifted.base, s)
     z = point + 1j * shifted.offset
-    rotated, log_w = _log_density(label.sign1 * alpha1, k, z)
+    rotated, log_w = _log_density(label.sign1 * alpha1, z)
     if guard:
         _check_log_track(rotated)  # s is already sorted per panel row-major
     base = log_w * (slope * ds_du)
@@ -224,14 +231,15 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     keeps the coarsest mesh whose pair rule, with close evaluation of the
     panels near it (``_close_pair_sums``), meets the tolerance.
     Finest-mesh rejects and non-finite values are recomputed by the
-    adaptive ``quarter_factor`` in one batch, where a raising pixel is
-    isolated by halves (``_split_on_error``).  Returns ``(values, ok)``;
-    ``ok`` is False only where both the grid rule and the adaptive rule
-    failed.
+    adaptive ``quarter_factor`` at ``K_REF`` in one batch, where a raising
+    pixel is isolated by halves (``_split_on_error``).  Returns ``(values,
+    ok)``; ``ok`` is False only where both the grid rule and the adaptive
+    rule failed.
     """
-    alpha1 = complex(alpha1)
+    ratio, scale, contour = to_reference(k, contour)
+    alpha1 = complex(rescaled(complex(alpha1), ratio)[0])
     targets = np.asarray(targets, dtype=np.complex128)
-    flat = targets.ravel()
+    flat = rescaled(targets, ratio)
     ok = np.ones(flat.shape, dtype=bool)
     redo = np.zeros(flat.shape, dtype=bool)
     shifted = _shifted_for(contour, label.side2, _EPS)
@@ -244,9 +252,8 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
         return i_hi, np.abs(i_hi - i_lo) / tol
 
     def integral(live):
-        *coarse, fine_edges = _levels(flat, alpha1, k)
-        finest = _sample_density(label, alpha1, k, shifted, fine_edges,
-                                 guard=True)
+        *coarse, fine_edges = _levels(flat, alpha1)
+        finest = _sample_density(label, alpha1, shifted, fine_edges, guard=True)
         result = np.full(flat.shape, np.nan, dtype=np.complex128)
         pending = np.arange(flat.size)
         # Coarse meshes hold to the plain tolerance: a pixel they reject
@@ -256,7 +263,7 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
             if not pending.size:
                 break
             i_hi, ratio = pair_rule(edges, _sample_density(
-                label, alpha1, k, shifted, edges, guard=False), pending)
+                label, alpha1, shifted, edges, guard=False), pending)
             good = ratio <= 1.0
             result[pending[good]] = i_hi[good]
             pending = pending[~good]
@@ -266,18 +273,18 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
         return result
 
     values = _quarter_value(np.broadcast_to(label.side2, flat.shape),
-                            np.broadcast_to(alpha1, flat.shape), flat, k, integral)
+                            np.broadcast_to(alpha1, flat.shape), flat, integral)
 
     redo |= ~np.isfinite(values)
     for part, got in _split_on_error(
-            lambda part: quarter_factor(label, alpha1, flat[part], k, contour,
-                                        cfg),
+            lambda part: quarter_factor(label, alpha1, flat[part], K_REF,
+                                        contour, cfg),
             np.flatnonzero(redo)):
         if isinstance(got, QpdiffError):
             ok[part] = False
             got = np.nan
         values[part] = got
-    return values.reshape(targets.shape), ok.reshape(targets.shape)
+    return rescaled(values, scale).reshape(targets.shape), ok.reshape(targets.shape)
 
 
 def factor_field(label: FactorLabel, alpha1, targets, k: float,
@@ -287,36 +294,38 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     Natural-side targets use the factor's own integral; opposite-side
     targets are continued by dividing the explicit alpha1-plane
     half-factor by the complementary factor's integral (which is the
-    natural one there).  ``alpha1`` must lie in the label's natural
-    alpha1 half-plane or on the contour, else ``DomainError``.
+    natural one there), all at ``K_REF``; the values are rescaled at the
+    end.  ``alpha1`` must lie in the label's natural alpha1 half-plane or
+    on the contour, else ``DomainError``.
     """
-    tol = _side_tol(k)
-    side1 = side_sign(contour, complex(alpha1), tol)
+    ratio, scale, contour = to_reference(k, contour)
+    alpha1 = complex(rescaled(complex(alpha1), ratio)[0])
+    side1 = side_sign(contour, alpha1)
     if side1 != 0 and side1 != label.side1:
         raise DomainError(
             f"alpha1 is outside the natural half-plane of K_{label.tag}; "
             "pointwise continuation is required (continue_factor)"
         )
     targets = np.asarray(targets, dtype=np.complex128)
-    flat = targets.ravel()
+    flat = rescaled(targets, ratio)
     values = np.empty(flat.shape, dtype=np.complex128)
     ok = np.ones(flat.shape, dtype=bool)
 
-    sides = side_sign(contour, flat, tol)
+    sides = side_sign(contour, flat)
 
     # points on the contour belong to both half-planes; take the natural one
     natural = (sides == label.side2) | (sides == 0)
     other = ~natural
 
     def grid(lab, part):
-        v, ok[part] = quarter_factor_grid(lab, alpha1, flat[part], k, contour,
-                                          cfg)
+        v, ok[part] = quarter_factor_grid(lab, alpha1, flat[part], K_REF,
+                                          contour, cfg)
         return v
 
     if natural.any():
         values[natural] = grid(label, natural)
     if other.any():
         values[other] = (half_factor("+o" if label.sign1 > 0 else "-o",
-                                     alpha1, flat[other], k)
+                                     alpha1, flat[other], K_REF)
                          / grid(label.flip2(), other))
-    return values.reshape(targets.shape), ok.reshape(targets.shape)
+    return rescaled(values, scale).reshape(targets.shape), ok.reshape(targets.shape)

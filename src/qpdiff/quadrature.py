@@ -5,7 +5,10 @@ over a whole shifted contour ``A(s) +- i eps``, ``s`` running over the
 real line, with an integrand that decays like ``s^-2`` or faster; the
 one entry point, ``integrate_over_shifted``, takes a batch of them, each
 with its own target ``t`` and shift (a single integral is a batch of
-one).  The engine works on a mapped coordinate ``u`` in ``(-2S, 2S)``
+one).  Every integral is one of the engine at ``K_REF`` (the entry points
+of ``whfactor`` and ``grid_eval`` map a wavenumber ``k`` onto it and
+rescale at the edge), so its lengths -- the starting mesh, the shifts --
+are the ``K_REF`` contour's and do not depend on ``k``.  The engine works on a mapped coordinate ``u`` in ``(-2S, 2S)``
 (QUADPACK's QAGI idea): ``s = u`` for ``|u| <= S``, and each tail
 ``S < |s| < oo`` maps onto one finite interval by
 ``s = sign(u) S^2 / (2S - |u|)``, ``ds/du = s^2/S^2`` (``_s_of_u``), so
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import _point_and_derivative
+from .contour import K_REF, _point_and_derivative
 from .errors import DomainError, QuadratureError
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK values).
@@ -68,6 +71,10 @@ _PANEL_CAP = 16384
 _NODE_BUDGET = 65536
 #: panel breaks around a target's projection, in shifts
 _WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
+#: ``_starting_mesh``'s span, scale, spacing and reach for every adaptive
+#: integral: no span, the indentation of the ``K_REF`` contour, spacing
+#: ``K_REF / 4`` and reach ``4 K_REF``
+_MESH = ((0.0, 0.0), K_REF, 0.25 * K_REF, 4.0 * K_REF)
 
 
 @dataclass(frozen=True)
@@ -300,15 +307,13 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
 
 
 def integrate_over_shifted(density, shifted, targets, s_star,
-                           cfg: QuadratureConfig, scale: float,
-                           extra_breaks) -> QuadResult:
+                           cfg: QuadratureConfig, extra_breaks) -> QuadResult:
     """``int density(z, j) / (z - targets[j]) dz`` along ``shifted[j]``, every j.
 
     One batch of the adaptive rule (``_refine``) over ``u``; the shifted
     contours share one base contour, ``targets`` is a complex array.
-    Integral ``j`` starts on the mesh of ``_starting_mesh`` with span 0,
-    spacing ``scale / 4`` or ``(2 + scale) / 7``, the wider, and reach
-    ``4 scale``, whose tail panel fixes ``S``, joined to the breaks
+    Integral ``j`` starts on the mesh ``_MESH`` of ``_starting_mesh``,
+    whose tail panel fixes ``S``, joined to the breaks
     (values of ``s``) ``s_star[j]``, its target's projection parameter on
     the base contour, ``s_star[j] +- |shift| _WIDTHS`` and
     ``extra_breaks[j]``.  ``density = (node, member)``: ``node(z, j)``
@@ -328,11 +333,7 @@ def integrate_over_shifted(density, shifted, targets, s_star,
     breaks = np.concatenate([s, s + width, s - width, _padded(extra_breaks)],
                             axis=1)
 
-    # spacing scale / 4, but no finer than a seventh of the indentation's
-    # half-width 2 + scale, whose absolute margin is wide for a small scale
-    h = max(0.25 * scale, (2.0 + scale) / 7.0)
-    mesh = ((0.0, 0.0), scale, h, 4.0 * scale)
-    edges, big = _starting_mesh(*mesh, breaks), _base_edges(*mesh)[1]
+    edges, big = _starting_mesh(*_MESH, breaks), _base_edges(*_MESH)[1]
     lift = 1j * offset
 
     def nodes(u, j):

@@ -307,12 +307,13 @@ def check_diffraction() -> CheckResult:
         scaled.append(abs(value) * delta)
     pole_ok = max(scaled) / min(scaled) < 1.1
 
-    # shift robustness for the positive-constant incidence.  One factor
-    # evaluation chains ~10 contour integrals, so the pipeline noise
-    # floor is that multiple of rel_tol; the criterion's "10x the
-    # quadrature tolerance" is pinned against it.
+    # shift robustness for the positive-constant incidence: two distinct
+    # nonzero shifts, 1e-8 k and half of it.  One factor evaluation
+    # chains ~10 contour integrals, so the pipeline noise floor is that
+    # multiple of rel_tol; the criterion's "10x the quadrature tolerance"
+    # is pinned against it.
     cfg5 = QuadratureConfig()
-    inc_a = make_incidence(math.pi / 4, math.pi / 8, k)
+    inc_a = make_incidence(math.pi / 4, math.pi / 8, k, eps_shift=1e-8 * k)
     inc_b = make_incidence(math.pi / 4, math.pi / 8, k,
                            eps_shift=inc_a.eps_shift / 2)
     ev_a = AnsatzEvaluator(inc_a, cfg=cfg5)

@@ -20,6 +20,14 @@ double-``sqrt_down`` prefactor are what keep the integrand cut-free
 along the contour; both choices are checked at run time rather than
 assumed.
 
+The engine runs at ``K_REF`` only.  The kernel is homogeneous and the
+default contours are similarity copies of the ``K_REF`` one, so a factor
+at wavenumber k is ``(k/K_REF)^(-1/4)`` times the ``K_REF`` factor at the
+point scaled by ``K_REF/k``, on the similar contour: ``quarter_factor``
+and ``continue_factor`` map their arguments onto ``K_REF`` once
+(``contour.to_reference``) and rescale the values at the edge.  Below
+them no helper takes k, and one memo or cache entry serves every k.
+
 The pieces of this formula are private helpers here, shared by the
 adaptive ``quarter_factor`` and the many-target ``grid_eval``.  One
 routine, ``quadrature.integrate_over_shifted``, computes every Cauchy
@@ -28,7 +36,7 @@ on a strip around the contour (``cauchy_split``; ``cauchy_factorize`` is
 ``exp`` of the split of ``log g``).  It takes a batch of integrals, each
 with its own target, shift and panel breaks, refined in lockstep; a
 scalar call is a batch of one.  The node stage given here
-(``kappa(k, z)``) runs once per node shared by integrals of one target
+(``kappa(K_REF, z)``) runs once per node shared by integrals of one target
 and shift, the member stage (the log density) once per integral.
 ``continue_factor`` extends each quarter factor past its natural domain
 by dividing the explicit half-plane factors by the complementary quarter
@@ -40,7 +48,7 @@ Two bounded process-wide memos keep work from being done twice.
 every alpha1 and alpha2 that ``quarter_factor`` and ``_continued``
 place (at most 4096 variables, under 0.7 MiB), so each variable is
 projected once; ``_integral_memo`` holds the quarter value
-``exp(coef I) / fourth_root_down(k +- a2)`` of every point that takes
+``exp(coef I) / fourth_root_down(K_REF +- a2)`` of every point that takes
 an integral (at most 2048, under 0.7 MiB), so each integral is taken
 once: off both contours, the four labels at a point need one and the
 same integral.  Both evict their oldest entries first, compare
@@ -65,7 +73,7 @@ import numpy as np
 from ._memo import Memo
 from .contour import (K_REF, SIDE_TOL, ContourSpec, ShiftedContour,
                       contour_point, contour_projection, default_shift,
-                      gap_side)
+                      gap_side, rescaled, to_reference)
 from .errors import (BranchCrossingError, ContinuationError, DomainError,
                      NonFiniteInputError, OnBranchCutError, QpdiffError,
                      WindingError)
@@ -73,7 +81,7 @@ from .quadrature import QuadratureConfig, integrate_over_shifted
 from .specfun import (_ROT_BACK, _diag_log_rotated, _half_factor_raw,
                       _kappa_raw, _sqrt_down_raw)
 
-#: panel breaks for |alpha1| > 4k, in |alpha1|: the log term stays
+#: panel breaks for |alpha1| > 4 K_REF, in |alpha1|: the log term stays
 #: O(log) out to |z| ~ |alpha1|
 _HUMP = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
 
@@ -120,12 +128,6 @@ _LABELS = {lab.tag: lab for lab in ALL_LABELS}
 _REQUIRED = {lab.tag: (lab.sign1, lab.side2) for lab in ALL_LABELS}
 
 
-def _side_tol(k: float) -> float:
-    """The on-contour band ``SIDE_TOL`` at wavenumber ``k``: it scales with
-    the contour, so a direction's side does not depend on k."""
-    return SIDE_TOL * (k / K_REF)
-
-
 def _side_off(side, required):
     """Side signs (+1 above, 0 on, -1 below) off required half-planes."""
     return side * required < 0
@@ -138,10 +140,10 @@ def _pairs(alpha1, alpha2):
     return a1.ravel(), a2.ravel(), a1.shape
 
 
-def _hump_breaks(a1, k: float):
-    """Breaks (values of ``s``) for ``|a1| > 4k``, a row per entry of ``a1``."""
+def _hump_breaks(a1):
+    """Breaks (values of ``s``) for ``|a1| > 4 K_REF``, a row per entry of ``a1``."""
     mag = np.hypot(a1.real, a1.imag)  # numpy's complex abs rounds unlike abs()
-    wide = mag > 4.0 * k
+    wide = mag > 4.0 * K_REF
     return (np.where(wide[:, None], mag[:, None] * _HUMP, np.nan)
             if np.count_nonzero(wide) else np.empty((a1.size, 0)))
 
@@ -203,7 +205,7 @@ def cauchy_split(f, target, side: str, contour: ShiftedContour,
     density = (lambda z, j: (np.asarray(f(z), dtype=np.complex128),),
                lambda data, owner: data[0])
     return coef * integrate_over_shifted(density, [contour], np.array([target]),
-                                         [s_star], cfg, K_REF, [()]).value[0]
+                                         [s_star], cfg, [()]).value[0]
 
 
 def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
@@ -243,17 +245,17 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
 # quarter factors
 # --------------------------------------------------------------------------
 
-def _log_density(scaled, k: float, z, kap=None):
+def _log_density(scaled, z, kap=None):
     """The rotated log argument ``exp(-i pi/4) w`` and ``diag_log(w)``.
 
-    ``w = 1 + scaled/kappa(k, z)``, ``scaled = +-a1`` signed by the label's
-    alpha1 sign; it may be an array matching ``z``.  A node stage passes
-    ``kap = kappa(k, z)`` instead of ``z``.  Each sample is validated
+    ``w = 1 + scaled/kappa(K_REF, z)``, ``scaled = +-a1`` signed by the
+    label's alpha1 sign; it may be an array matching ``z``.  A node stage
+    passes ``kap = kappa(K_REF, z)`` instead of ``z``.  Each sample is validated
     once, here: raises ``BranchCrossingError`` where ``w`` vanishes, the
     factor's integral does not exist there.  The rotated samples are
     what ``_check_log_track`` reads.
     """
-    kap = _kappa_raw(np.complex128(k), z) if kap is None else kap
+    kap = _kappa_raw(np.complex128(K_REF), z) if kap is None else kap
     w = 1.0 + scaled / kap
     if np.count_nonzero(np.abs(w) < 1e-12):
         raise BranchCrossingError(
@@ -289,15 +291,15 @@ def _track_order(owner, re):
     return np.argsort(owner + 1j * re, kind="stable")
 
 
-def _quarter_value(side2, a1, a2, k: float, integral):
-    """``exp(coef I) / fourth_root_down(k +- a2)`` for an array ``a2``.
+def _quarter_value(side2, a1, a2, integral):
+    """``exp(coef I) / fourth_root_down(K_REF +- a2)`` for an array ``a2``.
 
     ``integral(live)`` returns ``I``, the Cauchy integral of the log
     density, where ``a1 != 0``; where ``a1 = 0`` the log argument is 1
     and the integral vanishes exactly.  ``side2`` is the label's alpha2
     half-plane; ``side2``, ``a1`` and ``a2`` are arrays of one shape.
     """
-    pref = _sqrt_down_raw(_sqrt_down_raw(np.where(side2 > 0, k + a2, k - a2)))
+    pref = _sqrt_down_raw(_sqrt_down_raw(np.where(side2 > 0, K_REF + a2, K_REF - a2)))
     value = np.reciprocal(pref)  # rounds as Python's 1.0 / pref does
     live = a1 != 0
     if np.count_nonzero(live):
@@ -342,48 +344,49 @@ def _projected(contour: ContourSpec, z):
     return both.real, both.imag
 
 
-def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
-                   contour: ContourSpec, cfg: QuadratureConfig):
+def _quarter_batch(sign1, side2, a1, a2, s2, gap2, contour: ContourSpec,
+                   cfg: QuadratureConfig):
     """Quarter factors at M points by their integrals, in one batch.
 
     Point ``j`` has the label of alpha1 sign ``sign1[j]`` and alpha2
     half-plane ``side2[j]``; ``s2``, ``gap2`` are alpha2's projection
     parameter and gap.  Each point keeps its own shift, panel breaks and
     branch-crossing check; a point that raises raises for the batch.
-    Points with one alpha2 and shift share the node stage, ``kappa(k, z)``.
-    ``_integral_memo`` holds the quarter value, ``exp(coef I) /
-    fourth_root_down(k +- a2)``, of every point that takes an integral
-    (``a1 != 0``), so a hit skips the prefactor and the ``exp`` as well;
-    points with ``a1 = 0`` are computed directly and not stored.  It keys
-    a value by ``(sign1, side2, a1, a2)``, compared bit for bit (-0.0 is
-    not 0.0), and the token of ``(k, contour, cfg)``, which with the gap fix
-    its shift, breaks and rule.  A stored value is its first batch's.
+    Points with one alpha2 and shift share the node stage,
+    ``kappa(K_REF, z)``.  ``_integral_memo`` holds the quarter value,
+    ``exp(coef I) / fourth_root_down(K_REF +- a2)``, of every point that
+    takes an integral (``a1 != 0``), so a hit skips the prefactor and the
+    ``exp`` as well; points with ``a1 = 0`` are computed directly and not
+    stored.  It keys a value by ``(sign1, side2, a1, a2)``, compared bit
+    for bit (-0.0 is not 0.0), and the token of ``(contour, cfg)``, which
+    with the gap fix its shift, breaks and rule.  A stored value is its
+    first batch's.
     """
     def quarter(idx):
-        return _quarter_value(side2[idx], a1[idx], a2[idx], k,
+        return _quarter_value(side2[idx], a1[idx], a2[idx],
                               lambda live: integrate(idx[live]))
 
     def integrate(idx):
-        shift = default_shift(k, np.abs(gap2[idx]))  # opposite alpha2's side
+        shift = default_shift(np.abs(gap2[idx]))  # opposite alpha2's side
         shifted = [ShiftedContour(contour, offset) for offset
                    in np.where(side2[idx] > 0, -shift, shift).tolist()]
-        scaled, humps = sign1[idx] * a1[idx], _hump_breaks(a1[idx], k)
+        scaled, humps = sign1[idx] * a1[idx], _hump_breaks(a1[idx])
         samples = []
         # only a track with a sample left of the imaginary axis can cross
         crossable = np.zeros(idx.size, dtype=bool)
 
         def node(z, j):
-            return z.real, _kappa_raw(np.complex128(k), z)
+            return z.real, _kappa_raw(np.complex128(K_REF), z)
 
         def member(data, owner):
             re, kap = data
-            rotated, log_w = _log_density(scaled[owner], k, None, kap=kap)
+            rotated, log_w = _log_density(scaled[owner], None, kap=kap)
             samples.append((owner, re, rotated))
             crossable[owner[rotated.real < 0.0]] = True
             return log_w
 
         value = integrate_over_shifted((node, member), shifted, a2[idx],
-                                       s2[idx], cfg, k, humps).value
+                                       s2[idx], cfg, humps).value
         if np.count_nonzero(crossable):
             owner, re, rotated = (np.concatenate(part) for part in zip(*samples))
             keep = crossable[owner]
@@ -396,7 +399,7 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, k: float,
         value = np.empty(a1.size, dtype=np.complex128)
         value[a1 == 0] = quarter((a1 == 0).nonzero()[0])
     raw1, raw2, sign, side = a1.tobytes(), a2.tobytes(), sign1.tolist(), side2.tolist()
-    token = _integral_memo.token((k, contour, cfg))
+    token = _integral_memo.token((contour, cfg))
     found = _integral_memo.lookup(
         [(token, sign[j], side[j], raw1[16 * j:16 * j + 16], raw2[16 * j:16 * j + 16])
          for j in live.tolist()], lambda pos: quarter(live[pos]))
@@ -412,11 +415,12 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
 
     Valid for points in the label's natural domain (boundary included);
     callers needing other points go through ``continue_factor``.  The
-    shift of each point's integration contour is the guarded rule in
-    ``contour.default_shift``, reduced for targets close to the
-    contour.  Alpha2 is projected onto the contour once per
-    process (``_projected``); its gap feeds the domain check and the
-    shift, its parameter the panel breaks.  ``alpha1`` and ``alpha2``
+    point, the contour and the value are mapped to ``K_REF`` and back
+    (``contour.to_reference``).  The shift of each point's integration
+    contour is the guarded rule in ``contour.default_shift``, reduced for
+    targets close to the contour.  Alpha2 is projected onto the contour
+    once per process (``_projected``); its gap feeds the domain check and
+    the shift, its parameter the panel breaks.  ``alpha1`` and ``alpha2``
     broadcast: arrays are one batch of the adaptive rule, a scalar call a
     batch of one.
 
@@ -428,29 +432,31 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
         If the log argument vanishes on, or crosses its cut along, the
         integration contour (the factorisation does not reach there).
     """
+    ratio, scale, contour = to_reference(k, contour)
     a1, a2, shape = _pairs(alpha1, alpha2)
     if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
         raise NonFiniteInputError("spectral point contains NaN/Inf")
-    m = a2.size
+    a1, a2, m = rescaled(a1, ratio), rescaled(a2, ratio), a2.size
     s, gap = _projected(contour, np.concatenate([a2, a1]))
-    sides = gap_side(gap, _side_tol(k))
+    sides = gap_side(gap)
     for name, side, required in (("alpha1", sides[m:], label.side1),
                                  ("alpha2", sides[:m], label.side2)):
         if _side_off(side, required).any():
             raise DomainError(f"{name} outside the natural domain of "
                               f"K_{label.tag}; use continue_factor")
-    values = _quarter_batch(np.full(m, label.sign1), np.full(m, label.side2),
-                            a1, a2, s[:m], gap[:m], k, contour, cfg)
+    values = rescaled(_quarter_batch(np.full(m, label.sign1), np.full(m, label.side2),
+                                     a1, a2, s[:m], gap[:m], contour, cfg), scale)
     return complex(values[0]) if not shape else values.reshape(shape)
 
 
-def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
+def continuation_constant(label: FactorLabel, contour: ContourSpec,
                           cfg: QuadratureConfig) -> complex:
-    """Branch constant of the alpha1-plane continuation, measured once.
+    """Branch constant of the alpha1-plane continuation at ``K_REF``, measured once.
 
     The swapped half-plane factors give ``K_label = C * K_o? / K_comp`` with
-    ``comp`` the alpha1-flipped label.  With the default contours ``C = 1``
-    (within 2.5e-12 for all labels at k = 1, 3 and 10), but ``C`` is still
+    ``comp`` the alpha1-flipped label.  ``C`` does not change under the
+    similarity, so one constant per ``K_REF`` contour serves every k.  With
+    the default contour ``C = 1`` (within 2.5e-12 for all labels), but ``C`` is still
     measured on an overlap set (alpha1 on the contour, alpha2 inside its
     half-plane; 24 integrals in one batch) and checked to be constant and
     unimodular: that check catches a user-supplied contour that puts the
@@ -463,29 +469,29 @@ def continuation_constant(label: FactorLabel, k: float, contour: ContourSpec,
     ContinuationError
         If the measured ratios are not constant or not unimodular.
     """
-    c = _measured_constant(label, k, contour, cfg)
+    c = _measured_constant(label, contour, cfg)
     if isinstance(c, QpdiffError):
         raise c.with_traceback(None)
     return c
 
 
 @functools.lru_cache(maxsize=64)
-def _measured_constant(label, k, contour, cfg):
+def _measured_constant(label, contour, cfg):
     """``continuation_constant``'s value, or the ``QpdiffError`` it raised."""
     # in both labels' domains by construction: alpha1 on the contour,
-    # alpha2 0.8 k/3 inside its half-plane
+    # alpha2 0.8 (as 0.8 K_REF / 3 rounds) inside its half-plane
     a1 = contour_point(contour, np.repeat([-5.0, -1.5, 1.5, 5.0], 3))
     a2 = (contour_point(contour, np.tile([-2.2, 0.0, 3.0], 4))
-          + 1j * label.side2 * 0.8 * k / 3.0)
+          + 1j * label.side2 * 0.8 * K_REF / 3.0)
     n = a1.size
     try:
         s2, gap2 = contour_projection(contour, a2)
         values = _quarter_batch(np.repeat([label.sign1, -label.sign1], n),
                                 np.full(2 * n, label.side2), np.tile(a1, 2),
                                 np.tile(a2, 2), np.tile(s2, 2),
-                                np.tile(gap2, 2), k, contour, cfg)
+                                np.tile(gap2, 2), contour, cfg)
         ratios = values[:n] * values[n:] / _half_factor_raw(
-            np.complex128(k), a1, a2, float(label.side2))
+            np.complex128(K_REF), a1, a2, float(label.side2))
         c = ratios.mean()
         if np.max(np.abs(ratios - c)) > 2e-4 or abs(abs(c) - 1.0) > 2e-4:
             raise ContinuationError(
@@ -519,22 +525,26 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
 
     Off both contours all four labels need the integral of the label of
     the point's own sides; the integral memo takes it once for all four.
+    The points, the contour and the values are mapped to ``K_REF`` and
+    back (``contour.to_reference``).
 
     Returns the value, or ``(value, route)`` when ``with_route`` is set.
     ``alpha1`` and ``alpha2`` broadcast: arrays are one batch
     (``_continued``) and give arrays of values and routes; a scalar call
     is a batch of one and gives a complex and a str.
     """
+    ratio, scale, contour = to_reference(k, contour)
     a1, a2, shape = _pairs(alpha1, alpha2)
-    values, routes = _continued([label] * a1.size, a1, a2, k, contour, cfg)
+    values, routes = _continued([label] * a1.size, rescaled(a1, ratio),
+                                rescaled(a2, ratio), contour, cfg)
+    values = rescaled(values, scale)
     value, route = (complex(values[0]), _ROUTES[routes[0]]) if not shape else (
         values.reshape(shape), np.array(_ROUTES)[routes].reshape(shape))
     return (value, route) if with_route else value
 
 
-def _continued(labels, a1, a2, k: float, contour: ContourSpec,
-               cfg: QuadratureConfig):
-    """``continue_factor`` for ``labels[j]`` at ``(a1[j], a2[j])``, every j.
+def _continued(labels, a1, a2, contour: ContourSpec, cfg: QuadratureConfig):
+    """``continue_factor`` at ``K_REF`` for ``labels[j]`` at ``(a1[j], a2[j])``, every j.
 
     One ``_projected`` call places both variables of every point; after
     the branch constants, one ``_half_factor_raw`` pass takes the swapped
@@ -550,7 +560,7 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
     # the variables, then the other variable of each: the halves' arguments
     z = np.concatenate([a1, a2, a2, a1])
     s, gap = _projected(contour, z[:2 * m])
-    off = gap * required < -_side_tol(k)  # gap_side(gap) * required < 0
+    off = gap * required < -SIDE_TOL  # gap_side(gap) * required < 0
     off1, off2 = off[:m], off[m:]
     # the label whose integral a point needs: flipped where off its side
     need = np.where(off, -required, required)
@@ -558,17 +568,17 @@ def _continued(labels, a1, a2, k: float, contour: ContourSpec,
     if np.count_nonzero(off1):
         cst = dict.fromkeys(lab.tag for lab, o in zip(labels, off1.tolist()) if o)
         for tag in cst:
-            cst[tag] = continuation_constant(_LABELS[tag], k, contour, cfg)
+            cst[tag] = continuation_constant(_LABELS[tag], contour, cfg)
         cst = np.array([cst.get(lab.tag, 1.0) for lab in labels], dtype=np.complex128)
     if anyoff := np.count_nonzero(off):  # halves no point needs are taken
         args = np.where(off, z.reshape(2, 2 * m), 0)  # at (0, 0): none fails
         try:
-            half = _half_factor_raw(np.complex128(k), args[0], args[1],
+            half = _half_factor_raw(np.complex128(K_REF), args[0], args[1],
                                     np.concatenate([required[m:], need[:m]]))
         except OnBranchCutError as exc:
             exc.mask = exc.mask[:m] | exc.mask[m:]
             raise
-    value = _quarter_batch(need[:m], need[m:], a1, a2, s[m:], gap[m:], k,
+    value = _quarter_batch(need[:m], need[m:], a1, a2, s[m:], gap[m:],
                            contour, cfg)
     if anyoff:
         np.divide(half[m:], value, out=value, where=off2)

@@ -468,13 +468,14 @@ class TestValidationGate:
             ct.validate_contour(bad, k3, raise_on_failure=True)
 
 
-def test_default_shift_rule(contour3, k3):
-    # far targets: capped at 0.05 k; near targets: distance/9, floored at 1e-3
+def test_default_shift_rule(contour3):
+    # far targets: capped at 0.05 K_REF; near targets: distance/9, floored
+    # at 1e-3
     def shift(target):
-        return ct.default_shift(k3, abs(ct.contour_projection(contour3, target)[1]))
+        return ct.default_shift(abs(ct.contour_projection(contour3, target)[1]))
 
     far = shift(20.0 + 5.0j)
-    assert far == pytest.approx(0.05 * k3)
+    assert far == pytest.approx(0.05 * ct.K_REF)
     on = shift(ct.contour_point(contour3, 1.2))
     assert on == pytest.approx(1e-3)
     near = ct.contour_point(contour3, 1.2) + 0.09j

@@ -57,7 +57,7 @@ def test_gap_classes_settle_on_the_coarsest_mesh(monkeypatch, contour3, cfg,
         for i in members[::members.size // 4][:4]:
             ref = continue_factor(PP, alpha1, z[i], k3, contour3, cfg)
             assert abs(vals[i] - ref) / abs(ref) < 1e-7
-    coarsest = ge._levels(z, alpha1, k3)[0]
+    coarsest = ge._levels(z, alpha1)[0]
     assert modal_nodes == [ge._XK.size * (coarsest.size - 1)] * 4
 
 
@@ -70,7 +70,7 @@ def test_finest_mesh_guarded_when_all_pixels_settle_coarse(monkeypatch, contour3
     targets = np.linspace(-6.0, 6.0, 9) + 5.0j
     vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
     assert ok.all()
-    fine_edges = ge._levels(targets, alpha1, k3)[-1]
+    fine_edges = ge._levels(targets, alpha1)[-1]
     fine_nodes = ge._XK.size * (fine_edges.size - 1)
     assert tracks == [fine_nodes]
     assert summed and fine_nodes not in summed
@@ -128,38 +128,49 @@ def _window(contour, name, n=24):
             + 1j * np.linspace(0.1, 3.0, n)[:, None])
 
 
+@pytest.mark.parametrize("k", [0.5, 3.0, 10.0])
 @pytest.mark.parametrize("name", ["far", "small", "above"])
-def test_windows_settle_by_the_second_level(monkeypatch, contour3, cfg, k3,
-                                            name):
+def test_windows_settle_by_the_second_level(monkeypatch, contour3, cfg, name,
+                                            k):
     # every level bisects the whole mesh, the walk and tails too, so the
     # density's far reaches are resolved as the window's part is; no
     # pixel gets past the second level or falls back to the adaptive
-    # rule, and every one matches a tight adaptive reference
-    alpha1, targets = _window(contour3, name)
+    # rule, and every one matches a tight adaptive reference.  The grid
+    # runs at K_REF, so the window scaled by k / 3 sums the same levels in
+    # every grid call at every k
+    def levels(k):
+        contour = ct.default_contour(k)
+        alpha1, targets = _window(contour3, name)
+        alpha1, targets = alpha1 * (k / 3.0), targets * (k / 3.0)
+        calls.clear()
+        vals, ok = ge.factor_field(PP, alpha1, targets, k, contour, cfg)
+        assert ok.all() and fallbacks == []
+        fine = dataclasses.replace(cfg, abs_tol=1e-15, rel_tol=1e-13)
+        ref = continue_factor(PP, alpha1, targets, k, contour, fine)
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-10
+        return [len(sizes) for sizes in calls]
+
     calls, fallbacks = [], []
     _spy(monkeypatch, "quarter_factor_grid", lambda *args: calls.append([]))
     _spy(monkeypatch, "cauchy_pair_sums",
          lambda nodes, *rest: calls[-1].append(nodes.size))
     _spy(monkeypatch, "quarter_factor", lambda *args: fallbacks.append(args[2]))
-    vals, ok = ge.factor_field(PP, alpha1, targets, k3, contour3, cfg)
-    assert ok.all() and fallbacks == []
-    assert calls and all(1 <= len(sizes) <= 2 for sizes in calls)
-    fine = dataclasses.replace(cfg, abs_tol=1e-15, rel_tol=1e-13)
-    ref = continue_factor(PP, alpha1, targets, k3, contour3, fine)
-    assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-10
+    summed = levels(k)
+    assert summed and all(1 <= n <= 2 for n in summed)
+    assert summed == levels(3.0)
 
 
 @pytest.mark.parametrize("name", ["far", "small", "above"])
-def test_each_level_bisects_the_one_before(contour3, k3, name):
+def test_each_level_bisects_the_one_before(contour3, name):
     # the coarsest level is the shared starting-mesh builder's, with the
-    # adaptive rule's hump breaks where |alpha1| > 4k; each further level
-    # keeps every edge and adds every panel's midpoint
+    # adaptive rule's hump breaks where |alpha1| > 4 K_REF; each further
+    # level keeps every edge and adds every panel's midpoint
     alpha1, targets = _window(contour3, name)
     flat = targets.ravel()
-    levels = ge._levels(flat, alpha1, k3)
+    levels = ge._levels(flat, alpha1)
     assert len(levels) == ge._COARSEST.bit_length()
-    humps = abs(alpha1) * wf._HUMP if abs(alpha1) > 4 * k3 else ()
-    coarsest = ge._starting_mesh((flat.real.min(), flat.real.max()), k3,
+    humps = abs(alpha1) * wf._HUMP if abs(alpha1) > 4 * ct.K_REF else ()
+    coarsest = ge._starting_mesh((flat.real.min(), flat.real.max()), ct.K_REF,
                                  ge._COARSEST * ge._H_FINE,
                                  2.0 * np.abs(flat).max(), [humps])[0]
     assert np.array_equal(levels[0], coarsest[~np.isnan(coarsest)])
@@ -171,12 +182,12 @@ def test_each_level_bisects_the_one_before(contour3, k3, name):
 
 @pytest.mark.parametrize("re_lo, re_hi", [(22.0, 28.0), (-28.0, -25.0),
                                           (-6.0, 6.0), (5.0, 5.0)])
-def test_mesh_spans_window_and_indentation(k3, alpha1, re_lo, re_hi):
+def test_mesh_spans_window_and_indentation(alpha1, re_lo, re_hi):
     # the whole line on every level: the walks reach twice the largest
     # |target|, and mapped panels from S to 2S cover each tail beyond S;
     # each level halves the spacing, down to _H_FINE on the finest
-    pad = 2.0 + k3
-    levels = ge._levels(np.array([re_lo, re_hi]), alpha1, k3)
+    pad = 2.0 + ct.K_REF
+    levels = ge._levels(np.array([re_lo, re_hi]), alpha1)
     assert len(levels) == 5
     big = 0.5 * levels[0][-1]
     assert big >= 2.0 * max(abs(re_lo), abs(re_hi))
@@ -195,23 +206,19 @@ def test_mesh_spans_window_and_indentation(k3, alpha1, re_lo, re_hi):
 
 @pytest.mark.parametrize("re_lo, re_hi", [(22.0, 28.0), (-28.0, -25.0),
                                           (-6.0, 6.0), (5.0, 5.0)])
-def test_mesh_equals_unique_of_its_edges(monkeypatch, k3, alpha1, re_lo,
-                                         re_hi):
-    # the walks start on the uniform part's end points, so equal edges
-    # are always there to drop
-    seen = []
-    original = np.hstack
-
-    def spy(arrays, *args, **kwargs):
-        joined = original(arrays, *args, **kwargs)
-        seen.append(joined.copy())
-        return joined
-
-    monkeypatch.setattr(np, "hstack", spy)
-    edges = ge._levels(np.array([re_lo, re_hi]), alpha1, k3)[0]
-    monkeypatch.undo()
-    assert len(seen) == 1 and seen[0].size > edges.size
-    want = np.unique(seen[0])
+def test_mesh_equals_unique_of_its_edges(alpha1, re_lo, re_hi):
+    # the coarsest level is the sorted unique union of the base edges and
+    # the mapped breaks; the walks start on the uniform part's end points,
+    # so equal edges are always there to drop
+    from qpdiff.quadrature import _base_edges, _u_of_s
+    span = np.array([re_lo, re_hi])
+    base, big = _base_edges((re_lo, re_hi), ct.K_REF, ge._COARSEST * ge._H_FINE,
+                            2.0 * np.abs(span).max())
+    breaks = wf._hump_breaks(np.array([alpha1]))[0]
+    joined = np.concatenate([base, _u_of_s(breaks, big)])
+    edges = ge._levels(span, alpha1)[0]
+    assert joined.size > edges.size
+    want = np.unique(joined)
     assert edges.dtype == want.dtype and edges.tobytes() == want.tobytes()
 
 
@@ -346,7 +353,7 @@ def test_product_rule_works_pair_by_pair():
                                                     for ref in whole]
 
 
-def test_near_set_is_exact(monkeypatch, contour3, k3, alpha1):
+def test_near_set_is_exact(monkeypatch, contour3, alpha1):
     # targets just inside and just outside |u0| = _NEAR around several
     # panels, twelve directions each and none on the contour: the pairs
     # that reach _product_rule are those of dividing every pair, bitwise
@@ -355,7 +362,7 @@ def test_near_set_is_exact(monkeypatch, contour3, k3, alpha1):
     shifted = wf._shifted_for(contour3, PP.side2, ge._EPS)
     got, want = [], []
     _spy(monkeypatch, "_product_rule", lambda u, d, panel, u0: got.append(u0))
-    for edges in ge._levels(window, alpha1, k3)[::4]:
+    for edges in ge._levels(window, alpha1)[::4]:
         ends = shifted.point(ge._s_of_u(edges[1:-1], 0.5 * edges[-1])[0])
         c, h = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
         mid = np.flatnonzero(np.abs(c) < 4.0)[::3]
@@ -364,7 +371,7 @@ def test_near_set_is_exact(monkeypatch, contour3, k3, alpha1):
         rings = [c[mid, None] + ge._NEAR * np.abs(h[mid, None]) * f * turn
                  for f in (1 - 1e-12, 1 + 1e-12)]
         targets = np.concatenate([window] + [r.ravel() for r in rings])
-        sampled = ge._sample_density(PP, alpha1, k3, shifted, edges, guard=False)
+        sampled = ge._sample_density(PP, alpha1, shifted, edges, guard=False)
         assert np.abs(targets[:, None] - sampled[0][0][None, :]).min() > 1e-4
         ge._close_pair_sums(*sampled, ends, targets)
         u = (targets[:, None] - c[None, :]) / h[None, :]
@@ -385,7 +392,7 @@ def test_band_needs_no_fallback(monkeypatch, contour3, cfg, k3, tag):
     label = FactorLabel(tag)
     alpha1 = (0.8 + 0.9j) * label.sign1
     ends = np.array([-4.0, 4.0])
-    edges = ge._levels(contour_point(contour3, ends).real, alpha1, k3)[-1]
+    edges = ge._levels(contour_point(contour3, ends).real, alpha1)[-1]
     inner = edges[np.abs(edges) < 3.5]
     s = np.concatenate([ends, inner[::23], inner[::23] + 0.3 * ge._H_FINE,
                         [-0.6, 0.0, 1.7]])

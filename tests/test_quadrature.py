@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qpdiff.contour import ShiftedContour
+from qpdiff.contour import K_REF, ShiftedContour
 from qpdiff.errors import DomainError, QuadratureError
 from qpdiff.quadrature import (_WIDTHS, QuadratureConfig, _padded, _refine,
                                _s_of_u, _starting_mesh, _u_of_s,
@@ -24,12 +24,12 @@ def _one(fvec, edges, cfg):
     return complex(value[0]), float(error[0]), int(n_evals[0]), int(n_panels[0])
 
 
-def _cauchy(density, shifted, targets, s_star, cfg, scale, extra_breaks):
+def _cauchy(density, shifted, targets, s_star, cfg, extra_breaks):
     """``integrate_over_shifted`` of a plain ``density(z, j)``."""
     return integrate_over_shifted(
         (lambda z, j: (density(z, j),), lambda data, owner: data[0]),
         shifted, np.asarray(targets, dtype=np.complex128), s_star, cfg,
-        scale, extra_breaks)
+        extra_breaks)
 
 
 def _mesh(scale, breaks=()):
@@ -132,7 +132,7 @@ class TestShiftedContourIntegrals:
         # cancels the Cauchy factor of the target t.
         shifted, t = ShiftedContour(contour3, -0.2), 0.5j
         res = _cauchy(lambda z, j: (z - t) / (z * z + 9.0), [shifted], [t],
-                      [0.0], cfg, 3.0, [()])
+                      [0.0], cfg, [()])
         value, error = complex(res.value[0]), float(res.error[0])
         assert abs(value - np.pi / 3) < 1e-12
         assert error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
@@ -141,7 +141,7 @@ class TestShiftedContourIntegrals:
         # Cauchy-type integrand: closing below leaves the residue at -4i
         shifted = ShiftedContour(contour3, -0.2)
         res = _cauchy(lambda z, j: 1.0 / (z * z + 16.0), [shifted], [0.5j],
-                      [0.0], cfg, 3.0, [()])
+                      [0.0], cfg, [()])
         assert abs(res.value[0] - 2j * np.pi / 36.0) < 1e-12
 
     def test_shared_node_stage(self, contour3, cfg):
@@ -164,9 +164,9 @@ class TestShiftedContourIntegrals:
             return weight[owner] * data[0]
 
         res = integrate_over_shifted((node, member), shifted, targets,
-                                     np.zeros(4), cfg, 3.0, breaks)
+                                     np.zeros(4), cfg, breaks)
         alone = [_cauchy(lambda z, j, c=c: c / (z * z + 16.0), [sh], [t],
-                         [0.0], cfg, 3.0, [b])
+                         [0.0], cfg, [b])
                  for sh, t, c, b in zip(shifted, targets, weight, breaks)]
         for value, one in zip(res.value, alone):
             assert abs(value - one.value[0]) <= 1e-14 * abs(one.value[0])
@@ -244,14 +244,13 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     batches, pending = [], []
     original, panel_sums = wh.integrate_over_shifted, quad._panel_sums
 
-    def spy(density, shifted, targets, s_star, cfg_, scale, extra_breaks):
-        batches.append((scale, [np.concatenate(
+    def spy(density, shifted, targets, s_star, cfg_, extra_breaks):
+        batches.append(([np.concatenate(
             [[s], s + abs(sh.offset) * _WIDTHS, s - abs(sh.offset) * _WIDTHS,
              np.asarray(b, dtype=np.float64)])
-            for s, sh, b in zip(s_star, shifted, extra_breaks)]))
+            for s, sh, b in zip(s_star, shifted, extra_breaks)],))
         pending.append(len(batches) - 1)
-        return original(density, shifted, targets, s_star, cfg_, scale,
-                        extra_breaks)
+        return original(density, shifted, targets, s_star, cfg_, extra_breaks)
 
     def first_panels(fvec, lo, hi, owner):
         if pending:  # the first call of a batch sees its starting panels
@@ -265,7 +264,7 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     wh._measured_constant.cache_clear()
     AnsatzEvaluator(make_incidence(np.pi / 4, -3 * np.pi / 4, k3)).arc_sweep(
         np.pi / 4, 21)
-    # |alpha1| > 4k adds the hump breaks; the last batch has a repeated
+    # |alpha1| > 4 K_REF adds the hump breaks; the last batch has a repeated
     # break, base points and breaks in both mapped tails
     wh.quarter_factor(wh.PP, contour_point(contour3, 20.0) + 0.5j,
                       contour_point(contour3, np.array([1.0, 1.0])) + 0.5j,
@@ -273,13 +272,14 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
     shifted = ShiftedContour(contour3, -0.2)
     wh.integrate_over_shifted(
         (lambda z, j: (1.0 / (z * z + 9.0),), lambda data, owner: data[0]),
-        [shifted, shifted], np.array([0.5j, 2.0j]), [0.5, 2.0], cfg, k3,
+        [shifted, shifted], np.array([0.5j, 2.0j]), [0.5, 2.0], cfg,
         [[0.5, k3, -k3 / 8, 2e4, -1e4, -2e4], []])
     assert not pending
 
     humps = repeats = 0
-    for scale, breaks, lo, hi, owner in batches:
-        base = _mesh(scale)
+    # every batch starts on the K_REF mesh, whatever its caller
+    base = _mesh(K_REF)
+    for breaks, lo, hi, owner in batches:
         assert np.array_equal(owner, np.sort(owner))
         for j, b in enumerate(breaks):
             big = 0.5 * base[-1]

@@ -179,7 +179,7 @@ class TestQuarterFactor:
         shifts = []
 
         def at_shift(label, eps):
-            def shift(k, distance):
+            def shift(distance):
                 shifts.append(eps)
                 return np.full(np.shape(distance), eps)
 
@@ -192,11 +192,11 @@ class TestQuarterFactor:
             assert abs(v1 - v2) / abs(v1) < 10 * cfg.rel_tol
         assert shifts == [0.05, 0.025] * 2
 
-    def test_vanishing_log_argument_is_a_branch_crossing(self, k3):
-        # kappa(k, 0) = k, so w = 1 - k/k = 0 exactly at z = 0; the grid
-        # path and the scalar path share this guard
+    def test_vanishing_log_argument_is_a_branch_crossing(self):
+        # kappa(K_REF, 0) = K_REF, so w = 1 - K_REF/K_REF = 0 exactly at
+        # z = 0; the grid path and the scalar path share this guard
         with pytest.raises(BranchCrossingError):
-            wf._log_density(wf.PP.sign1 * -k3, k3, np.array([0.0j, 1.0 + 1.0j]))
+            wf._log_density(wf.PP.sign1 * -wf.K_REF, np.array([0.0j, 1.0 + 1.0j]))
 
     def test_out_of_domain_rejected(self, contour3, cfg, k3):
         # alpha2 = -1.2 lies below the contour: not PP territory
@@ -243,9 +243,9 @@ class TestContinuation:
             worst = max(worst, abs(direct - division) / abs(direct))
         assert worst < 1e-6
 
-    def test_alpha1_route_constant_is_unimodular(self, contour3, cfg, k3):
+    def test_alpha1_route_constant_is_unimodular(self, contour3, cfg):
         for label in wf.ALL_LABELS:
-            c = wf.continuation_constant(label, k3, contour3, cfg)
+            c = wf.continuation_constant(label, contour3, cfg)
             assert abs(abs(c) - 1.0) < 1e-6
             # empirically the swapped half-plane factors split with unit
             # constant on the overlap region
@@ -311,7 +311,7 @@ def test_tracks_of_two_owners_are_told_apart():
         wf._check_log_track(inside, np.array([0, 1, 1]))
 
 
-def test_crossing_track_raises_inside_a_batch(contour3, cfg, k3):
+def test_crossing_track_raises_inside_a_batch(contour3, cfg):
     # K_pp's log argument at alpha1 = -5 - 2i crosses its cut along the
     # contour; batched with points whose tracks stay right of the cut
     from qpdiff.contour import contour_projection
@@ -321,10 +321,10 @@ def test_crossing_track_raises_inside_a_batch(contour3, cfg, k3):
     ones = np.ones(4, dtype=int)
     clear = [0, 2, 3]
     wf._quarter_batch(ones[clear], ones[clear], a1[clear], a2[clear],
-                      s2[clear], gap2[clear], k3, contour3, cfg)
+                      s2[clear], gap2[clear], contour3, cfg)
     wf._integral_memo.clear()  # the batch integrates the clear tracks too
     with pytest.raises(BranchCrossingError, match="crossed"):
-        wf._quarter_batch(ones, ones, a1, a2, s2, gap2, k3, contour3, cfg)
+        wf._quarter_batch(ones, ones, a1, a2, s2, gap2, contour3, cfg)
 
 
 @settings(max_examples=80, deadline=None)
@@ -397,8 +397,8 @@ class TestBatch:
 
         monkeypatch.setattr(quad, "_refine", spy_refine)
         monkeypatch.setattr(wf, "_kappa_raw", spy_kappa)
-        batch = wf._quarter_batch(sign1, side2, a1, a2, s2, gap2, k3,
-                                  contour3, cfg)
+        batch = wf._quarter_batch(sign1, side2, a1, a2, s2, gap2, contour3,
+                                  cfg)
         (_, _, n_evals, n_panels), = refined
         shared = sum(entries)
         refined.clear()
@@ -407,7 +407,7 @@ class TestBatch:
         for j in range(a1.size):
             part = slice(j, j + 1)
             one = wf._quarter_batch(sign1[part], side2[part], a1[part],
-                                    a2[part], s2[part], gap2[part], k3,
+                                    a2[part], s2[part], gap2[part],
                                     contour3, cfg)
             assert batch[j] == one[0]
         alone = np.array([r[2:] for r in refined])[:, :, 0]
@@ -426,7 +426,7 @@ class TestBatch:
                 a1.append(p1)
                 a2.append(p2)
         a1, a2 = np.concatenate(a1), np.concatenate(a2)
-        values, routes = wf._continued(labels, a1, a2, k3, contour3, cfg)
+        values, routes = wf._continued(labels, a1, a2, contour3, cfg)
         assert set(routes) == {0, 1, 2, 3}
         wf._integral_memo.clear()  # the points alone integrate again
         for j, label in enumerate(labels):
@@ -442,13 +442,12 @@ class TestIntegralMemo:
     memo = wf._integral_memo
 
     @staticmethod
-    def batch_of(points, contour, k, cfg):
+    def batch_of(points, contour, cfg):
         # K_pp at (a1, a2) pairs, through _quarter_batch
         a1, a2 = (np.array(p, dtype=np.complex128) for p in zip(*points))
         s2, gap2 = contour_projection(contour, a2)
         ones = np.ones(a1.size, dtype=int)
-        return wf._quarter_batch(ones, ones, a1, a2, s2, gap2, k, contour,
-                                 cfg)
+        return wf._quarter_batch(ones, ones, a1, a2, s2, gap2, contour, cfg)
 
     def test_four_labels_at_a_point_take_one_integral(self, monkeypatch,
                                                       contour3, cfg, k3):
@@ -457,7 +456,7 @@ class TestIntegralMemo:
         # labels at a time
         a1, a2 = 0.8 + 0.9j, 1.0 - 1.2j
         for label in wf.ALL_LABELS:  # the branch constants, measured apart
-            wf.continuation_constant(label, k3, contour3, cfg)
+            wf.continuation_constant(label, contour3, cfg)
         integrals = []
         original = wf.integrate_over_shifted
 
@@ -473,7 +472,7 @@ class TestIntegralMemo:
         assert (self.memo.misses, self.memo.hits) == (1, 3)
         self.memo.clear()
         batch, routes = wf._continued(list(wf.ALL_LABELS), np.full(4, a1),
-                                      np.full(4, a2), k3, contour3, cfg)
+                                      np.full(4, a2), contour3, cfg)
         assert integrals == [1, 1] and set(routes) == {0, 1, 2, 3}
         assert batch.tobytes() == np.array(values).tobytes()
 
@@ -485,29 +484,29 @@ class TestIntegralMemo:
             a1.append(p1[:6])
             a2.append(p2[:6])
         a1, a2 = np.concatenate(a1), np.concatenate(a2)
-        cold, _ = wf._continued(labels, a1, a2, k3, contour3, cfg)
+        cold, _ = wf._continued(labels, a1, a2, contour3, cfg)
         misses = self.memo.misses
-        warm, _ = wf._continued(labels, a1, a2, k3, contour3, cfg)
+        warm, _ = wf._continued(labels, a1, a2, contour3, cfg)
         assert self.memo.misses == misses and self.memo.hits >= a1.size
         assert warm.tobytes() == cold.tobytes()
         self.memo.clear()
-        again, _ = wf._continued(labels[::-1], a1[::-1], a2[::-1], k3,
-                                 contour3, cfg)
+        again, _ = wf._continued(labels[::-1], a1[::-1], a2[::-1], contour3,
+                                 cfg)
         assert again[::-1].tobytes() == cold.tobytes()
 
-    def test_every_input_of_an_integral_is_in_its_key(self, contour3, cfg, k3):
-        # a change in any of them is a miss; so is a zero's sign
+    def test_every_input_of_an_integral_is_in_its_key(self, contour3, cfg):
+        # a change in any of them is a miss; so is a zero's sign.  The
+        # engine runs at K_REF: the wavenumber is not an input
         from qpdiff.contour import default_contour
         point = [(0.8 + 0.9j, 1.0 + 1.2j)]
-        self.batch_of(point, contour3, k3, cfg)
+        self.batch_of(point, contour3, cfg)
         variants = [
-            lambda: self.batch_of(point, contour3, k3, dataclasses.replace(cfg, rel_tol=1e-9)),
-            lambda: self.batch_of(point, contour3, 3.5, cfg),
-            lambda: self.batch_of(point, default_contour(3.5), k3, cfg),
-            lambda: self.batch_of([(0.8 + 0.9j, 1.1 + 1.2j)], contour3, k3, cfg),
-            lambda: self.batch_of([(complex(0.0, 0.9), 1.2j)], contour3, k3, cfg),
-            lambda: self.batch_of([(complex(-0.0, 0.9), 1.2j)], contour3, k3, cfg),
-            lambda: self.batch_of([(0.9j, complex(-0.0, 1.2))], contour3, k3, cfg),
+            lambda: self.batch_of(point, contour3, dataclasses.replace(cfg, rel_tol=1e-9)),
+            lambda: self.batch_of(point, default_contour(3.5), cfg),
+            lambda: self.batch_of([(0.8 + 0.9j, 1.1 + 1.2j)], contour3, cfg),
+            lambda: self.batch_of([(complex(0.0, 0.9), 1.2j)], contour3, cfg),
+            lambda: self.batch_of([(complex(-0.0, 0.9), 1.2j)], contour3, cfg),
+            lambda: self.batch_of([(0.9j, complex(-0.0, 1.2))], contour3, cfg),
         ]
         for n, variant in enumerate(variants, start=2):
             variant()
@@ -516,31 +515,30 @@ class TestIntegralMemo:
             variant()
         assert self.memo.misses == len(self.memo.values) == 1 + len(variants)
 
-    def test_a_raising_batch_stores_nothing(self, contour3, cfg, k3):
+    def test_a_raising_batch_stores_nothing(self, contour3, cfg):
         # K_pp's track at alpha1 = -5 - 2i crosses its cut (see
         # test_crossing_track_raises_inside_a_batch)
         a1 = [0.5 + 0.3j, -5.0 - 2.0j, 1.5 + 1.0j, 2.0 + 0.2j]
         a2 = contour_point(contour3, np.array([1.0, 1.0, -2.0, 3.0])) + 0.7j
         for attempt in (1, 2):
             with pytest.raises(BranchCrossingError, match="crossed"):
-                self.batch_of(list(zip(a1, a2)), contour3, k3, cfg)
+                self.batch_of(list(zip(a1, a2)), contour3, cfg)
             assert not self.memo.values and self.memo.misses == 4 * attempt
         clear = [0, 2, 3]
-        self.batch_of([(a1[j], a2[j]) for j in clear], contour3, k3, cfg)
+        self.batch_of([(a1[j], a2[j]) for j in clear], contour3, cfg)
         assert self.memo.misses == 8 + len(clear)
 
-    def test_the_memo_keeps_at_most_its_cap(self, monkeypatch, contour3, cfg,
-                                            k3):
+    def test_the_memo_keeps_at_most_its_cap(self, monkeypatch, contour3, cfg):
         # the oldest values go first: the batch's last three stay
         monkeypatch.setattr(self.memo, "cap", 3)
         points = [(0.8 + 0.9j, contour_point(contour3, s) + 1.2j)
                   for s in (-2.0, -1.0, 0.5, 1.5, 2.5)]
-        values = self.batch_of(points, contour3, k3, cfg)
+        values = self.batch_of(points, contour3, cfg)
         assert len(self.memo.values) == 3 and self.memo.misses == 5
         for j in (4, 3, 2):
-            assert self.batch_of(points[j:j + 1], contour3, k3, cfg) == values[j]
+            assert self.batch_of(points[j:j + 1], contour3, cfg) == values[j]
         assert self.memo.misses == 5 and self.memo.hits == 3
-        assert self.batch_of(points[:1], contour3, k3, cfg) == values[0]
+        assert self.batch_of(points[:1], contour3, cfg) == values[0]
         assert self.memo.misses == 6 and len(self.memo.values) == 3
 
     def test_threads_share_the_memo(self):
@@ -637,7 +635,7 @@ class TestProjectionMemo:
         # and the integral the first one took
         a1, a2 = 0.8 + 0.9j, 1.0 - 1.2j
         for label in wf.ALL_LABELS:  # the branch constants, measured apart
-            wf.continuation_constant(label, k3, contour3, cfg)
+            wf.continuation_constant(label, contour3, cfg)
         projected, integrals = [], []
         project, integrate = wf.contour_projection, wf.integrate_over_shifted
 
@@ -730,14 +728,17 @@ class TestProjectionMemo:
 
 @pytest.mark.parametrize("k", [1.0, 3.0, 10.0])
 def test_continuation_constant_is_one(cfg, k):
-    from qpdiff.contour import default_contour
+    # the constant of the default contour at k, mapped to K_REF as every
+    # entry point maps it
+    from qpdiff.contour import default_contour, to_reference
+    contour = to_reference(k, default_contour(k))[2]
     for label in wf.ALL_LABELS:
-        c = wf.continuation_constant(label, k, default_contour(k), cfg)
+        c = wf.continuation_constant(label, contour, cfg)
         assert abs(c.real - 1.0) < 1e-10 and abs(c.imag) < 1e-10
 
 
 def test_four_continuation_constants_take_48_integrals(monkeypatch, contour3,
-                                                       cfg, k3):
+                                                       cfg):
     # pp and pm take 24 overlap integrals each; mp and mm need the same
     # label pairs at the same points and take theirs from the integral
     # memo, so a memo context that failed to match would double the count
@@ -751,7 +752,7 @@ def test_four_continuation_constants_take_48_integrals(monkeypatch, contour3,
     monkeypatch.setattr(wf, "integrate_over_shifted", spy)
     wf._measured_constant.cache_clear()
     for label in wf.ALL_LABELS:
-        wf.continuation_constant(label, k3, contour3, cfg)
+        wf.continuation_constant(label, contour3, cfg)
     assert counts == [24, 24]
 
 
@@ -787,7 +788,7 @@ def test_failed_continuation_constant_is_measured_once(monkeypatch, contour3,
         label = wf.FactorLabel(("p" if sign1 > 0 else "m")
                                + ("p" if side2 > 0 else "m"))
         with pytest.raises(QuadratureError):
-            wf.continuation_constant(label, k3, contour3, cfg)
+            wf.continuation_constant(label, contour3, cfg)
     assert len(measured) == len(set(measured))
 
 
@@ -840,7 +841,7 @@ class TestSplitOnError:
         assert all(isinstance(got[i], DomainError) for i in (2, 5))
 
 
-def test_half_factor_mask_names_entries_of_the_batch(contour3, cfg, k3):
+def test_half_factor_mask_names_entries_of_the_batch(contour3, cfg):
     # "o-" branch point: kappa(3, alpha1) - alpha2 = 0 at (3, 0).  K_mm
     # off in alpha1 takes the swapped "o-" at entries 0, 2, 3; K_mp off
     # in alpha2 takes its own "-o" at entry 1; one pass names entry 2
@@ -849,7 +850,7 @@ def test_half_factor_mask_names_entries_of_the_batch(contour3, cfg, k3):
     a1 = np.array([1.0, 0.5 - 1j, 3.0, 0.2])
     a2 = np.array([0.0, -1j, 0.0, 0.0])
     with pytest.raises(OnBranchCutError) as info:
-        wf._continued(labels, a1, a2, k3, contour3, cfg)
+        wf._continued(labels, a1, a2, contour3, cfg)
     assert info.value.mask.tolist() == [False, False, True, False]
 
 
@@ -864,10 +865,10 @@ def test_either_failing_half_names_a_point_that_needs_both(contour3, cfg,
     a1 = np.array([1.0 - 2j, -kap[1], 1.0])
     a2 = np.array([-kap[0], -3.55 - 2.9j, 0.0])
     sides = wf.gap_side(contour_projection(contour3, np.concatenate(
-        [a1, a2]))[1], wf._side_tol(k3))
+        [a1, a2]))[1])
     assert sides.tolist() == [-1, 1, 1, -1, -1, 0]  # both off at 0 and 1
     with pytest.raises(OnBranchCutError) as info:
-        wf._continued([wf.PP, wf.MP, wf.MM], a1, a2, k3, contour3, cfg)
+        wf._continued([wf.PP, wf.MP, wf.MM], a1, a2, contour3, cfg)
     assert info.value.mask.tolist() == [True, True, False]
 
 

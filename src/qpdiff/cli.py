@@ -90,13 +90,11 @@ class RunConfig:
     eps_shift: float = 0.0
 
     def contour(self) -> ContourSpec:
-        if self.contour_a is None or self.contour_c is None:
-            a, c = scaled_constants(self.k)
-            a = self.contour_a if self.contour_a is not None else a
-            c = self.contour_c if self.contour_c is not None else c
-        else:
-            a, c = self.contour_a, self.contour_c
-        return ContourSpec(a=a, c=c)
+        a, c = scaled_constants(self.k)
+        spec = ContourSpec(a=a if self.contour_a is None else self.contour_a,
+                           c=c if self.contour_c is None else self.contour_c)
+        validate_contour(spec, self.k, raise_on_failure=True)
+        return spec
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
@@ -162,25 +160,17 @@ def build_run_config(args) -> RunConfig:
     return cfg
 
 
-def _gate_contour(run: RunConfig):
-    """Contour acceptance gate: sign scan and loci margin, once per run."""
-    spec = run.contour()
-    validate_contour(spec, run.k, raise_on_failure=True)
-    return spec
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 def cmd_diffcoef(args) -> int:
     run = build_run_config(args)
-    spec = _gate_contour(run)
+    spec = run.contour()
     inc = make_incidence(parse_angle(args.theta0), parse_angle(args.phi0),
                          run.k, eps_shift=run.eps_shift)
     evaluator = AnsatzEvaluator(inc, contour=spec, cfg=run.quadrature())
     phis = [parse_angle(p) for p in args.phi]
-    outputs = []
     if len(phis) == 1 and not args.out.endswith(os.sep) \
             and not os.path.isdir(args.out):
         outputs = [args.out]
@@ -203,7 +193,7 @@ def cmd_diffcoef(args) -> int:
 
 def cmd_factor(args) -> int:
     run = build_run_config(args)
-    spec = _gate_contour(run)
+    spec = run.contour()
     a1 = parse_complex(args.alpha1, spec)
     a2 = parse_complex(args.alpha2, spec)
     cfg = run.quadrature()
@@ -221,7 +211,7 @@ def cmd_factor(args) -> int:
 
 def cmd_portrait(args) -> int:
     run = build_run_config(args)
-    spec = _gate_contour(run)
+    spec = run.contour()
     window = tuple(_parse(float, x, "--window bound")
                    for x in args.window.split(","))
     if len(window) != 4:
@@ -248,7 +238,7 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verification.suite_checks(args.suite)
+    checks = verification.SUITES[args.suite]
     results = []
     failed = 0
     for check in checks:

@@ -15,13 +15,8 @@ below: the sign-compatibility scan (``Im(1/K) >= 0`` on the contour
 product) and the branch-loci clearance (the contour keeps a positive
 distance from the curves ``+-kappa(k, A(s))``).
 
-The same similarity makes the wavenumber a unit.  The kernel is
-homogeneous, so a problem at ``k`` on a contour ``(a, c)`` is the
-problem at ``K_REF`` on the contour ``(a (k/K_REF)^4, c (K_REF/k)^4)``
-with every spectral variable multiplied by ``K_REF / k``
-(``to_reference``), and each quarter factor at ``k`` is the ``K_REF``
-factor times ``(k/K_REF)^(-1/4)``.  The public entry points map their
-arguments this way once; the engine below them runs at ``K_REF`` only.
+The same similarity makes k a unit: every entry point maps a problem at
+k onto ``K_REF`` and back (``to_reference``); the engine runs at ``K_REF``.
 
 Every geometric question about a point -- its projection parameter,
 which side of the contour it lies on, how far away it is -- is answered
@@ -131,28 +126,22 @@ def default_contour(k: float = K_REF) -> ContourSpec:
 
 
 def to_reference(k: float, spec: ContourSpec):
-    """The problem at wavenumber ``k`` on ``spec``, mapped onto ``K_REF``.
-
-    Returns the factor ``K_REF / k`` that takes a spectral variable to
-    ``K_REF``, the factor ``(k/K_REF)^(-1/4)`` that takes a quarter factor
-    back to ``k``, and the similar contour at ``K_REF``, ``(a (k/K_REF)^4,
-    c (K_REF/k)^4)``, each part scaled apart.  At ``k = K_REF`` every
-    factor is exactly 1 and the contour keeps its bits.
-    """
-    if not 0 < k < np.inf:  # NaN fails the chained test too
-        raise DomainError("wavenumber must be finite and positive")
+    """The problem at wavenumber ``k`` on ``spec``, at ``K_REF``: the factor
+    ``K_REF / k`` of spectral variables, the factor ``(k/K_REF)^(-1/4)`` of
+    a quarter factor going back (the kernel is homogeneous), and the similar
+    contour ``(a (k/K_REF)^4, c (K_REF/k)^4)``, part by part, or the default
+    for the default at k.  At ``k = K_REF`` no bit changes."""
     grow = (k / K_REF) ** 4
-    return K_REF / k, (k / K_REF) ** -0.25, ContourSpec(
+    # default_contour(k) rejects a k that is not finite and positive
+    ref = default_contour() if spec == default_contour(k) else ContourSpec(
         a=complex(spec.a.real * grow, spec.a.imag * grow),
         c=complex(spec.c.real / grow, spec.c.imag / grow))
+    return K_REF / k, (k / K_REF) ** -0.25, ref
 
 
 def rescaled(z, factor: float):
-    """A complex array times a real ``factor``, part by part.
-
-    Unlike complex multiplication (``x * 0`` terms), this keeps every bit,
-    a zero's sign too, when ``factor`` is 1.  Returns a flat array.
-    """
+    """A flat copy of complex ``z`` times a real ``factor``, part by part: at
+    1 every bit stays, a zero's sign too (complex products add ``x * 0``)."""
     z = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1)
     return (z.view(np.float64) * factor).view(np.complex128)
 
@@ -298,20 +287,20 @@ def contour_projection(spec: ContourSpec, z):
     return s.reshape(z.shape), z.imag - pts.imag.reshape(z.shape)
 
 
-def gap_side(gap, tol: float = SIDE_TOL):
-    """Side sign of a signed gap: +1 above, 0 on (``|gap| <= tol``), -1 below."""
-    side = np.greater(gap, tol).astype(np.int8) - np.less(gap, -tol)
+def gap_side(gap):
+    """Side sign of a signed gap: +1 above, 0 on (``|gap| <= SIDE_TOL``), -1 below."""
+    side = np.greater(gap, SIDE_TOL).astype(np.int8) - np.less(gap, -SIDE_TOL)
     return int(side) if np.ndim(side) == 0 else side
 
 
-def side_sign(spec: ContourSpec, z, tol: float = SIDE_TOL):
+def side_sign(spec: ContourSpec, z):
     """The side classifier: +1 above, 0 on, -1 below, for a scalar or an array."""
-    return gap_side(contour_projection(spec, z)[1], tol)
+    return gap_side(contour_projection(spec, z)[1])
 
 
-def classify_side(spec: ContourSpec, z: complex, tol: float = SIDE_TOL) -> str:
+def classify_side(spec: ContourSpec, z: complex) -> str:
     """Which side of the contour ``z`` lies on: ``"above"``, ``"on"`` or ``"below"``."""
-    return _SIDE_NAME[side_sign(spec, complex(z), tol)]
+    return _SIDE_NAME[side_sign(spec, complex(z))]
 
 
 # --------------------------------------------------------------------------
@@ -424,18 +413,15 @@ def validate_contour(spec: ContourSpec, k: float,
                      raise_on_failure: bool = False) -> ContourReport:
     """Run the acceptance diagnostics for a contour at wavenumber ``k``.
 
-    The diagnostics run on the similar contour at ``K_REF``
-    (``to_reference``), which is what the engine integrates along, and
-    report its figures.  Checks, in order: A(0) = 0; the relative
-    asymptote |A(s)/s - 1| at s = +-10^3; Re-monotonicity (sampled, not
-    proven); indentation above -K_REF / below +K_REF; the 120-by-120
-    sign-compatibility scan; the loci clearance.  A wavenumber that is
-    not finite and positive is a ``DomainError``.
+    The figures are the similar ``K_REF`` contour's (``to_reference``).
+    Checks, in order: A(0) = 0; the relative asymptote |A(s)/s - 1| at
+    s = +-10^3; Re-monotonicity (sampled, not proven); indentation above
+    -K_REF / below +K_REF; the 120-by-120 sign-compatibility scan; the loci
+    clearance.  A wavenumber that is not finite and positive is a ``DomainError``.
     """
     spec = to_reference(k, spec)[2]
     passes_origin = contour_point(spec, 0.0) == 0.0
-    big = 1e3
-    rel = max(abs(contour_point(spec, sgn * big) - sgn * big) / big for sgn in (-1, 1))
+    rel = max(abs(contour_point(spec, s) - s) / 1e3 for s in (-1e3, 1e3))
     try:
         _geometry(spec)
         monotone = True

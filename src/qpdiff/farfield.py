@@ -23,13 +23,6 @@ The candidate is knowingly inexact: the compatibility residual
 
 measures by how much, vanishing identically only on alpha2 = a2.
 
-f_d depends on the directions alone: ``AnsatzEvaluator`` evaluates the
-problem at ``K_REF`` (the incidence at ``K_REF``, its shift scaled by
-``K_REF / k``, and the contour similar to the one at k), so a row,
-``K_REF F_pp(-K_REF xi, -K_REF eta) / (4 pi^2 i)`` there, has the same
-bits at every k.  ``fpp`` and ``compatibility_residual`` take variables
-at k and map them at the edge.
-
 Observation points put the spectral variables on the real interval
 (-k, k), partly below the inversion contours, so every factor access
 goes through the continuation dispatch of ``whfactor``; evaluations
@@ -65,10 +58,9 @@ REAL_BRANCH_THRESHOLD = 1e-3
 class Incidence:
     """Physical incidence and its derived spectral constants.
 
-    ``a1, a2`` carry the stored (possibly shifted) values: with
-    ``eps_shift > 0``, a constant with positive real part receives the
-    negative imaginary part ``-i eps_shift``, which moves the forcing pole
-    off the real axis.
+    ``a1, a2`` carry the stored (possibly shifted) values: a constant
+    with positive real part receives the imaginary part ``-i eps_shift``,
+    which moves the forcing pole off the real axis when it is nonzero.
     """
 
     theta0: float
@@ -94,9 +86,8 @@ def make_incidence(theta0: float, phi0: float, k: float,
 
     Symmetry reduces the problem to ``theta0 in [0, pi/2]`` and
     ``phi0 in [-3 pi/4, pi/4]``; other inputs are redundant and
-    rejected.  ``eps_shift`` is 0 by default: f_d is linear in it, so any
-    shift is a bias no error estimate sees; a row that hits the forcing
-    pole exactly raises and is flagged ``near_pole``.
+    rejected.  ``eps_shift`` is 0 by default: f_d is linear in it, so a
+    shift is a bias that no error estimate sees.
     """
     if not (0.0 <= theta0 <= math.pi / 2):
         raise DomainError("theta0 must lie in [0, pi/2]")
@@ -142,8 +133,8 @@ def g_pp(alpha1, alpha2, inc: Incidence):
     """Forcing term ``1 / ((alpha1 - a1)(alpha2 - a2))``.
 
     Exact rational value with simple poles at the shifted incidence
-    constants; evaluation at a pole or at NaN/Inf raises, naming the
-    entries there.
+    constants; evaluation at a pole, so close to one that the value
+    overflows, or at NaN/Inf raises, naming the entries there.
     """
     d1 = np.asarray(alpha1, dtype=np.complex128) - inc.a1
     d2 = np.asarray(alpha2, dtype=np.complex128) - inc.a2
@@ -151,10 +142,11 @@ def g_pp(alpha1, alpha2, inc: Incidence):
     if np.any(bad):
         raise NonFiniteInputError("g_pp input contains NaN/Inf",
                                   mask=np.ravel(bad))
-    pole = (d1 == 0) | (d2 == 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = 1.0 / (d1 * d2)
+    pole = ~np.isfinite(out)
     if np.any(pole):
         raise DomainError("g_pp evaluated at its pole", mask=np.ravel(pole))
-    out = 1.0 / (d1 * d2)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -194,12 +186,11 @@ class ArcSweepResult:
 class AnsatzEvaluator:
     """Evaluator bound to one incidence, contour and quadrature setting.
 
-    It evaluates at ``K_REF``: ``_ref`` is the incidence there, with its
-    shift scaled by ``K_REF / k``, and ``_contour`` the similar contour
-    (the ``K_REF`` default contour itself when none is given, so rows
-    keep their bits at every k).  Every evaluation is one batch of
-    factors; the incidence-only factor ``K_mm(a1, a2)`` is one more pair
-    of each batch.
+    It evaluates at ``K_REF`` (``contour.to_reference``), so f_d, which
+    depends on the directions alone, has the same bits at every k: ``_ref``
+    is the incidence there, its shift scaled by ``K_REF / k``, and
+    ``_contour`` the similar contour.  Every evaluation is one batch of
+    factors; ``K_mm(a1, a2)`` is one more pair.
     """
 
     def __init__(self, inc: Incidence, contour: ContourSpec | None = None,
@@ -207,16 +198,14 @@ class AnsatzEvaluator:
         self.inc = inc
         self.contour = contour if contour is not None else default_contour(inc.k)
         self.cfg = cfg if cfg is not None else QuadratureConfig()
-        self._ratio, _, ref = to_reference(inc.k, self.contour)
-        self._contour = ref if contour is not None else default_contour()
+        self._ratio, _, self._contour = to_reference(inc.k, self.contour)
         self._ref = make_incidence(inc.theta0, inc.phi0, K_REF,
                                    eps_shift=inc.eps_shift * self._ratio)
 
     # -- factor plumbing ---------------------------------------------------
 
     def _factors(self, labels, alpha1, alpha2):
-        """``labels[j]`` at ``(alpha1[j], alpha2[j])`` at ``K_REF``, and if it
-        was continued."""
+        """``labels[j]`` at ``(alpha1[j], alpha2[j])``, and if it was continued."""
         values, routes = _continued(
             labels, np.asarray(alpha1, dtype=np.complex128),
             np.asarray(alpha2, dtype=np.complex128), self._contour, self.cfg)
@@ -225,8 +214,7 @@ class AnsatzEvaluator:
     # -- spectral-plane quantities ------------------------------------------
 
     def _fpp(self, alpha1, alpha2):
-        """The (++) candidate at ``K_REF`` at arrays of points, and if it was
-        continued.
+        """The (++) candidate at arrays of points, and if it was continued.
 
         A raised ``mask`` names points (none for ``K_mm(a1, a2)``)."""
         inc = self._ref
@@ -246,22 +234,18 @@ class AnsatzEvaluator:
         return value, continued[:-1].reshape(3, n).any(axis=0) | continued[-1]
 
     def fpp(self, alpha1, alpha2):
-        """The closed-form (++) candidate at k; arrays broadcast into one
-        batch.  F_pp at k is ``K_REF / k`` times F_pp at ``K_REF``."""
-        a1, a2, shape = _pairs(alpha1, alpha2)
-        ratio = self._ratio
-        value = rescaled(self._fpp(rescaled(a1, ratio), rescaled(a2, ratio))[0],
-                         ratio).reshape(shape)
+        """The closed-form (++) candidate, ``K_REF / k`` times the one at
+        ``K_REF``; arrays broadcast into one batch."""
+        a1, a2, shape = _pairs(alpha1, alpha2, self._ratio)
+        value = rescaled(self._fpp(a1, a2)[0], self._ratio).reshape(shape)
         return complex(value) if not shape else value
 
     def compatibility_residual(self, alpha1, alpha2) -> complex:
         """Residual of the compatibility equation with the remainder zeroed.
 
         Cancels exactly at ``alpha2 = a2``; elsewhere its size measures
-        the inexactness of the closed-form candidate at this point.  At k
-        it is ``(K_REF / k)^(3/2)`` times the residual at ``K_REF``: the
-        forcing term scales as ``(K_REF / k)^2``, each factor as ``(K_REF
-        / k)^(1/4)``.
+        the inexactness of the closed-form candidate at this point.  It is
+        ``(K_REF / k)^(3/2)`` times the residual at ``K_REF``.
         """
         inc = self._ref
         alpha1, alpha2 = rescaled(np.array([alpha1, alpha2]), self._ratio)
@@ -282,9 +266,8 @@ class AnsatzEvaluator:
     def _directions(self, observations):
         """Values, flags and continued marks at directions, in one batch.
 
-        ``f_d = K_REF F_pp(-K_REF xi, -K_REF eta) / (4 pi^2 i)`` at
-        ``K_REF``, the same at every k; the flag records
-        pole proximity, the real-branch regime, or continuation (in that
+        ``f_d = K_REF F_pp(-K_REF xi, -K_REF eta) / (4 pi^2 i)``; the flag
+        records pole proximity, the real-branch regime, or continuation (in that
         precedence), else ``ok``.  A direction that raises is isolated
         (``_split_on_error``) and NaN, flagged ``near_pole`` where it is
         genuinely singular (the forcing pole, or a factor branch point

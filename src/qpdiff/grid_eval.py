@@ -11,28 +11,25 @@ directly and the far ones through the box's local expansion.  The rest
 of the formula comes from the ``whfactor`` helpers that the adaptive
 ``quarter_factor`` uses.
 
-Like the adaptive rule, the grid runs at ``K_REF`` only:
-``quarter_factor_grid`` and ``factor_field`` map alpha1, the targets and
-the contour from wavenumber k onto ``K_REF`` (``contour.to_reference``)
-and rescale the values at the edge, so the mesh lengths below
-(``_H_FINE``, ``_EPS``, the kernel's lattice) are lengths at ``K_REF``
-and a window scaled with k settles on the same levels at every k.
+Like the adaptive rule, the grid runs at ``K_REF``, where its entry points
+map k (``contour.to_reference``): its lengths (``_H_FINE``, ``_EPS``, the
+lattice) hold at every k, and a window scaled with k takes the same levels.
 
 The coarsest mesh is ``quadrature._starting_mesh``'s, as for the
 adaptive rule (tails mapped, nothing cut off, the breaks where
 |alpha1| > 4 K_REF); each finer level bisects every panel of the one
-before (``_levels``).  Each pixel keeps the first level, coarse to fine, whose
-Kronrod and Gauss sums agree.  On every level the terms of each panel
-close to a pixel are replaced by interpolatory product quadrature of
-the sampled density (close evaluation, Helsing & Ojala 2008), so a
+before (``_levels``).  Each pixel keeps the first level, coarse to fine,
+whose Kronrod and Gauss sums agree.  On every level the terms of each
+panel close to a pixel are replaced by interpolatory product quadrature
+of the sampled density (close evaluation, Helsing & Ojala 2008), so a
 pixel next to the contour settles as early as a far one: an exact
 prefilter finds the near (pixel, panel) pairs, and ``(15, pairs)``
 blocks, one column a pair, carry the product rule and the replaced
 kernel terms (``_close_pair_sums``).  The branch-crossing check always
-runs on the finest level's samples, the densest everywhere.  Only
-pixels that fail the (relaxed) tolerance on the finest level, or come
-out non-finite, are computed by the adaptive rule, all in one batch,
-and pixels where even that fails are reported in the mask rather than
+runs on the finest level's samples, the densest everywhere.  Only pixels
+that fail the (relaxed) tolerance on the finest level, or come out
+non-finite, are computed by the adaptive rule, all in one batch, and
+pixels where even that fails are reported in the mask rather than
 raising.
 """
 
@@ -231,10 +228,10 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     keeps the coarsest mesh whose pair rule, with close evaluation of the
     panels near it (``_close_pair_sums``), meets the tolerance.
     Finest-mesh rejects and non-finite values are recomputed by the
-    adaptive ``quarter_factor`` at ``K_REF`` in one batch, where a raising
-    pixel is isolated by halves (``_split_on_error``).  Returns ``(values,
-    ok)``; ``ok`` is False only where both the grid rule and the adaptive
-    rule failed.
+    adaptive ``quarter_factor`` in one batch, where a raising pixel is
+    isolated by halves (``_split_on_error``).  Returns ``(values, ok)``;
+    ``ok`` is False only where both the grid rule and the adaptive rule
+    failed.
     """
     ratio, scale, contour = to_reference(k, contour)
     alpha1 = complex(rescaled(complex(alpha1), ratio)[0])
@@ -294,9 +291,8 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
     Natural-side targets use the factor's own integral; opposite-side
     targets are continued by dividing the explicit alpha1-plane
     half-factor by the complementary factor's integral (which is the
-    natural one there), all at ``K_REF``; the values are rescaled at the
-    end.  ``alpha1`` must lie in the label's natural alpha1 half-plane or
-    on the contour, else ``DomainError``.
+    natural one there).  ``alpha1`` must lie in the label's natural
+    alpha1 half-plane or on the contour, else ``DomainError``.
     """
     ratio, scale, contour = to_reference(k, contour)
     alpha1 = complex(rescaled(complex(alpha1), ratio)[0])

@@ -5,10 +5,9 @@ over a whole shifted contour ``A(s) +- i eps``, ``s`` running over the
 real line, with an integrand that decays like ``s^-2`` or faster; the
 one entry point, ``integrate_over_shifted``, takes a batch of them, each
 with its own target ``t`` and shift (a single integral is a batch of
-one).  Every integral is one of the engine at ``K_REF`` (the entry points
-of ``whfactor`` and ``grid_eval`` map a wavenumber ``k`` onto it and
-rescale at the edge), so its lengths -- the starting mesh, the shifts --
-are the ``K_REF`` contour's and do not depend on ``k``.  The engine works on a mapped coordinate ``u`` in ``(-2S, 2S)``
+one), at ``K_REF``, where the entry points of ``whfactor`` and
+``grid_eval`` map any k, so its lengths do not depend on k.  The engine
+works on a mapped coordinate ``u`` in ``(-2S, 2S)``
 (QUADPACK's QAGI idea): ``s = u`` for ``|u| <= S``, and each tail
 ``S < |s| < oo`` maps onto one finite interval by
 ``s = sign(u) S^2 / (2S - |u|)``, ``ds/du = s^2/S^2`` (``_s_of_u``), so
@@ -72,8 +71,7 @@ _NODE_BUDGET = 65536
 #: panel breaks around a target's projection, in shifts
 _WIDTHS = np.array([1.0, 4.0, 16.0, 64.0, 256.0])
 #: ``_starting_mesh``'s span, scale, spacing and reach for every adaptive
-#: integral: no span, the indentation of the ``K_REF`` contour, spacing
-#: ``K_REF / 4`` and reach ``4 K_REF``
+#: integral: the ``K_REF`` contour's indentation, ``K_REF / 4``, ``4 K_REF``
 _MESH = ((0.0, 0.0), K_REF, 0.25 * K_REF, 4.0 * K_REF)
 
 

@@ -307,11 +307,10 @@ def check_diffraction() -> CheckResult:
         scaled.append(abs(value) * delta)
     pole_ok = max(scaled) / min(scaled) < 1.1
 
-    # shift robustness for the positive-constant incidence: two distinct
-    # nonzero shifts, 1e-8 k and half of it.  One factor evaluation
-    # chains ~10 contour integrals, so the pipeline noise floor is that
-    # multiple of rel_tol; the criterion's "10x the quadrature tolerance"
-    # is pinned against it.
+    # shift robustness at the positive-constant incidence, two nonzero
+    # shifts.  One factor evaluation chains ~10 contour integrals, so the
+    # pipeline noise floor is that multiple of rel_tol; the criterion's
+    # "10x the quadrature tolerance" is pinned against it.
     cfg5 = QuadratureConfig()
     inc_a = make_incidence(math.pi / 4, math.pi / 8, k, eps_shift=1e-8 * k)
     inc_b = make_incidence(math.pi / 4, math.pi / 8, k,
@@ -393,28 +392,13 @@ def check_real_branch() -> CheckResult:
     )
 
 
-ALL_CHECKS = [
-    check_branch_identities,
-    check_sign_compatibility,
-    check_four_factor,
-    check_decay,
-    check_cauchy_oracles,
-    check_residual,
-    check_diffraction,
-    check_performance,
-    check_real_branch,
-]
-
+#: the checks of each ``qpdiff verify --suite``
 SUITES = {
     "specfun": [check_branch_identities],
     "contour": [check_sign_compatibility],
     "factor": [check_four_factor, check_decay, check_cauchy_oracles],
     "radlow": [check_residual, check_diffraction, check_real_branch],
-    "all": ALL_CHECKS,
+    "all": [check_branch_identities, check_sign_compatibility, check_four_factor,
+            check_decay, check_cauchy_oracles, check_residual, check_diffraction,
+            check_performance, check_real_branch],
 }
-
-
-def suite_checks(name: str):
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name]

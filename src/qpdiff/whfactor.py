@@ -20,13 +20,9 @@ double-``sqrt_down`` prefactor are what keep the integrand cut-free
 along the contour; both choices are checked at run time rather than
 assumed.
 
-The engine runs at ``K_REF`` only.  The kernel is homogeneous and the
-default contours are similarity copies of the ``K_REF`` one, so a factor
-at wavenumber k is ``(k/K_REF)^(-1/4)`` times the ``K_REF`` factor at the
-point scaled by ``K_REF/k``, on the similar contour: ``quarter_factor``
-and ``continue_factor`` map their arguments onto ``K_REF`` once
-(``contour.to_reference``) and rescale the values at the edge.  Below
-them no helper takes k, and one memo or cache entry serves every k.
+``quarter_factor`` and ``continue_factor`` map a point, contour and
+value at wavenumber k onto ``K_REF`` and back (``contour.to_reference``);
+everything below them runs at ``K_REF``, so one memo entry serves every k.
 
 The pieces of this formula are private helpers here, shared by the
 adaptive ``quarter_factor`` and the many-target ``grid_eval``.  One
@@ -111,9 +107,6 @@ class FactorLabel:
         """Natural alpha1 half-plane."""
         return self.sign1
 
-    def flip1(self) -> "FactorLabel":
-        return FactorLabel(("m" if self.tag[0] == "p" else "p") + self.tag[1])
-
     def flip2(self) -> "FactorLabel":
         return FactorLabel(self.tag[0] + ("m" if self.tag[1] == "p" else "p"))
 
@@ -128,16 +121,11 @@ _LABELS = {lab.tag: lab for lab in ALL_LABELS}
 _REQUIRED = {lab.tag: (lab.sign1, lab.side2) for lab in ALL_LABELS}
 
 
-def _side_off(side, required):
-    """Side signs (+1 above, 0 on, -1 below) off required half-planes."""
-    return side * required < 0
-
-
-def _pairs(alpha1, alpha2):
-    """Both variables as flat complex arrays, and their broadcast shape."""
+def _pairs(alpha1, alpha2, ratio: float):
+    """Both variables times ``ratio``, flat (``rescaled``), and their shape."""
     a1, a2 = (np.asarray(a, dtype=np.complex128) for a in (alpha1, alpha2))
     a1, a2 = (a1, a2) if a1.shape == a2.shape else np.broadcast_arrays(a1, a2)
-    return a1.ravel(), a2.ravel(), a1.shape
+    return rescaled(a1, ratio), rescaled(a2, ratio), a1.shape
 
 
 def _hump_breaks(a1):
@@ -249,8 +237,8 @@ def _log_density(scaled, z, kap=None):
     """The rotated log argument ``exp(-i pi/4) w`` and ``diag_log(w)``.
 
     ``w = 1 + scaled/kappa(K_REF, z)``, ``scaled = +-a1`` signed by the
-    label's alpha1 sign; it may be an array matching ``z``.  A node stage
-    passes ``kap = kappa(K_REF, z)`` instead of ``z``.  Each sample is validated
+    label's alpha1 sign, maybe an array matching ``z``.  A node stage passes
+    ``kap`` instead of ``z``.  Each sample is validated
     once, here: raises ``BranchCrossingError`` where ``w`` vanishes, the
     factor's integral does not exist there.  The rotated samples are
     what ``_check_log_track`` reads.
@@ -415,12 +403,11 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
 
     Valid for points in the label's natural domain (boundary included);
     callers needing other points go through ``continue_factor``.  The
-    point, the contour and the value are mapped to ``K_REF`` and back
-    (``contour.to_reference``).  The shift of each point's integration
-    contour is the guarded rule in ``contour.default_shift``, reduced for
-    targets close to the contour.  Alpha2 is projected onto the contour
-    once per process (``_projected``); its gap feeds the domain check and
-    the shift, its parameter the panel breaks.  ``alpha1`` and ``alpha2``
+    shift of each point's integration contour is the guarded rule in
+    ``contour.default_shift``, reduced for targets close to the
+    contour.  Alpha2 is projected onto the contour once per
+    process (``_projected``); its gap feeds the domain check and the
+    shift, its parameter the panel breaks.  ``alpha1`` and ``alpha2``
     broadcast: arrays are one batch of the adaptive rule, a scalar call a
     batch of one.
 
@@ -433,15 +420,13 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
         integration contour (the factorisation does not reach there).
     """
     ratio, scale, contour = to_reference(k, contour)
-    a1, a2, shape = _pairs(alpha1, alpha2)
-    if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
-        raise NonFiniteInputError("spectral point contains NaN/Inf")
-    a1, a2, m = rescaled(a1, ratio), rescaled(a2, ratio), a2.size
+    a1, a2, shape = _pairs(alpha1, alpha2, ratio)
+    m = a2.size
     s, gap = _projected(contour, np.concatenate([a2, a1]))
     sides = gap_side(gap)
     for name, side, required in (("alpha1", sides[m:], label.side1),
                                  ("alpha2", sides[:m], label.side2)):
-        if _side_off(side, required).any():
+        if np.any(side * required < 0):
             raise DomainError(f"{name} outside the natural domain of "
                               f"K_{label.tag}; use continue_factor")
     values = rescaled(_quarter_batch(np.full(m, label.sign1), np.full(m, label.side2),
@@ -451,13 +436,12 @@ def quarter_factor(label: FactorLabel, alpha1, alpha2, k: float,
 
 def continuation_constant(label: FactorLabel, contour: ContourSpec,
                           cfg: QuadratureConfig) -> complex:
-    """Branch constant of the alpha1-plane continuation at ``K_REF``, measured once.
+    """Branch constant of the alpha1 continuation at ``K_REF``, measured once.
 
     The swapped half-plane factors give ``K_label = C * K_o? / K_comp`` with
-    ``comp`` the alpha1-flipped label.  ``C`` does not change under the
-    similarity, so one constant per ``K_REF`` contour serves every k.  With
-    the default contour ``C = 1`` (within 2.5e-12 for all labels), but ``C`` is still
-    measured on an overlap set (alpha1 on the contour, alpha2 inside its
+    ``comp`` the alpha1-flipped label.  With the default contour ``C = 1``
+    (within 2.5e-12 for all labels), but ``C`` is still measured on an
+    overlap set (alpha1 on the contour, alpha2 inside its
     half-plane; 24 integrals in one batch) and checked to be constant and
     unimodular: that check catches a user-supplied contour that puts the
     factors on other branches.  ``mp`` and ``mm`` take the integrals of
@@ -525,8 +509,6 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
 
     Off both contours all four labels need the integral of the label of
     the point's own sides; the integral memo takes it once for all four.
-    The points, the contour and the values are mapped to ``K_REF`` and
-    back (``contour.to_reference``).
 
     Returns the value, or ``(value, route)`` when ``with_route`` is set.
     ``alpha1`` and ``alpha2`` broadcast: arrays are one batch
@@ -534,9 +516,8 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
     is a batch of one and gives a complex and a str.
     """
     ratio, scale, contour = to_reference(k, contour)
-    a1, a2, shape = _pairs(alpha1, alpha2)
-    values, routes = _continued([label] * a1.size, rescaled(a1, ratio),
-                                rescaled(a2, ratio), contour, cfg)
+    a1, a2, shape = _pairs(alpha1, alpha2, ratio)
+    values, routes = _continued([label] * a1.size, a1, a2, contour, cfg)
     values = rescaled(values, scale)
     value, route = (complex(values[0]), _ROUTES[routes[0]]) if not shape else (
         values.reshape(shape), np.array(_ROUTES)[routes].reshape(shape))
@@ -544,7 +525,7 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
 
 
 def _continued(labels, a1, a2, contour: ContourSpec, cfg: QuadratureConfig):
-    """``continue_factor`` at ``K_REF`` for ``labels[j]`` at ``(a1[j], a2[j])``, every j.
+    """``continue_factor`` at ``K_REF``: ``labels[j]`` at ``(a1[j], a2[j])``.
 
     One ``_projected`` call places both variables of every point; after
     the branch constants, one ``_half_factor_raw`` pass takes the swapped

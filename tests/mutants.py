@@ -27,28 +27,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_FD = "values[part] = inc.k * got[0] / (4j * np.pi ** 2)"
+_FD = "values[part] = K_REF * got[0] / (4j * np.pi ** 2)"
 
 #: (name, file, old text, new text, what it breaks)
 MUTANTS = [
     ("prefactor_x2", "farfield.py", _FD,
-     "values[part] = 2 * inc.k * got[0] / (4j * np.pi ** 2)",
+     "values[part] = 2 * K_REF * got[0] / (4j * np.pi ** 2)",
      "f_d's normalisation, doubled"),
     ("prefactor_negated", "farfield.py", _FD,
-     "values[part] = -inc.k * got[0] / (4j * np.pi ** 2)",
+     "values[part] = -K_REF * got[0] / (4j * np.pi ** 2)",
      "f_d's sign"),
     ("prefactor_1e-3", "farfield.py", _FD,
-     "values[part] = (1 + 1e-3) * inc.k * got[0] / (4j * np.pi ** 2)",
+     "values[part] = (1 + 1e-3) * K_REF * got[0] / (4j * np.pi ** 2)",
      "f_d's normalisation, by 1e-3"),
     ("prefactor_1e-6", "farfield.py", _FD,
-     "values[part] = (1 + 1e-6) * inc.k * got[0] / (4j * np.pi ** 2)",
+     "values[part] = (1 + 1e-6) * K_REF * got[0] / (4j * np.pi ** 2)",
      "f_d's normalisation, by 1e-6"),
     ("prefactor_2pi", "farfield.py", _FD,
-     "values[part] = inc.k * got[0] / (8j * np.pi ** 3)",
+     "values[part] = K_REF * got[0] / (8j * np.pi ** 3)",
      "f_d's normalisation, a wrong factor of 2 pi"),
-    ("default_eps", "farfield.py", "EPS_SHIFT_FRACTION = 1e-8",
-     "EPS_SHIFT_FRACTION = 0.0",
-     "the default forcing-pole shift"),
+    ("default_eps", "farfield.py", "eps_shift: float = 0.0) -> Incidence:",
+     "eps_shift: float = 3e-8) -> Incidence:",
+     "the default forcing-pole shift: 1e-8 k at k = 3, a bias in f_d"),
     ("real_branch_threshold", "farfield.py", "REAL_BRANCH_THRESHOLD = 1e-3",
      "REAL_BRANCH_THRESHOLD = 1e-2", "the real_branch flag's boundary"),
     ("near_pole_threshold", "farfield.py", "NEAR_POLE_THRESHOLD = 1e-3",
@@ -68,6 +68,10 @@ MUTANTS = [
     ("swapped_half_factor", "whfactor.py",
      "args[0], args[1],", "args[1], args[0],",
      "the half factors of the continuation, inner and outer swapped"),
+    ("factor_scale", "contour.py", "(k / K_REF) ** -0.25", "(k / K_REF) ** 0.25",
+     "a quarter factor's scale from K_REF back to k"),
+    ("variable_map", "contour.py", "return K_REF / k,", "return k / K_REF,",
+     "the map of spectral variables from k to K_REF"),
 ]
 
 

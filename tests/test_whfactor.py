@@ -133,7 +133,6 @@ class TestFactorLabel:
     def test_tags_and_domains(self):
         assert wf.PP.sign1 == +1 and wf.PP.side2 == +1
         assert wf.MM.sign1 == -1 and wf.MM.side2 == -1
-        assert wf.MP.flip1() == wf.PP
         assert wf.MP.flip2() == wf.MM
         with pytest.raises(DomainError):
             wf.FactorLabel("xy")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_atomic
-from .contour import ContourSpec, default_contour
+from .contour import K_REF, ContourSpec, default_contour
 from .errors import DomainError
 from .grid_eval import factor_field
 from .quadrature import QuadratureConfig
@@ -165,7 +165,7 @@ def render(spec: PortraitSpec, contour: ContourSpec | None = None) -> np.ndarray
         raise DomainError(f"unknown portrait function {spec.function!r}; "
                           f"known: {sorted(REGISTRY)}")
     params = dict(spec.params)
-    params.setdefault("k", 3.0)
+    params.setdefault("k", K_REF)
     if contour is None:
         contour = default_contour(params["k"])
     z = pixel_grid(spec)

@@ -125,12 +125,14 @@ def default_contour(k: float = K_REF) -> ContourSpec:
     return ContourSpec(a=a, c=c)
 
 
+@functools.lru_cache(maxsize=64)
 def to_reference(k: float, spec: ContourSpec):
     """The problem at wavenumber ``k`` on ``spec``, at ``K_REF``: the factor
     ``K_REF / k`` of spectral variables, the factor ``(k/K_REF)^(-1/4)`` of
     a quarter factor going back (the kernel is homogeneous), and the similar
     contour ``(a (k/K_REF)^4, c (K_REF/k)^4)``, part by part, or the default
-    for the default at k.  At ``k = K_REF`` no bit changes."""
+    for the default at k.  At ``k = K_REF`` no bit changes.  Cached: a call
+    costs a lookup, and the memos see the same contour object."""
     grow = (k / K_REF) ** 4
     # default_contour(k) rejects a k that is not finite and positive
     ref = default_contour() if spec == default_contour(k) else ContourSpec(
@@ -140,10 +142,10 @@ def to_reference(k: float, spec: ContourSpec):
 
 
 def rescaled(z, factor: float):
-    """A flat copy of complex ``z`` times a real ``factor``, part by part: at
-    1 every bit stays, a zero's sign too (complex products add ``x * 0``)."""
-    z = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1)
-    return (z.view(np.float64) * factor).view(np.complex128)
+    """Complex ``z`` times a real ``factor``, part by part, flat: at 1 every
+    bit stays, a zero's sign too (complex products add ``x * 0``)."""
+    return (np.asarray(z, dtype=np.complex128).ravel().view(np.float64)
+            * factor).view(np.complex128)
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,8 @@ directly and the far ones through the box's local expansion.  The rest
 of the formula comes from the ``whfactor`` helpers that the adaptive
 ``quarter_factor`` uses.
 
-Like the adaptive rule, the grid runs at ``K_REF``, where its entry points
-map k (``contour.to_reference``): its lengths (``_H_FINE``, ``_EPS``, the
+Like the adaptive rule, the grid runs at ``K_REF``, where ``factor_field``
+maps k (``contour.to_reference``): its lengths (``_H_FINE``, ``_EPS``, the
 lattice) hold at every k, and a window scaled with k takes the same levels.
 
 The coarsest mesh is ``quadrature._starting_mesh``'s, as for the
@@ -219,9 +219,10 @@ def _close_pair_sums(nodes, density, ends, targets):
     return i_hi, i_lo
 
 
-def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
+def quarter_factor_grid(label: FactorLabel, alpha1, targets,
                         contour: ContourSpec, cfg: QuadratureConfig):
-    """The integral formula of one quarter factor at many alpha2 targets.
+    """The integral formula of one quarter factor at many alpha2 targets,
+    at ``K_REF`` (``factor_field`` maps a wavenumber k onto it).
 
     Targets are taken to lie in the label's natural alpha2 half-plane
     (callers split mixed target sets; see ``factor_field``).  Each target
@@ -233,10 +234,9 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
     ``ok`` is False only where both the grid rule and the adaptive rule
     failed.
     """
-    ratio, scale, contour = to_reference(k, contour)
-    alpha1 = complex(rescaled(complex(alpha1), ratio)[0])
+    alpha1 = complex(alpha1)
     targets = np.asarray(targets, dtype=np.complex128)
-    flat = rescaled(targets, ratio)
+    flat = targets.ravel()
     ok = np.ones(flat.shape, dtype=bool)
     redo = np.zeros(flat.shape, dtype=bool)
     shifted = _shifted_for(contour, label.side2, _EPS)
@@ -281,7 +281,7 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets, k: float,
             ok[part] = False
             got = np.nan
         values[part] = got
-    return rescaled(values, scale).reshape(targets.shape), ok.reshape(targets.shape)
+    return values.reshape(targets.shape), ok.reshape(targets.shape)
 
 
 def factor_field(label: FactorLabel, alpha1, targets, k: float,
@@ -303,25 +303,26 @@ def factor_field(label: FactorLabel, alpha1, targets, k: float,
             "pointwise continuation is required (continue_factor)"
         )
     targets = np.asarray(targets, dtype=np.complex128)
-    flat = rescaled(targets, ratio)
+    flat = targets.ravel()
     values = np.empty(flat.shape, dtype=np.complex128)
     ok = np.ones(flat.shape, dtype=bool)
 
-    sides = side_sign(contour, flat)
+    sides = side_sign(contour, rescaled(flat, ratio))
 
     # points on the contour belong to both half-planes; take the natural one
     natural = (sides == label.side2) | (sides == 0)
     other = ~natural
 
     def grid(lab, part):
-        v, ok[part] = quarter_factor_grid(lab, alpha1, flat[part], K_REF,
-                                          contour, cfg)
-        return v
+        """``lab`` at the targets ``flat[part]`` mapped to K_REF, and those."""
+        at = rescaled(flat[part], ratio)
+        v, ok[part] = quarter_factor_grid(lab, alpha1, at, contour, cfg)
+        return v, at
 
     if natural.any():
-        values[natural] = grid(label, natural)
+        values[natural] = grid(label, natural)[0]
     if other.any():
-        values[other] = (half_factor("+o" if label.sign1 > 0 else "-o",
-                                     alpha1, flat[other], K_REF)
-                         / grid(label.flip2(), other))
+        v, at = grid(label.flip2(), other)
+        values[other] = half_factor("+o" if label.sign1 > 0 else "-o",
+                                    alpha1, at, K_REF) / v
     return rescaled(values, scale).reshape(targets.shape), ok.reshape(targets.shape)

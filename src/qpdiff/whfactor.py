@@ -463,7 +463,7 @@ def continuation_constant(label: FactorLabel, contour: ContourSpec,
 def _measured_constant(label, contour, cfg):
     """``continuation_constant``'s value, or the ``QpdiffError`` it raised."""
     # in both labels' domains by construction: alpha1 on the contour,
-    # alpha2 0.8 (as 0.8 K_REF / 3 rounds) inside its half-plane
+    # alpha2 0.8 K_REF / 3 inside its half-plane
     a1 = contour_point(contour, np.repeat([-5.0, -1.5, 1.5, 5.0], 3))
     a2 = (contour_point(contour, np.tile([-2.2, 0.0, 3.0], 4))
           + 1j * label.side2 * 0.8 * K_REF / 3.0)

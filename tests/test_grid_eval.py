@@ -62,13 +62,13 @@ def test_gap_classes_settle_on_the_coarsest_mesh(monkeypatch, contour3, cfg,
 
 
 def test_finest_mesh_guarded_when_all_pixels_settle_coarse(monkeypatch, contour3,
-                                                           cfg, k3, alpha1):
+                                                           cfg, alpha1):
     tracks, summed = [], []
     _spy(monkeypatch, "_check_log_track", lambda samples: tracks.append(samples.size))
     _spy(monkeypatch, "cauchy_pair_sums",
          lambda nodes, *rest: summed.append(nodes.size))
     targets = np.linspace(-6.0, 6.0, 9) + 5.0j
-    vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
+    vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, contour3, cfg)
     assert ok.all()
     fine_edges = ge._levels(targets, alpha1)[-1]
     fine_nodes = ge._XK.size * (fine_edges.size - 1)
@@ -451,7 +451,7 @@ def test_rescue_pixels_are_one_adaptive_batch(monkeypatch, contour3, cfg, k3,
     calls = []
     _spy(monkeypatch, "quarter_factor", lambda *args: calls.append(args[2]))
     targets = np.linspace(-4.0, 4.0, 7) + 4.0j
-    vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, k3, contour3, cfg)
+    vals, ok = ge.quarter_factor_grid(PP, alpha1, targets, contour3, cfg)
     assert ok.all()
     assert len(calls) == 1 and np.array_equal(calls[0], targets)
     wf._integral_memo.clear()  # the pixels alone integrate again

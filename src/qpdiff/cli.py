@@ -90,6 +90,7 @@ class RunConfig:
     eps_shift: float = 0.0
 
     def contour(self) -> ContourSpec:
+        """The run's contour, through the acceptance gate (once a run)."""
         a, c = scaled_constants(self.k)
         spec = ContourSpec(a=a if self.contour_a is None else self.contour_a,
                            c=c if self.contour_c is None else self.contour_c)

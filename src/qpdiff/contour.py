@@ -143,9 +143,11 @@ def to_reference(k: float, spec: ContourSpec):
 
 def rescaled(z, factor: float):
     """Complex ``z`` times a real ``factor``, part by part, flat: at 1 every
-    bit stays, a zero's sign too (complex products add ``x * 0``)."""
-    return (np.asarray(z, dtype=np.complex128).ravel().view(np.float64)
-            * factor).view(np.complex128)
+    bit stays, a zero's sign too (complex products add ``x * 0``).  At 1
+    no product is taken: the result may be a view of ``z``, which no
+    caller writes through."""
+    z = np.asarray(z, dtype=np.complex128).ravel()
+    return z if factor == 1.0 else (z.view(np.float64) * factor).view(np.complex128)
 
 
 # --------------------------------------------------------------------------

@@ -230,7 +230,8 @@ class AnsatzEvaluator:
                 exc.mask = None if exc.mask[-1] else exc.mask[:-1].reshape(3, n).any(0)
             raise
         kpp, kmp, kpm = values[:-1].reshape(3, n)
-        value = forcing / (kpp * kmp * values[-1] * kpm)
+        with np.errstate(over="ignore"):  # beside a pole: inf, not a warning
+            value = forcing / (kpp * kmp * values[-1] * kpm)
         return value, continued[:-1].reshape(3, n).any(axis=0) | continued[-1]
 
     def fpp(self, alpha1, alpha2):
@@ -270,8 +271,9 @@ class AnsatzEvaluator:
         records pole proximity, the real-branch regime, or continuation (in that
         precedence), else ``ok``.  A direction that raises is isolated
         (``_split_on_error``) and NaN, flagged ``near_pole`` where it is
-        genuinely singular (the forcing pole, or a factor branch point
-        hit exactly at theta = pi/2) and ``failed`` for a numerical
+        genuinely singular (the forcing pole, so close to it that f_d
+        overflows, or a factor branch point hit exactly at theta = pi/2)
+        and ``failed`` for a numerical
         breakdown (quadrature, continuation, branch crossing, contour).
         Singular directions are named by their errors and cost one retry;
         a breakdown inside the integrals is found by halving the batch.
@@ -290,8 +292,13 @@ class AnsatzEvaluator:
                 broken[part[0]] = ("near_pole" if isinstance(
                     got, (DomainError, OnBranchCutError)) else "failed")
             else:
-                values[part] = K_REF * got[0] / (4j * np.pi ** 2)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values[part] = K_REF * got[0] / (4j * np.pi ** 2)
                 continued[part] = got[1]
+        # so close to a forcing pole that f_d overflows: as singular as a hit
+        for i in np.flatnonzero(~np.isfinite(values)):
+            broken.setdefault(i, "near_pole")
+            values[i], continued[i] = complex(np.nan, np.nan), False
         near_pole = ((np.abs(xi + inc.xi0) < NEAR_POLE_THRESHOLD)
                      | (np.abs(eta + inc.eta0) < NEAR_POLE_THRESHOLD))
         real_branch = (np.abs(values.imag)

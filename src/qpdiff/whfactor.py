@@ -37,7 +37,9 @@ and shift, the member stage (the log density) once per integral.
 ``continue_factor`` extends each quarter factor past its natural domain
 by dividing the explicit half-plane factors by the complementary quarter
 factor; ``_continued`` does so for a batch of points with one pass of
-explicit half-factors and one batch of integrals.
+explicit half-factors and one batch of integrals.  The alpha1 routes'
+branch constant is exactly 1 on the K_REF default contour and is
+measured only on other contours (``continuation_constant``).
 
 Two bounded process-wide memos keep work from being done twice.
 ``_projection_memo`` holds ``s + i gap``, the contour projection of
@@ -51,12 +53,15 @@ same integral.  Both evict their oldest entries first, compare
 variables bit for bit and hash a batch's contour (and rule) once.
 
 A scalar ``continue_factor`` call is a batch of one, so its cost is
-mostly fixed: a few dozen numpy calls on one- and two-entry arrays.  A
-label at a point already projected and integrated reads both memos and
-takes one half-factor pass; it evaluates no contour point and takes no
-integral.  A fresh point adds one projection of its two variables (the
-sign bracket's ends and the Newton seed are one contour evaluation) and
-one integral, a batch of one of ``integrate_over_shifted``.
+mostly fixed: a few dozen numpy calls on one- and two-entry arrays; at
+``k = K_REF`` the edge's rescales take no product.  A label at a point
+already projected and integrated reads both memos and takes one
+half-factor pass; it evaluates no contour point and takes no integral.
+A fresh point adds one projection of its two variables (the sign
+bracket's ends and the Newton seed are one contour evaluation) and one
+integral, a batch of one of ``integrate_over_shifted``.  On the default
+contour that is all, whatever the route; on any other, each label's
+first alpha1 route also measures its branch constant.
 """
 
 from __future__ import annotations
@@ -68,8 +73,8 @@ import numpy as np
 
 from ._memo import Memo
 from .contour import (K_REF, SIDE_TOL, ContourSpec, ShiftedContour,
-                      contour_point, contour_projection, default_shift,
-                      gap_side, rescaled, to_reference)
+                      contour_point, contour_projection, default_contour,
+                      default_shift, gap_side, rescaled, to_reference)
 from .errors import (BranchCrossingError, ContinuationError, DomainError,
                      NonFiniteInputError, OnBranchCutError, QpdiffError,
                      WindingError)
@@ -119,6 +124,9 @@ ALL_LABELS = (PP, PM, MP, MM)
 _LABELS = {lab.tag: lab for lab in ALL_LABELS}
 #: the natural (alpha1, alpha2) sides of each label, by tag
 _REQUIRED = {lab.tag: (lab.sign1, lab.side2) for lab in ALL_LABELS}
+#: the contour ``to_reference`` gives for ``default_contour(k)`` at every k,
+#: where the alpha1 continuation's branch constant is exactly 1
+_DEFAULT = default_contour()
 
 
 def _pairs(alpha1, alpha2, ratio: float):
@@ -439,14 +447,18 @@ def continuation_constant(label: FactorLabel, contour: ContourSpec,
     """Branch constant of the alpha1 continuation at ``K_REF``, measured once.
 
     The swapped half-plane factors give ``K_label = C * K_o? / K_comp`` with
-    ``comp`` the alpha1-flipped label.  With the default contour ``C = 1``
-    (within 2.5e-12 for all labels), but ``C`` is still measured on an
-    overlap set (alpha1 on the contour, alpha2 inside its
-    half-plane; 24 integrals in one batch) and checked to be constant and
-    unimodular: that check catches a user-supplied contour that puts the
-    factors on other branches.  ``mp`` and ``mm`` take the integrals of
-    ``pp`` and ``pm`` from the integral memo: the four take 48, not 96.  A
-    failed measurement is not repeated: its error is raised again.
+    ``comp`` the alpha1-flipped label.  ``C`` is measured on an overlap set
+    (alpha1 on the contour, alpha2 inside its half-plane; 24 integrals in
+    one batch) and checked to be constant and unimodular: that check
+    catches a user-supplied contour that puts the factors on other
+    branches.  ``mp`` and ``mm`` take the integrals of ``pp`` and ``pm``
+    from the integral memo: the four take 48, not 96.  A failed
+    measurement is not repeated: its error is raised again.
+
+    On the K_REF default contour ``C`` is exactly 1 by the kernel's swap
+    symmetry (the swapped label's alpha2 route takes the same half factor
+    and integral), and this measurement reads 1 to within 1.5e-15; the
+    tests that pin it there let ``_continued`` take 1 without asking.
 
     Raises
     ------
@@ -527,13 +539,16 @@ def continue_factor(label: FactorLabel, alpha1, alpha2, k: float,
 def _continued(labels, a1, a2, contour: ContourSpec, cfg: QuadratureConfig):
     """``continue_factor`` at ``K_REF``: ``labels[j]`` at ``(a1[j], a2[j])``.
 
-    One ``_projected`` call places both variables of every point; after
-    the branch constants, one ``_half_factor_raw`` pass takes the swapped
-    ``o+-`` and the own ``+-o`` half-factors of every point.  Each point
-    needs one integral, of its label flipped in each variable on the
-    wrong side; all are one batch.  Each division is one ``np.divide``
-    over the batch, masked to the points off that side.  Returns the
-    values and routes (indices into ``_ROUTES``).
+    One ``_projected`` call places both variables of every point, then
+    one ``_half_factor_raw`` pass takes the swapped ``o+-`` and the own
+    ``+-o`` half-factors of every point, so a half factor's branch point
+    is named before any integral.  Each point needs one integral, of its
+    label flipped in each variable on the wrong side; all are one batch.
+    Each division is one ``np.divide`` over the batch, masked to the
+    points off that side.  An alpha1 route multiplies its half factor by
+    the label's branch constant (``continuation_constant``), except on
+    the K_REF default contour, where it is exactly 1 and not measured.
+    Returns the values and routes (indices into ``_ROUTES``).
     """
     m = len(labels)
     # every sign1, then every side2
@@ -545,12 +560,6 @@ def _continued(labels, a1, a2, contour: ContourSpec, cfg: QuadratureConfig):
     off1, off2 = off[:m], off[m:]
     # the label whose integral a point needs: flipped where off its side
     need = np.where(off, -required, required)
-    cst = None
-    if np.count_nonzero(off1):
-        cst = dict.fromkeys(lab.tag for lab, o in zip(labels, off1.tolist()) if o)
-        for tag in cst:
-            cst[tag] = continuation_constant(_LABELS[tag], contour, cfg)
-        cst = np.array([cst.get(lab.tag, 1.0) for lab in labels], dtype=np.complex128)
     if anyoff := np.count_nonzero(off):  # halves no point needs are taken
         args = np.where(off, z.reshape(2, 2 * m), 0)  # at (0, 0): none fails
         try:
@@ -559,12 +568,19 @@ def _continued(labels, a1, a2, contour: ContourSpec, cfg: QuadratureConfig):
         except OnBranchCutError as exc:
             exc.mask = exc.mask[:m] | exc.mask[m:]
             raise
+    cst = None  # the branch constants; exactly 1 on the K_REF default
+    if (any1 := np.count_nonzero(off1)) and contour != _DEFAULT:
+        cst = dict.fromkeys(lab.tag for lab, o in zip(labels, off1.tolist()) if o)
+        for tag in cst:
+            cst[tag] = continuation_constant(_LABELS[tag], contour, cfg)
+        cst = np.array([cst.get(lab.tag, 1.0) for lab in labels], dtype=np.complex128)
     value = _quarter_batch(need[:m], need[m:], a1, a2, s[m:], gap[m:],
                            contour, cfg)
     if anyoff:
         np.divide(half[m:], value, out=value, where=off2)
-    if cst is not None:
-        np.divide(cst * half[:m], value, out=value, where=off1)
+    if any1:
+        np.divide(half[:m] if cst is None else cst * half[:m], value,
+                  out=value, where=off1)
     return value, 2 * off1 + off2
 
 

@@ -65,6 +65,9 @@ MUTANTS = [
      "the panel breaks of a large |alpha1|"),
     ("continuation_constant_sign", "whfactor.py", "    return complex(c)\n",
      "    return -complex(c)\n", "the alpha1 continuation's branch constant"),
+    ("default_alpha1_half_negated", "whfactor.py",
+     "half[:m] if cst is None else", "-half[:m] if cst is None else",
+     "the alpha1 routes on the default contour, where no constant is measured"),
     ("swapped_half_factor", "whfactor.py",
      "args[0], args[1],", "args[1], args[0],",
      "the half factors of the continuation, inner and outer swapped"),

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qpdiff.contour import K_REF, ShiftedContour
+from qpdiff.contour import A_REF, C_REF, K_REF, ContourSpec, ShiftedContour
 from qpdiff.errors import DomainError, QuadratureError
 from qpdiff.quadrature import (_WIDTHS, QuadratureConfig, _padded, _refine,
                                _s_of_u, _starting_mesh, _u_of_s,
@@ -259,11 +259,12 @@ def test_batch_meshes_are_sorted_unique_unions(monkeypatch, contour3, k3, cfg):
 
     monkeypatch.setattr(wh, "integrate_over_shifted", spy)
     monkeypatch.setattr(quad, "_panel_sums", first_panels)
-    # the arc's continuation constants are batches of their own only when
-    # they are measured here, not taken from the cache
-    wh._measured_constant.cache_clear()
     AnsatzEvaluator(make_incidence(np.pi / 4, -3 * np.pi / 4, k3)).arc_sweep(
         np.pi / 4, 21)
+    # a continuation constant off the default contour is a batch of its own
+    # only when it is measured here, not taken from the cache
+    wh._measured_constant.cache_clear()
+    wh.continuation_constant(wh.PP, ContourSpec(a=2 * A_REF, c=C_REF / 3), cfg)
     # |alpha1| > 4 K_REF adds the hump breaks; the last batch has a repeated
     # break, base points and breaks in both mapped tails
     wh.quarter_factor(wh.PP, contour_point(contour3, 20.0) + 0.5j,

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from qpdiff import specfun as sf
 from qpdiff import whfactor as wf
 from qpdiff._memo import Memo
-from qpdiff.contour import ShiftedContour, contour_point, contour_projection
+from qpdiff.contour import (A_REF, C_REF, ContourSpec, ShiftedContour,
+                            contour_point, contour_projection)
 from qpdiff.errors import BranchCrossingError, DomainError, WindingError
 
 
@@ -755,18 +756,22 @@ def test_four_continuation_constants_take_48_integrals(monkeypatch, contour3,
     assert counts == [24, 24]
 
 
-def test_failed_continuation_constant_is_measured_once(monkeypatch, contour3,
-                                                        k3):
-    # tolerances that no integral meets in one bisection: every row of
-    # the phi = 0 arc fails, and each constant it asks for is measured
-    # once, not once per half batch of _split_on_error nor once per sweep
+def test_failed_continuation_constant_is_measured_once(monkeypatch, k3):
+    # tolerances that no integral meets in one bisection, on a contour
+    # that passes the gate but is not the default, so the arc's alpha1
+    # routes measure their constants: every row of the phi = 0 arc is NaN,
+    # and each constant it asks for is measured once, not once per half
+    # batch of _split_on_error nor once per sweep
+    from qpdiff.contour import A_REF, C_REF, ContourSpec, validate_contour
     from qpdiff.errors import QuadratureError
     from qpdiff.farfield import AnsatzEvaluator, make_incidence
     from qpdiff.quadrature import QuadratureConfig
 
+    contour = ContourSpec(a=2 * A_REF, c=C_REF / 3)
+    assert contour != wf._DEFAULT and validate_contour(contour, k3).ok
     cfg = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=1)
     overlap = np.tile(contour_point(
-        contour3, np.repeat([-5.0, -1.5, 1.5, 5.0], 3)), 2)
+        contour, np.repeat([-5.0, -1.5, 1.5, 5.0], 3)), 2)
     measured = []
     batch = wf._quarter_batch
 
@@ -779,16 +784,161 @@ def test_failed_continuation_constant_is_measured_once(monkeypatch, contour3,
     wf._measured_constant.cache_clear()
     inc = make_incidence(np.pi / 4, -3 * np.pi / 4, k3)
     for _ in range(2):
-        sweep = AnsatzEvaluator(inc, contour=contour3, cfg=cfg).arc_sweep(0.0, 9)
-        assert set(sweep.flags) == {"failed"}
+        sweep = AnsatzEvaluator(inc, contour=contour, cfg=cfg).arc_sweep(0.0, 9)
+        assert sweep.flags == ["failed"] * 8 + ["near_pole"]
         assert np.isnan(sweep.values).all()
     assert measured and len(measured) == len(set(measured))
     for sign1, side2 in measured:
         label = wf.FactorLabel(("p" if sign1 > 0 else "m")
                                + ("p" if side2 > 0 else "m"))
         with pytest.raises(QuadratureError):
-            wf.continuation_constant(label, contour3, cfg)
+            wf.continuation_constant(label, contour, cfg)
     assert len(measured) == len(set(measured))
+
+
+def test_a_branch_point_row_is_named_before_any_integral(contour3, k3):
+    # under tolerances no integral meets, the default arc's theta = pi/2
+    # row, where a half factor's branch point is hit exactly, is named
+    # near_pole by the half factors before any integral, and the others,
+    # which break down in their integrals, fail
+    from qpdiff.farfield import AnsatzEvaluator, make_incidence
+    from qpdiff.quadrature import QuadratureConfig
+
+    cfg = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=1)
+    inc = make_incidence(np.pi / 4, -3 * np.pi / 4, k3)
+    sweep = AnsatzEvaluator(inc, contour=contour3, cfg=cfg).arc_sweep(0.0, 9)
+    assert sweep.flags == ["failed"] * 8 + ["near_pole"]
+    assert np.isnan(sweep.values).all()
+
+
+def _points_off_both_contours(contour, n, seed):
+    """``n`` complex points inside the ball |a1|^2 + |a2|^2 <= (0.9 K_REF)^2,
+    each variable at least 0.1 from the contour, both sides of it taken."""
+    rng = np.random.default_rng(seed)
+    box, points = 0.9 * 3.0, []
+    while len(points) < n:
+        a = np.array([complex(rng.uniform(-box, box), rng.uniform(-1.5, 1.5))
+                      for _ in range(2)])
+        gap = contour_projection(contour, a)[1]
+        if np.sum(np.abs(a) ** 2) <= box ** 2 and np.abs(gap).min() >= 0.1:
+            points.append(a)
+    a1, a2 = np.array(points).T
+    return a1, a2
+
+
+class TestUnitConstantOnTheDefault:
+    """On the K_REF default contour an alpha1 route takes its branch
+    constant as exactly 1 and measures none; any other contour measures
+    the constants it needs, once each."""
+
+    other = ContourSpec(a=2 * A_REF, c=C_REF / 3)
+
+    @staticmethod
+    def alpha1_route(label, a1, a2, contour, cfg, c=None):
+        """The alpha1 routes of ``label`` at arrays of points, spelled out:
+        the swapped half factor (times ``c``) over the alpha1-flipped
+        label, itself continued in alpha2 where alpha2 is off its side."""
+        need = wf.FactorLabel(("m" if label.sign1 > 0 else "p") + label.tag[1])
+        half = sf.half_factor("o+" if label.side2 > 0 else "o-", a1, a2, 3.0)
+        return np.divide(half if c is None else c * half, np.asarray(
+            wf.continue_factor(need, a1, a2, 3.0, contour, cfg)))
+
+    def test_the_default_measures_no_constant(self, monkeypatch, contour3,
+                                              cfg, k3):
+        # four labels at 8 fresh points: each point takes its one integral,
+        # and no label asks for a constant
+        a1, a2 = _points_off_both_contours(contour3, 8, 3232)
+        integrals, measured = [], []
+        integrate, measure = wf.integrate_over_shifted, wf._measured_constant
+
+        def count_integrals(density, shifted, *args):
+            integrals.append(len(shifted))
+            return integrate(density, shifted, *args)
+
+        monkeypatch.setattr(wf, "integrate_over_shifted", count_integrals)
+        monkeypatch.setattr(wf, "_measured_constant",
+                            lambda *args: measured.append(args) or measure(*args))
+        routes = {wf.continue_factor(label, p1, p2, k3, contour3, cfg,
+                                     with_route=True)[1]
+                  for label in wf.ALL_LABELS for p1, p2 in zip(a1, a2)}
+        assert routes == set(wf._ROUTES)
+        assert sum(integrals) == 8 and not measured
+
+    def test_default_alpha1_values_are_the_half_factor_over_one_integral(
+            self, contour3, cfg, k3):
+        # bit for bit: no constant, and no product by 1 either
+        a1, a2 = _points_off_both_contours(contour3, 8, 3233)
+        for label in wf.ALL_LABELS:
+            values, routes = wf.continue_factor(label, a1, a2, k3, contour3,
+                                                cfg, with_route=True)
+            alpha1 = np.char.startswith(routes, "alpha1")
+            assert np.count_nonzero(routes == "alpha1-div")
+            want = self.alpha1_route(label, a1[alpha1], a2[alpha1], contour3, cfg)
+            assert values[alpha1].tobytes() == want.tobytes()
+
+    def test_the_swap_identity_holds_on_every_route(self, contour3, cfg, k3):
+        # K_s1s2(a1, a2) = K_s2s1(a2, a1) by the kernel's symmetry: an
+        # alpha1 route against the swapped label's alpha2 route, with no
+        # oracle; 1.38e-15 at these 16 points when set (1.9e-15 at 200)
+        a1, a2 = _points_off_both_contours(contour3, 16, 3236)
+        for label in wf.ALL_LABELS:
+            swapped = wf.FactorLabel(label.tag[::-1])
+            values, routes = wf.continue_factor(label, a1, a2, k3, contour3,
+                                                cfg, with_route=True)
+            assert set(routes) == set(wf._ROUTES)
+            other = wf.continue_factor(swapped, a2, a1, k3, contour3, cfg)
+            assert np.max(np.abs(values - other) / np.abs(values)) < 3e-15
+
+    def test_another_contour_measures_each_constant_once(self, cfg, k3):
+        from qpdiff.contour import validate_contour
+        assert self.other != wf._DEFAULT and validate_contour(self.other, k3).ok
+        a1, a2 = _points_off_both_contours(self.other, 8, 3234)
+        wf._measured_constant.cache_clear()
+        for _ in range(2):
+            got = [wf.continue_factor(label, a1, a2, k3, self.other, cfg,
+                                      with_route=True)
+                   for label in wf.ALL_LABELS]
+        assert wf._measured_constant.cache_info().misses == 4
+        for label, (values, routes) in zip(wf.ALL_LABELS, got):
+            alpha1 = np.char.startswith(routes, "alpha1")
+            c = wf.continuation_constant(label, self.other, cfg)
+            assert c != 1.0  # a measured constant, not the default's 1
+            want = self.alpha1_route(label, a1[alpha1], a2[alpha1], self.other,
+                                     cfg, c)
+            assert values[alpha1].tobytes() == want.tobytes()
+
+
+def test_rescaled_by_one_keeps_every_bit():
+    from qpdiff.contour import rescaled
+    bits = np.array([0x8000000000000000, 0x7FF8000000000001, 0xFFF0000000000000,
+                     0x7FF0000000000000, 0x0000000000000001, 0x3FF0000000000000,
+                     0xFFF4000000000000, 0x8000000000000000], dtype=np.uint64)
+    z = bits.view(np.complex128).reshape(2, 2)  # -0.0, NaNs, +-inf, subnormal
+    assert rescaled(z, 1.0).tobytes() == z.tobytes()
+    assert rescaled(z, 1.0).shape == (4,)
+    assert rescaled(complex(-0.0, np.inf), 1.0).tobytes() == np.array(
+        [complex(-0.0, np.inf)]).tobytes()
+
+
+def test_no_entry_point_returns_a_view_of_its_input(contour3, cfg, k3):
+    # at k = K_REF every scale is 1 and the variables are not copied on the
+    # way in, so a result written through must leave the inputs as they were
+    from qpdiff.farfield import AnsatzEvaluator, make_incidence
+    from qpdiff.grid_eval import factor_field
+    a1, a2 = _points_off_both_contours(contour3, 4, 3235)
+    a1[0], a2[0] = 0.8 + 0.9j, 1.0 + 1.2j  # in K_pp's natural domain
+    before = a1.tobytes() + a2.tobytes()
+    ev = AnsatzEvaluator(make_incidence(np.pi / 4, -3 * np.pi / 4, k3))
+    results = [
+        wf.continue_factor(wf.PP, a1, a2, k3, contour3, cfg),
+        wf.quarter_factor(wf.PP, a1[:1], a2[:1], k3, contour3, cfg),
+        factor_field(wf.PP, a1[0], a2, k3, contour3, cfg)[0],
+        ev.fpp(a1, a2),
+    ]
+    for out in results:
+        assert not np.shares_memory(out, a1) and not np.shares_memory(out, a2)
+        out[...] = 0.0
+    assert a1.tobytes() + a2.tobytes() == before
 
 
 class TestSplitOnError:

@@ -125,6 +125,10 @@ def default_contour(k: float = K_REF) -> ContourSpec:
     return ContourSpec(a=a, c=c)
 
 
+#: the ``K_REF`` default, the one object ``to_reference`` gives for it
+_REFERENCE = default_contour()
+
+
 @functools.lru_cache(maxsize=64)
 def to_reference(k: float, spec: ContourSpec):
     """The problem at wavenumber ``k`` on ``spec``, at ``K_REF``: the factor
@@ -135,7 +139,7 @@ def to_reference(k: float, spec: ContourSpec):
     costs a lookup, and the memos see the same contour object."""
     grow = (k / K_REF) ** 4
     # default_contour(k) rejects a k that is not finite and positive
-    ref = default_contour() if spec == default_contour(k) else ContourSpec(
+    ref = _REFERENCE if spec == default_contour(k) else ContourSpec(
         a=complex(spec.a.real * grow, spec.a.imag * grow),
         c=complex(spec.c.real / grow, spec.c.imag / grow))
     return K_REF / k, (k / K_REF) ** -0.25, ref
@@ -160,6 +164,8 @@ SIDE_TOL = 1e-12
 _SIDE_NAME = {1: "above", 0: "on", -1: "below"}
 
 _NEWTON_MAXIT = 100
+#: the bracket's ends, ``x -+ pad``, are ``x + pad * _PM``
+_PM = np.array([[-1.0], [1.0]])
 
 #: targets solved together; bounds the iteration's temporaries
 _BLOCK = 4096
@@ -191,7 +197,7 @@ def _geometry(spec: ContourSpec):
         )
     bump = float(np.max(np.abs(pts - s)))
     # a copy: a view of Re A(s) would keep the complex samples alive
-    return {"bump": bump, "s": s, "re": re.copy()}
+    return {"bump": bump, "s": s, "re": re.copy(), "ends": (float(re[0]), float(re[-1]))}
 
 
 def _solve_projection(spec: ContourSpec, x):
@@ -204,18 +210,22 @@ def _solve_projection(spec: ContourSpec, x):
     evaluation.  Newton steps use the closed-form ``Re A'(s)``; a step
     that leaves the bracket, meets a nonpositive slope, or fails to halve
     the previous step is replaced by bisection (as in Numerical Recipes'
-    ``rtsafe``).  Only unconverged entries are iterated.  Returns ``s``
+    ``rtsafe``); the test is taken as its complement, one pass that also
+    sends a NaN step to bisection.  Only unconverged entries are iterated;
+    when every entry converges at once, no bookkeeping arrays are made.
+    Returns ``s``
     and ``A(s)`` (to first order in the last step, which is below the
     tolerance ``1e-14 (1 + |x|)``).
     """
     geo = _geometry(spec)
     n, pad = x.size, geo["bump"] + 1.0
-    inside = (x > geo["re"][0]) & (x < geo["re"][-1])
+    inside = (x > geo["ends"][0]) & (x < geo["ends"][1])
     seed = np.where(inside, np.interp(x, geo["re"], geo["s"]), x)
+    bracket = np.empty((3, n))  # lo, hi and the seed clipped to them
     for _ in range(8):
-        lo, hi = x - pad, x + pad
-        s = np.minimum(np.maximum(seed, lo), hi)  # np.clip, without its wrapper
-        p, d = _point_and_derivative(spec, np.concatenate([lo, hi, s]))
+        np.add(x, pad * _PM, out=bracket[:2])  # x - pad is x + (-pad)
+        s = np.minimum(np.maximum(seed, bracket[0]), bracket[1], out=bracket[2])
+        p, d = _point_and_derivative(spec, bracket.ravel())
         f = p.real
         ok = (f[:n] < x) & (x < f[n:2 * n])
         if np.count_nonzero(ok) == n:
@@ -224,11 +234,10 @@ def _solve_projection(spec: ContourSpec, x):
     else:
         raise ContourError("projection bracket not found; invalid contour")
     p, d = p[2 * n:], d[2 * n:]
+    lo, hi = bracket[:2]
     tol = 1e-14 * (1.0 + np.abs(x))
-    size = np.abs(hi - lo)  # |last step|, the bracket's width at first
-    idx = np.arange(n)
-    s_out = np.empty(n)
-    pts = np.empty(n, dtype=np.complex128)
+    size = hi - lo  # |last step|, the bracket's width (positive) at first
+    idx = None  # each entry's position, once some entry has converged
     for _ in range(_NEWTON_MAXIT):
         f = p.real - x
         below = f < 0.0
@@ -237,14 +246,20 @@ def _solve_projection(spec: ContourSpec, x):
         slope = d.real
         step = f / slope
         new = s - step
-        bisect = ((new < lo) | (new > hi) | ~(slope > 0.0)
-                  | (np.abs(step) > 0.5 * size))
-        if np.count_nonzero(bisect):
-            new = np.where(bisect, 0.5 * (lo + hi), new)
+        # the complement of the bisection test, NaN steps included
+        newton = ((lo <= new) & (new <= hi) & (slope > 0.0)
+                  & (np.abs(step) <= 0.5 * size))
+        if np.count_nonzero(newton) < newton.size:
+            new = np.where(newton, new, 0.5 * (lo + hi))
         last = new - s
         size = np.abs(last)
         done = size < tol
         if ended := np.count_nonzero(done):
+            if idx is None:
+                if ended == n:
+                    return new, p + d * last
+                idx, s_out = np.arange(n), np.empty(n)
+                pts = np.empty(n, dtype=np.complex128)
             fin = idx[done]
             s_out[fin] = new[done]
             pts[fin] = (p + d * last)[done]
@@ -262,7 +277,7 @@ def contour_projection(spec: ContourSpec, z):
     """Projection ``s*`` and signed gap of ``z``, for a scalar or an array.
 
     ``s*`` solves ``Re A(s*) = Re z`` once per distinct ``Re z`` (bit for
-    bit) by the safeguarded Newton iteration of ``_solve_projection`` on
+    bit; one stable argsort of the bits and a diff find them) by the safeguarded Newton iteration of ``_solve_projection`` on
     the contour's cached sign bracket; the gap ``Im z - Im A(s*)`` is
     positive above the contour and is what every side and distance test
     reads.  Returns ``(s*, gap)``, floats for a scalar ``z`` and arrays of
@@ -279,9 +294,16 @@ def contour_projection(spec: ContourSpec, z):
     z = np.asarray(z)
     if np.count_nonzero(np.isfinite(z)) < z.size:
         raise NonFiniteInputError("projected point contains NaN/Inf")
-    bits, back = np.unique(z.real.astype(np.float64).view(np.int64).ravel(),
-                           return_inverse=True)
-    x = bits.view(np.float64)
+    # the distinct Re z bits, sorted: one stable argsort and a diff
+    bits = z.real.astype(np.float64).view(np.int64).ravel()
+    order = bits.argsort(kind="stable")
+    key = bits[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    back = np.empty_like(order)
+    back[order] = new.cumsum() - 1
+    x = key[new].view(np.float64)
     s, pts = np.empty(x.size), np.empty(x.size, dtype=np.complex128)
     for i in range(0, x.size, _BLOCK):
         s[i:i + _BLOCK], pts[i:i + _BLOCK] = _solve_projection(spec, x[i:i + _BLOCK])

@@ -43,9 +43,9 @@ from .contour import (K_REF, ContourSpec, _point_and_derivative, rescaled,
 from .errors import DomainError, QpdiffError
 from .quadrature import (QuadratureConfig, _WG, _WK, _XK, _s_of_u,
                          _starting_mesh)
-from .specfun import half_factor
+from .specfun import _diag_log_rotated, half_factor
 from .whfactor import (FactorLabel, _check_log_track, _hump_breaks,
-                       _log_density, _quarter_value, _shifted_for,
+                       _log_argument, _quarter_value, _shifted_for,
                        _split_on_error, quarter_factor)
 
 
@@ -87,14 +87,10 @@ def _levels(targets, alpha1: complex):
     return levels
 
 
-def _sample_density(label: FactorLabel, alpha1: complex, shifted, edges,
-                    guard: bool):
-    """GK nodes and rule coefficients, plus the Cauchy-free density.
-
-    Returns ``(z, coef_hi, coef_lo)`` for ``cauchy_pair_sums`` and the
-    log density at ``z``.  ``guard`` runs the branch-crossing check on
-    the samples; it runs on the finest level only.
-    """
+def _sample_nodes(label: FactorLabel, alpha1: complex, shifted, edges):
+    """The GK nodes ``z`` on ``edges``, the rotated log argument there,
+    checked where it vanishes (``_log_argument``), ``A'(s) ds/du`` and the
+    panels' half widths: what ``_check_log_track`` and ``_rule`` read."""
     lo = edges[:-1]
     hi = edges[1:]
     mid = 0.5 * (lo + hi)
@@ -103,14 +99,28 @@ def _sample_density(label: FactorLabel, alpha1: complex, shifted, edges,
                        0.5 * edges[-1])
     point, slope = _point_and_derivative(shifted.base, s)
     z = point + 1j * shifted.offset
-    rotated, log_w = _log_density(label.sign1 * alpha1, z)
-    if guard:
-        _check_log_track(rotated)  # s is already sorted per panel row-major
-    base = log_w * (slope * ds_du)
+    return z, _log_argument(label.sign1 * alpha1, z), slope * ds_du, half
+
+
+def _rule(z, rotated, weight, half):
+    """``(z, coef_hi, coef_lo)`` for ``cauchy_pair_sums`` and the log
+    density at ``z``, from ``_sample_nodes``."""
+    log_w = _diag_log_rotated(rotated)
+    base = log_w * weight
     hw = np.repeat(half, _XK.size)
-    coef_hi = base * hw * np.tile(_WK, mid.size)
-    coef_lo = base * hw * np.tile(_WG, mid.size)
+    coef_hi = base * hw * np.tile(_WK, half.size)
+    coef_lo = base * hw * np.tile(_WG, half.size)
     return (z, coef_hi, coef_lo), log_w
+
+
+def _sample_density(label: FactorLabel, alpha1: complex, shifted, edges,
+                    guard: bool):
+    """GK nodes and rule coefficients, plus the Cauchy-free density
+    (``_rule``); ``guard`` runs the branch-crossing check on the samples."""
+    nodes = _sample_nodes(label, alpha1, shifted, edges)
+    if guard:
+        _check_log_track(nodes[1])  # s is already sorted per panel row-major
+    return _rule(*nodes)
 
 
 def _product_rule(u, density, panel, u0):
@@ -248,9 +258,11 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets,
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i_hi))
         return i_hi, np.abs(i_hi - i_lo) / tol
 
-    def integral(live):
+    def integral():
         *coarse, fine_edges = _levels(flat, alpha1)
-        finest = _sample_density(label, alpha1, shifted, fine_edges, guard=True)
+        # the guard reads the finest level's samples; its rule waits for a pixel
+        finest = _sample_nodes(label, alpha1, shifted, fine_edges)
+        _check_log_track(finest[1])  # s is already sorted per panel row-major
         result = np.full(flat.shape, np.nan, dtype=np.complex128)
         pending = np.arange(flat.size)
         # Coarse meshes hold to the plain tolerance: a pixel they reject
@@ -265,12 +277,12 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets,
             result[pending[good]] = i_hi[good]
             pending = pending[~good]
         if pending.size:
-            result[pending], ratio = pair_rule(fine_edges, finest, pending)
+            result[pending], ratio = pair_rule(fine_edges, _rule(*finest), pending)
             redo[pending] = ratio > _TOL_RELAX
         return result
 
-    values = _quarter_value(np.broadcast_to(label.side2, flat.shape),
-                            np.broadcast_to(alpha1, flat.shape), flat, integral)
+    values = _quarter_value(np.broadcast_to(label.side2, flat.shape), flat,
+                            integral if alpha1 != 0 else None)
 
     redo |= ~np.isfinite(values)
     for part, got in _split_on_error(

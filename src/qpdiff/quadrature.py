@@ -24,10 +24,11 @@ with one target and shift, and a member stage (the density) once per
 integral.  Both stages run in parts of at most ``_NODE_BUDGET`` nodes,
 so a round's memory is bounded whatever the batch; a panel's sums are
 the same bits in any part.  A batch of one pays a fixed cost per
-integral (its mesh and the refinement's set-up, several dozen numpy
-calls) and per refinement round (the bookkeeping and one part of each
-stage), on top of the arithmetic of its nodes, about 500 for a quarter
-factor.
+integral (its mesh, filled into one array, and the refinement's
+set-up, several dozen numpy calls) and per refinement round (the
+bookkeeping, none of it for the first round's sums, and one part of
+each stage), on top of the arithmetic of its nodes, about 500 for a
+quarter factor.
 """
 
 from __future__ import annotations
@@ -148,12 +149,12 @@ def _panel_sums(fvec, lo, hi, owner):
             stage = part[runs]
             j = key[stage]
         x = mid[stage, None] + half[stage, None] * _XK
-        at = np.repeat(j, _XK.size)
+        at = j.repeat(_XK.size)
         data = node(x.ravel(), at)
         if rep is not None:
             back = np.cumsum(runs) - 1
             data = tuple(d.reshape(x.shape)[back].ravel() for d in data)
-            at = np.repeat(owner[part], _XK.size)
+            at = owner[part].repeat(_XK.size)
         y = np.asarray(member(data, at), dtype=np.complex128).reshape(-1, _XK.size)
         i_k[part] = value = np.add.reduce(y * _WK, axis=1) * half[part]
         err[part] = np.abs(value - np.add.reduce(y * _WG, axis=1) * half[part])
@@ -201,8 +202,10 @@ def _starting_mesh(span, scale: float, h: float, reach: float, breaks):
     NaN-padded), mapped; after one sort, repeated edges become NaN.
     """
     base, big = _base_edges(tuple(span), scale, h, reach)
-    rows = _u_of_s(_padded(breaks), big)
-    edges = np.hstack([base[None, :].repeat(len(rows), axis=0), rows])
+    rows = _padded(breaks)
+    edges = np.empty((len(rows), base.size + rows.shape[1]))
+    edges[:, :base.size] = base
+    edges[:, base.size:] = _u_of_s(rows, big)
     edges.sort(axis=1)
     edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
     return edges
@@ -256,9 +259,7 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
     depth = np.zeros(lo.size, dtype=np.int64)
     vals, errs = _panel_sums(fvec, lo, hi, owner)
     n_evals = _XK.size * count
-    value, error = np.empty(m, dtype=np.complex128), np.empty(m)
-    n_panels = np.empty(m, dtype=np.int64)
-    ids = np.arange(m)  # the unfinished integrals: group g is ids[g]
+    ids = value = None  # the unfinished integrals (group g is ids[g]), all at first
 
     while True:
         # the count[g] panels of group g are consecutive, from starts[g]
@@ -267,16 +268,22 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
         err_total = np.add.reduceat(errs, starts)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         done = err_total <= tol
-        # stored every round: an integral's last store is its final one
-        value[ids], error[ids], n_panels[ids] = total, err_total, count
-        if np.count_nonzero(done) == ids.size:
+        # the first round's sums are the results; later rounds overwrite
+        # their integrals' entries, so an integral's last store is its final one
+        if ids is None:
+            value, error, n_panels = total, err_total, count
+        else:
+            value[ids], error[ids], n_panels[ids] = total, err_total, count
+        if np.count_nonzero(done) == done.size:
             return value, error, n_evals, n_panels
+        ids = np.arange(m) if ids is None else ids
         group = np.repeat(np.arange(ids.size), count)
         split = errs > (tol / (2.0 * count))[group]
         # an integral with no panel over its share bisects its worst ones
         idle = np.bincount(group[split], minlength=ids.size) == 0
         split |= idle[group] & (errs >= np.maximum.reduceat(errs, starts)[group])
-        split &= ~done[group]
+        going = ~done[group]
+        split &= going
         deep = group[split & (depth >= cfg.max_subdivisions)]
         if deep.size:
             raise QuadratureError(
@@ -297,7 +304,7 @@ def _refine(fvec, edges, cfg: QuadratureConfig):
         n_evals[ids] += 2 * _XK.size * halves
         count, ids = (count + halves)[~done], ids[~done]
         # each integral's kept panels, then its left and right halves
-        keep = ~split & ~done[group]
+        keep = ~split & going
         order = np.argsort(np.concatenate([owner[keep], fresh[2]]), kind="stable")
         lo, hi, owner, vals, errs, depth = (
             np.concatenate([old[keep], new])[order]

@@ -251,10 +251,12 @@ def _half_factor_raw(k, inner, outer, sign):
     np.add(k, inner, w[1])
     arg = w[2]
     np.add(_kappa_of(w[:2]), sign * outer, arg)
-    _check_composition_cuts(w)
-    if np.count_nonzero(zero := arg == 0):
-        raise OnBranchCutError("half-factor branch point hit exactly",
-                               mask=np.ravel(zero))
+    # one test for both checks; <= 0 also lets kappa's branch points in
+    if np.count_nonzero((w.real == 0.0) & (w.imag <= 0.0)):
+        _check_composition_cuts(w)
+        if np.count_nonzero(zero := arg == 0):
+            raise OnBranchCutError("half-factor branch point hit exactly",
+                                   mask=np.ravel(zero))
     return 1.0 / _sqrt_down_raw(arg)
 
 

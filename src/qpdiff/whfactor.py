@@ -56,7 +56,9 @@ A scalar ``continue_factor`` call is a batch of one, so its cost is
 mostly fixed: a few dozen numpy calls on one- and two-entry arrays; at
 ``k = K_REF`` the edge's rescales take no product.  A label at a point
 already projected and integrated reads both memos and takes one
-half-factor pass; it evaluates no contour point and takes no integral.
+half-factor pass, whose cut and branch-point checks run only when a root
+argument lies on ``Re 0, Im <= 0``; it evaluates no contour point and
+takes no integral.
 A fresh point adds one projection of its two variables (the sign
 bracket's ends and the Newton seed are one contour evaluation) and one
 integral, a batch of one of ``integrate_over_shifted``.  On the default
@@ -124,9 +126,11 @@ ALL_LABELS = (PP, PM, MP, MM)
 _LABELS = {lab.tag: lab for lab in ALL_LABELS}
 #: the natural (alpha1, alpha2) sides of each label, by tag
 _REQUIRED = {lab.tag: (lab.sign1, lab.side2) for lab in ALL_LABELS}
-#: the contour ``to_reference`` gives for ``default_contour(k)`` at every k,
-#: where the alpha1 continuation's branch constant is exactly 1
-_DEFAULT = default_contour()
+#: the contour ``to_reference`` gives for ``default_contour(k)`` at every k
+#: (one object), where the alpha1 continuation's branch constant is exactly 1
+_DEFAULT = to_reference(K_REF, default_contour())[2]
+#: kappa's wavenumber in ``_half_factor_raw``
+_K = np.complex128(K_REF)
 
 
 def _pairs(alpha1, alpha2, ratio: float):
@@ -241,8 +245,8 @@ def cauchy_factorize(g, target, side: str, contour: ShiftedContour,
 # quarter factors
 # --------------------------------------------------------------------------
 
-def _log_density(scaled, z, kap=None):
-    """The rotated log argument ``exp(-i pi/4) w`` and ``diag_log(w)``.
+def _log_argument(scaled, z, kap=None):
+    """The rotated log argument ``exp(-i pi/4) w``, checked.
 
     ``w = 1 + scaled/kappa(K_REF, z)``, ``scaled = +-a1`` signed by the
     label's alpha1 sign, maybe an array matching ``z``.  A node stage passes
@@ -257,7 +261,12 @@ def _log_density(scaled, z, kap=None):
         raise BranchCrossingError(
             "log argument vanished on the integration contour"
         )
-    rotated = np.multiply(_ROT_BACK, w)
+    return np.multiply(_ROT_BACK, w)
+
+
+def _log_density(scaled, z, kap=None):
+    """``_log_argument`` and the log density ``diag_log(w)`` from it."""
+    rotated = _log_argument(scaled, z, kap)
     return rotated, _diag_log_rotated(rotated)
 
 
@@ -287,22 +296,21 @@ def _track_order(owner, re):
     return np.argsort(owner + 1j * re, kind="stable")
 
 
-def _quarter_value(side2, a1, a2, integral):
+def _quarter_value(side2, a2, integral):
     """``exp(coef I) / fourth_root_down(K_REF +- a2)`` for an array ``a2``.
 
-    ``integral(live)`` returns ``I``, the Cauchy integral of the log
-    density, where ``a1 != 0``; where ``a1 = 0`` the log argument is 1
-    and the integral vanishes exactly.  ``side2`` is the label's alpha2
-    half-plane; ``side2``, ``a1`` and ``a2`` are arrays of one shape.
+    ``integral()`` returns ``I``, the Cauchy integral of the log density,
+    at every entry; ``integral`` is None for entries with ``a1 = 0``,
+    where the log argument is 1 and the integral vanishes exactly.
+    ``side2``, the label's alpha2 half-plane (+-1), has the shape of ``a2``.
     """
-    pref = _sqrt_down_raw(_sqrt_down_raw(np.where(side2 > 0, K_REF + a2, K_REF - a2)))
-    value = np.reciprocal(pref)  # rounds as Python's 1.0 / pref does
-    live = a1 != 0
-    if np.count_nonzero(live):
-        coef = np.where(side2[live] > 0, -1.0 / (4j * np.pi),
-                        1.0 / (4j * np.pi))
-        value[live] = np.exp(coef * integral(live)) / pref[live]
-    return value
+    # K_REF +- a2 bit for bit: products with +-1 and 0 are exact, and
+    # K_REF + (+-0) is K_REF whatever the zero's sign
+    pref = _sqrt_down_raw(_sqrt_down_raw(K_REF + side2 * a2))
+    if integral is None:
+        return np.reciprocal(pref)  # rounds as Python's 1.0 / pref does
+    coef = np.where(side2 > 0, -1.0 / (4j * np.pi), 1.0 / (4j * np.pi))
+    return np.exp(coef * integral()) / pref
 
 
 #: ``s + i gap`` of every variable ``_projected`` places; 4096 of them
@@ -359,13 +367,12 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, contour: ContourSpec,
     first batch's.
     """
     def quarter(idx):
-        return _quarter_value(side2[idx], a1[idx], a2[idx],
-                              lambda live: integrate(idx[live]))
+        return _quarter_value(side2[idx], a2[idx], lambda: integrate(idx))
 
     def integrate(idx):
-        shift = default_shift(np.abs(gap2[idx]))  # opposite alpha2's side
-        shifted = [ShiftedContour(contour, offset) for offset
-                   in np.where(side2[idx] > 0, -shift, shift).tolist()]
+        # opposite alpha2's side: -side2 * shift is -+shift, exactly
+        shift = -side2[idx] * default_shift(np.abs(gap2[idx]))
+        shifted = [ShiftedContour(contour, offset) for offset in shift.tolist()]
         scaled, humps = sign1[idx] * a1[idx], _hump_breaks(a1[idx])
         samples = []
         # only a track with a sample left of the imaginary axis can cross
@@ -392,8 +399,8 @@ def _quarter_batch(sign1, side2, a1, a2, s2, gap2, contour: ContourSpec,
 
     live = a1.nonzero()[0]
     if live.size < a1.size:  # the log argument is 1: no integral, nothing stored
-        value = np.empty(a1.size, dtype=np.complex128)
-        value[a1 == 0] = quarter((a1 == 0).nonzero()[0])
+        value, dead = np.empty(a1.size, dtype=np.complex128), a1 == 0
+        value[dead] = _quarter_value(side2[dead], a2[dead], None)
     raw1, raw2, sign, side = a1.tobytes(), a2.tobytes(), sign1.tolist(), side2.tolist()
     token = _integral_memo.token((contour, cfg))
     found = _integral_memo.lookup(
@@ -563,13 +570,14 @@ def _continued(labels, a1, a2, contour: ContourSpec, cfg: QuadratureConfig):
     if anyoff := np.count_nonzero(off):  # halves no point needs are taken
         args = np.where(off, z.reshape(2, 2 * m), 0)  # at (0, 0): none fails
         try:
-            half = _half_factor_raw(np.complex128(K_REF), args[0], args[1],
+            half = _half_factor_raw(_K, args[0], args[1],
                                     np.concatenate([required[m:], need[:m]]))
         except OnBranchCutError as exc:
             exc.mask = exc.mask[:m] | exc.mask[m:]
             raise
     cst = None  # the branch constants; exactly 1 on the K_REF default
-    if (any1 := np.count_nonzero(off1)) and contour != _DEFAULT:
+    # ``is`` first: ``to_reference`` gives the default as one object
+    if (any1 := np.count_nonzero(off1)) and contour is not _DEFAULT != contour:
         cst = dict.fromkeys(lab.tag for lab, o in zip(labels, off1.tolist()) if o)
         for tag in cst:
             cst[tag] = continuation_constant(_LABELS[tag], contour, cfg)

@@ -75,6 +75,9 @@ MUTANTS = [
      "a quarter factor's scale from K_REF back to k"),
     ("variable_map", "contour.py", "return K_REF / k,", "return k / K_REF,",
      "the map of spectral variables from k to K_REF"),
+    ("newton_unguarded", "contour.py",
+     "if np.count_nonzero(newton) < newton.size:", "if False:",
+     "the projection's Newton safeguard: no bisection fallback"),
 ]
 
 

@@ -211,6 +211,24 @@ class TestProjection:
         with pytest.raises(ContourError):
             ct.contour_projection(contour3, 0.7 + 1j)
 
+    @pytest.mark.parametrize("x", [1e-15, -1e-12, 1e-9, 1e-6, 1e-3])
+    def test_newton_safeguard_matches_bisection(self, x):
+        # A(s) = s - 1000 s / (s^4 + 1000) is real, strictly increasing and
+        # passes the sampled monotonicity check, but Re A'(0) = 0 and
+        # Re A(s) ~ s^5 / 1000 near 0: from the sampled seed, the first
+        # Newton step leaves the bracket (or divides by a zero slope).
+        # Unguarded Newton does not converge at these x.
+        spec = ct.ContourSpec(a=-1e-3, c=1000.0)
+        pad = ct._geometry(spec)["bump"] + 1.0
+        lo, hi, tol = x - pad, x + pad, 1e-14 * (1.0 + abs(x))
+        while hi - lo >= tol:  # the reference: bisection alone
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ct.contour_point(spec, mid).real < x else (lo, mid)
+        with np.errstate(divide="ignore"):
+            s_star, gap = ct.contour_projection(spec, complex(x, 0.5))
+        assert abs(s_star - 0.5 * (lo + hi)) <= tol
+        assert gap == 0.5
+
     def test_geometry_cache_holds_a_bounded_amount(self):
         # each contour's samples take about 157 KiB: the 64 cached contours
         # hold about 10 MiB, where an entry per contour seen would hold 31

@@ -467,6 +467,20 @@ class TestForcingPoleOnTheRealAxis:
         assert len(rows) == 17
         assert max(abs(v.imag) / abs(v.real) for v in rows) < 1e-14
 
+    def test_rim_rows_on_either_side_of_the_real_branch_threshold(self):
+        # on the theta = pi/2 rim at this incidence, 3 of 720 rows at
+        # 0.5-degree steps have Im/Re between 1e-3 and 1e-2 (phi = 4, 6 and
+        # 7 degrees: 3.7e-3, 6.5e-3, 7.4e-3 when this test was written);
+        # the real_branch rows there read about 1e-16 (phi = 92 degrees)
+        ev = ff.AnsatzEvaluator(ff.make_incidence(math.pi / 4, math.pi / 8, 3.0))
+        obs = [ff.Observation(theta=math.pi / 2, phi=math.radians(d))
+               for d in (4.0, 6.0, 7.0, 92.0)]
+        values, flags, _ = ev._directions(obs)
+        ratio = np.abs(values.imag) / np.abs(values.real)
+        assert flags == ["continued"] * 3 + ["real_branch"]
+        assert np.all((1e-3 < ratio[:3]) & (ratio[:3] < 1e-2))
+        assert ratio[3] < 1e-14
+
 
 def test_threshold_flagged_pole_row_is_finite_and_large(inc12):
     # just inside the near-pole band but off the exact pole: the shift

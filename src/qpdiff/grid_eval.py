@@ -282,7 +282,7 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets,
         return result
 
     values = _quarter_value(np.broadcast_to(label.side2, flat.shape), flat,
-                            integral if alpha1 != 0 else None)
+                            integral if alpha1 != 0 and flat.size else None)
 
     redo |= ~np.isfinite(values)
     for part, got in _split_on_error(

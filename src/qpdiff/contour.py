@@ -125,10 +125,6 @@ def default_contour(k: float = K_REF) -> ContourSpec:
     return ContourSpec(a=a, c=c)
 
 
-#: the ``K_REF`` default, the one object ``to_reference`` gives for it
-_REFERENCE = default_contour()
-
-
 @functools.lru_cache(maxsize=64)
 def to_reference(k: float, spec: ContourSpec):
     """The problem at wavenumber ``k`` on ``spec``, at ``K_REF``: the factor
@@ -139,7 +135,7 @@ def to_reference(k: float, spec: ContourSpec):
     costs a lookup, and the memos see the same contour object."""
     grow = (k / K_REF) ** 4
     # default_contour(k) rejects a k that is not finite and positive
-    ref = _REFERENCE if spec == default_contour(k) else ContourSpec(
+    ref = default_contour() if spec == default_contour(k) else ContourSpec(
         a=complex(spec.a.real * grow, spec.a.imag * grow),
         c=complex(spec.c.real / grow, spec.c.imag / grow))
     return K_REF / k, (k / K_REF) ** -0.25, ref
@@ -213,9 +209,8 @@ def _solve_projection(spec: ContourSpec, x):
     ``rtsafe``); the test is taken as its complement, one pass that also
     sends a NaN step to bisection.  Only unconverged entries are iterated;
     when every entry converges at once, no bookkeeping arrays are made.
-    Returns ``s``
-    and ``A(s)`` (to first order in the last step, which is below the
-    tolerance ``1e-14 (1 + |x|)``).
+    Returns ``s`` and ``A(s)`` (to first order in the last step, which is
+    below the tolerance ``1e-14 (1 + |x|)``).
     """
     geo = _geometry(spec)
     n, pad = x.size, geo["bump"] + 1.0
@@ -273,12 +268,32 @@ def _solve_projection(spec: ContourSpec, x):
     raise ContourError("contour projection did not converge; invalid contour")
 
 
+def _starts(order, *keys):
+    """Flags along ``order``: True where an entry differs from the one
+    before it in some key; ``order`` sorts equal entries next to each other."""
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+def _distinct(order, *keys):
+    """``first``, ``back`` with ``key[first][back] == key`` for each key."""
+    new = _starts(order, *keys)
+    back = np.empty_like(order)
+    back[order] = np.cumsum(new) - 1
+    return order[new], back
+
+
 def contour_projection(spec: ContourSpec, z):
     """Projection ``s*`` and signed gap of ``z``, for a scalar or an array.
 
     ``s*`` solves ``Re A(s*) = Re z`` once per distinct ``Re z`` (bit for
-    bit; one stable argsort of the bits and a diff find them) by the safeguarded Newton iteration of ``_solve_projection`` on
-    the contour's cached sign bracket; the gap ``Im z - Im A(s*)`` is
+    bit; ``_distinct`` on one stable argsort of the bits finds them) by
+    the safeguarded Newton iteration of ``_solve_projection`` on the
+    contour's cached sign bracket; the gap ``Im z - Im A(s*)`` is
     positive above the contour and is what every side and distance test
     reads.  Returns ``(s*, gap)``, floats for a scalar ``z`` and arrays of
     its shape otherwise.
@@ -294,16 +309,9 @@ def contour_projection(spec: ContourSpec, z):
     z = np.asarray(z)
     if np.count_nonzero(np.isfinite(z)) < z.size:
         raise NonFiniteInputError("projected point contains NaN/Inf")
-    # the distinct Re z bits, sorted: one stable argsort and a diff
     bits = z.real.astype(np.float64).view(np.int64).ravel()
-    order = bits.argsort(kind="stable")
-    key = bits[order]
-    new = np.empty(key.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    back = np.empty_like(order)
-    back[order] = new.cumsum() - 1
-    x = key[new].view(np.float64)
+    first, back = _distinct(bits.argsort(kind="stable"), bits)
+    x = bits[first].view(np.float64)
     s, pts = np.empty(x.size), np.empty(x.size, dtype=np.complex128)
     for i in range(0, x.size, _BLOCK):
         s[i:i + _BLOCK], pts[i:i + _BLOCK] = _solve_projection(spec, x[i:i + _BLOCK])

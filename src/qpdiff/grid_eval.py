@@ -113,16 +113,6 @@ def _rule(z, rotated, weight, half):
     return (z, coef_hi, coef_lo), log_w
 
 
-def _sample_density(label: FactorLabel, alpha1: complex, shifted, edges,
-                    guard: bool):
-    """GK nodes and rule coefficients, plus the Cauchy-free density
-    (``_rule``); ``guard`` runs the branch-crossing check on the samples."""
-    nodes = _sample_nodes(label, alpha1, shifted, edges)
-    if guard:
-        _check_log_track(nodes[1])  # s is already sorted per panel row-major
-    return _rule(*nodes)
-
-
 def _product_rule(u, density, panel, u0):
     """Both pair-rule integrals of ``density(u) / (u - u0) du``, close up.
 
@@ -271,8 +261,8 @@ def quarter_factor_grid(label: FactorLabel, alpha1, targets,
         for edges in coarse:
             if not pending.size:
                 break
-            i_hi, ratio = pair_rule(edges, _sample_density(
-                label, alpha1, shifted, edges, guard=False), pending)
+            i_hi, ratio = pair_rule(edges, _rule(*_sample_nodes(
+                label, alpha1, shifted, edges)), pending)
             good = ratio <= 1.0
             result[pending[good]] = i_hi[good]
             pending = pending[~good]

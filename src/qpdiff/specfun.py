@@ -251,8 +251,8 @@ def _half_factor_raw(k, inner, outer, sign):
     np.add(k, inner, w[1])
     arg = w[2]
     np.add(_kappa_of(w[:2]), sign * outer, arg)
-    # one test for both checks; <= 0 also lets kappa's branch points in
-    if np.count_nonzero((w.real == 0.0) & (w.imag <= 0.0)):
+    # one test for both checks: a cut and a branch point have Re 0
+    if np.count_nonzero(w.real == 0.0):
         _check_composition_cuts(w)
         if np.count_nonzero(zero := arg == 0):
             raise OnBranchCutError("half-factor branch point hit exactly",

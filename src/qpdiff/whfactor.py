@@ -57,8 +57,8 @@ mostly fixed: a few dozen numpy calls on one- and two-entry arrays; at
 ``k = K_REF`` the edge's rescales take no product.  A label at a point
 already projected and integrated reads both memos and takes one
 half-factor pass, whose cut and branch-point checks run only when a root
-argument lies on ``Re 0, Im <= 0``; it evaluates no contour point and
-takes no integral.
+argument has ``Re 0``; it evaluates no contour point and takes no
+integral.
 A fresh point adds one projection of its two variables (the sign
 bracket's ends and the Newton seed are one contour evaluation) and one
 integral, a batch of one of ``integrate_over_shifted``.  On the default
@@ -126,9 +126,9 @@ ALL_LABELS = (PP, PM, MP, MM)
 _LABELS = {lab.tag: lab for lab in ALL_LABELS}
 #: the natural (alpha1, alpha2) sides of each label, by tag
 _REQUIRED = {lab.tag: (lab.sign1, lab.side2) for lab in ALL_LABELS}
-#: the contour ``to_reference`` gives for ``default_contour(k)`` at every k
-#: (one object), where the alpha1 continuation's branch constant is exactly 1
-_DEFAULT = to_reference(K_REF, default_contour())[2]
+#: the contour ``to_reference`` gives for ``default_contour(k)`` at every k,
+#: where the alpha1 continuation's branch constant is exactly 1
+_DEFAULT = default_contour()
 #: kappa's wavenumber in ``_half_factor_raw``
 _K = np.complex128(K_REF)
 
@@ -576,8 +576,7 @@ def _continued(labels, a1, a2, contour: ContourSpec, cfg: QuadratureConfig):
             exc.mask = exc.mask[:m] | exc.mask[m:]
             raise
     cst = None  # the branch constants; exactly 1 on the K_REF default
-    # ``is`` first: ``to_reference`` gives the default as one object
-    if (any1 := np.count_nonzero(off1)) and contour is not _DEFAULT != contour:
+    if (any1 := np.count_nonzero(off1)) and contour != _DEFAULT:
         cst = dict.fromkeys(lab.tag for lab, o in zip(labels, off1.tolist()) if o)
         for tag in cst:
             cst[tag] = continuation_constant(_LABELS[tag], contour, cfg)

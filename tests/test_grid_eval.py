@@ -371,7 +371,7 @@ def test_near_set_is_exact(monkeypatch, contour3, alpha1):
         rings = [c[mid, None] + ge._NEAR * np.abs(h[mid, None]) * f * turn
                  for f in (1 - 1e-12, 1 + 1e-12)]
         targets = np.concatenate([window] + [r.ravel() for r in rings])
-        sampled = ge._sample_density(PP, alpha1, shifted, edges, guard=False)
+        sampled = ge._rule(*ge._sample_nodes(PP, alpha1, shifted, edges))
         assert np.abs(targets[:, None] - sampled[0][0][None, :]).min() > 1e-4
         ge._close_pair_sums(*sampled, ends, targets)
         u = (targets[:, None] - c[None, :]) / h[None, :]
